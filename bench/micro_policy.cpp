@@ -1,10 +1,9 @@
 /**
  * @file
- * Microbenchmarks of the policy layer: the bridged incumbent
- * (registry "sjf-ibo" behind the SchedulingPolicy interface) against
- * the inlined legacy controller on the same loaded buffer — the
- * per-decision cost of the interface — plus each zoo policy's
- * rank+admit step through a PolicyContext.
+ * Microbenchmarks of the policy layer: one full Controller decision
+ * of the incumbent (registry "sjf-ibo") on a loaded buffer — the
+ * primary metric — plus each zoo policy's rank+admit step through a
+ * PolicyContext.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,7 +11,6 @@
 #include "gbench_json.hpp"
 
 #include "app/person_detection.hpp"
-#include "baselines/controllers.hpp"
 #include "core/service_time.hpp"
 #include "policy/registry.hpp"
 
@@ -44,12 +42,12 @@ struct LoadedSystem
     }
 };
 
-/** Full decision through the bridges: the tournament's hot path. */
+/** One full Controller decision: the tournament's hot path. */
 void
-BM_PolicyBridgeSelectJob(benchmark::State &state)
+BM_PolicySelectJob(benchmark::State &state)
 {
     LoadedSystem rig;
-    auto controller = policy::makePolicyController("sjf-ibo");
+    auto controller = policy::makeController(policy::policyRow("sjf-ibo"));
     const core::RuntimeObservation runtime{0.05, 0.1, 7000};
     double power = 5e-3;
     for (auto _ : state) {
@@ -58,23 +56,7 @@ BM_PolicyBridgeSelectJob(benchmark::State &state)
         power = power < 50e-3 ? power + 1e-3 : 5e-3;
     }
 }
-BENCHMARK(BM_PolicyBridgeSelectJob);
-
-/** The same decision on the pre-refactor inlined controller. */
-void
-BM_LegacyInlineSelectJob(benchmark::State &state)
-{
-    LoadedSystem rig;
-    auto controller = baselines::makeQuetzalVariantController(
-        baselines::SchedulerKind::EnergyAwareSjf);
-    double power = 5e-3;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            controller->selectJob(rig.system, rig.buffer, power));
-        power = power < 50e-3 ? power + 1e-3 : 5e-3;
-    }
-}
-BENCHMARK(BM_LegacyInlineSelectJob);
+BENCHMARK(BM_PolicySelectJob);
 
 /** One rank+admit round of a zoo policy through a PolicyContext. */
 void
@@ -88,7 +70,7 @@ rankAdmit(benchmark::State &state, const char *name)
     for (auto _ : state) {
         const core::PowerReading power =
             rig.system.measureInputPower(watts);
-        const policy::PolicyContext ctx{
+        const core::PolicyContext ctx{
             rig.system, rig.buffer, estimator, power, 0.0,
             {0.05, 0.1, now}};
         const auto decision = policy->rank(ctx);
@@ -128,5 +110,5 @@ int
 main(int argc, char **argv)
 {
     return quetzal::bench::quetzalGbenchMain(
-        argc, argv, "micro_policy", "BM_PolicyBridgeSelectJob");
+        argc, argv, "micro_policy", "BM_PolicySelectJob");
 }

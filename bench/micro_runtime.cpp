@@ -10,8 +10,8 @@
 #include "gbench_json.hpp"
 
 #include "app/person_detection.hpp"
-#include "baselines/controllers.hpp"
 #include "core/pid.hpp"
+#include "policy/registry.hpp"
 #include "queueing/bitvector_window.hpp"
 #include "queueing/rate_tracker.hpp"
 
@@ -47,8 +47,8 @@ void
 BM_ControllerSelectJob(benchmark::State &state)
 {
     LoadedSystem rig;
-    auto controller = baselines::makeQuetzalVariantController(
-        baselines::SchedulerKind::EnergyAwareSjf);
+    auto controller =
+        policy::makeController(policy::ControllerKind::Quetzal);
     double power = 5e-3;
     for (auto _ : state) {
         benchmark::DoNotOptimize(

@@ -15,7 +15,7 @@
 
 #include <cstdio>
 
-#include "core/runtime.hpp"
+#include "policy/registry.hpp"
 
 int
 main()
@@ -36,7 +36,7 @@ main()
         system.addJob("detect", {detect}, reportJob);
 
     // --- 2. Instantiate Quetzal --------------------------------------
-    auto quetzal = core::makeQuetzalController();
+    auto quetzal = policy::makeController(policy::ControllerKind::Quetzal);
     queueing::InputBuffer buffer(10);
 
     // --- 3. Feed it a synthetic burst at falling input power ---------

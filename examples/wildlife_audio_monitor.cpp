@@ -11,9 +11,9 @@
 #include <iostream>
 
 #include "app/audio_monitor.hpp"
-#include "baselines/controllers.hpp"
 #include "energy/harvester.hpp"
 #include "energy/solar_model.hpp"
+#include "policy/registry.hpp"
 #include "sim/simulator.hpp"
 #include "trace/event_generator.hpp"
 
@@ -54,10 +54,9 @@ main()
         core::TaskSystem system;
         const app::ApplicationModel appModel =
             app::buildAudioMonitorApp(system, app::apollo4Device());
-        auto controller = useQuetzal ?
-            baselines::makeQuetzalVariantController(
-                baselines::SchedulerKind::EnergyAwareSjf) :
-            baselines::makeNoAdaptController();
+        auto controller = policy::makeController(
+            useQuetzal ? policy::ControllerKind::Quetzal
+                       : policy::ControllerKind::NoAdapt);
 
         sim::SimulationConfig simCfg;
         simCfg.bufferCapacity = 8; // audio clips are larger

@@ -41,11 +41,13 @@ IboReactionEngine::backlogServiceSeconds(
 }
 
 AdaptationDecision
-IboReactionEngine::adapt(const TaskSystem &system, const Job &job,
-                         const queueing::InputBuffer &buffer,
-                         const ServiceTimeEstimator &estimator,
-                         const PowerReading &power, double pidCorrection)
+IboReactionEngine::admit(const PolicyContext &ctx, const Job &job)
 {
+    const TaskSystem &system = ctx.system;
+    const queueing::InputBuffer &buffer = ctx.buffer;
+    const ServiceTimeEstimator &estimator = ctx.estimator;
+    const PowerReading &power = ctx.power;
+    const double pidCorrection = ctx.pidCorrection;
     if (currentOption.size() < system.taskCount())
         currentOption.resize(system.taskCount(), 0);
 

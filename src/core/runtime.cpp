@@ -8,17 +8,14 @@ namespace quetzal {
 namespace core {
 
 Controller::Controller(std::string name,
-                       std::unique_ptr<SchedulerPolicy> scheduler,
-                       std::unique_ptr<AdaptationPolicy> adaptation,
+                       std::unique_ptr<SchedulingPolicy> policy,
                        std::unique_ptr<ServiceTimeEstimator> estimator,
                        std::optional<PidConfig> pidConfig)
-    : controllerName(std::move(name)), schedPolicy(std::move(scheduler)),
-      adaptPolicy(std::move(adaptation)),
+    : controllerName(std::move(name)), schedPolicy(std::move(policy)),
       serviceEstimator(std::move(estimator))
 {
-    if (!schedPolicy || !adaptPolicy || !serviceEstimator)
-        util::fatal("controller requires scheduler, adaptation and "
-                    "estimator");
+    if (!schedPolicy || !serviceEstimator)
+        util::fatal("controller requires a policy and an estimator");
     if (pidConfig)
         pid.emplace(*pidConfig);
 }
@@ -30,19 +27,15 @@ Controller::selectJob(TaskSystem &system,
 {
     ++runStats.invocations;
     const PowerReading power = system.measureInputPower(truePower);
-    const double correction = pidCorrection();
-    schedPolicy->observe(runtime);
-    adaptPolicy->observe(runtime);
+    const PolicyContext ctx{system, buffer, *serviceEstimator, power,
+                            pidCorrection(), runtime};
 
-    const auto decision = schedPolicy->select(system, buffer,
-                                              *serviceEstimator, power,
-                                              correction);
+    const auto decision = schedPolicy->rank(ctx);
     if (!decision)
         return std::nullopt;
 
     const Job &job = system.job(decision->jobId);
-    AdaptationDecision adapted = adaptPolicy->adapt(
-        system, job, buffer, *serviceEstimator, power, correction);
+    AdaptationDecision adapted = schedPolicy->admit(ctx, job);
 
     JobSelection selection;
     selection.jobId = decision->jobId;
@@ -106,7 +99,7 @@ Controller::onInputDropped(const TaskSystem &system,
                            const queueing::InputBuffer &buffer,
                            const queueing::InputRecord &dropped, Tick now)
 {
-    adaptPolicy->onBufferOverflow(system, buffer, dropped, now);
+    schedPolicy->onBufferOverflow(system, buffer, dropped, now);
 }
 
 void
@@ -188,7 +181,7 @@ Controller::saveCheckpoint(std::string &out) const
     serviceEstimator->saveState(blob);
     wire::putBytes(out, blob);
     blob.clear();
-    adaptPolicy->saveState(blob);
+    schedPolicy->saveState(blob);
     wire::putBytes(out, blob);
 }
 
@@ -226,16 +219,15 @@ Controller::loadCheckpoint(util::wire::Reader &in)
         loop.updateCount = static_cast<unsigned long>(updates);
     }
     std::string estimatorBlob;
-    std::string adaptationBlob;
-    if (!in.getBytes(estimatorBlob) || !in.getBytes(adaptationBlob))
+    std::string policyBlob;
+    if (!in.getBytes(estimatorBlob) || !in.getBytes(policyBlob))
         return false;
     wire::Reader estimatorReader(estimatorBlob);
     if (!serviceEstimator->loadState(estimatorReader) ||
         !estimatorReader.atEnd())
         return false;
-    wire::Reader adaptationReader(adaptationBlob);
-    if (!adaptPolicy->loadState(adaptationReader) ||
-        !adaptationReader.atEnd())
+    wire::Reader policyReader(policyBlob);
+    if (!schedPolicy->loadState(policyReader) || !policyReader.atEnd())
         return false;
     decisionCounter = counter;
     runStats = restored;
@@ -243,18 +235,6 @@ Controller::loadCheckpoint(util::wire::Reader &in)
     if (pid)
         pid->importState(loop);
     return true;
-}
-
-std::unique_ptr<Controller>
-makeQuetzalController(const QuetzalOptions &options)
-{
-    return std::make_unique<Controller>(
-        "Quetzal",
-        std::make_unique<EnergyAwareSjfPolicy>(),
-        std::make_unique<IboReactionEngine>(),
-        std::make_unique<EnergyAwareEstimator>(options.useCircuit),
-        options.usePid ? std::optional<PidConfig>(options.pidConfig)
-                       : std::nullopt);
 }
 
 } // namespace core

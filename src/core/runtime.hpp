@@ -1,17 +1,18 @@
 /**
  * @file
- * Controller: the runtime object that glues a scheduling policy, an
- * adaptation policy, a service-time estimator and (optionally) the
- * PID error-mitigation loop into the decision pipeline of Figure 5:
+ * Controller: the runtime object that glues one scheduling policy, a
+ * service-time estimator and (optionally) the PID error-mitigation
+ * loop into the decision pipeline of Figure 5:
  *
- *   input leaves queue -> scheduler selects job -> adaptation picks
- *   degradation options -> job runs -> completion feeds the trackers,
- *   the estimator and the PID controller.
+ *   input leaves queue -> policy ranks the job -> policy admits it at
+ *   chosen degradation options -> job runs -> completion feeds the
+ *   trackers, the estimator and the PID controller.
  *
  * Quetzal itself is one Controller configuration (Energy-aware SJF +
- * IBO engine + energy-aware estimator + PID); every baseline in the
- * paper is another configuration of the same machinery, which is what
- * makes the head-to-head experiments apples-to-apples.
+ * IBO engine policy, energy-aware estimator, PID); every baseline in
+ * the paper is another configuration of the same machinery, which is
+ * what makes the head-to-head experiments apples-to-apples. The
+ * configurations are rows of the table in policy/registry.hpp.
  */
 
 #ifndef QUETZAL_CORE_RUNTIME_HPP
@@ -22,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "core/ibo_engine.hpp"
 #include "core/pid.hpp"
 #include "core/scheduler.hpp"
 #include "core/system.hpp"
@@ -65,7 +65,7 @@ struct ControllerStats
 };
 
 /**
- * Policy bundle + runtime feedback loops.
+ * One scheduling policy + runtime feedback loops.
  */
 class Controller
 {
@@ -73,9 +73,7 @@ class Controller
     /**
      * @param pidConfig enable the section-4.3 PID loop when present
      */
-    Controller(std::string name,
-               std::unique_ptr<SchedulerPolicy> scheduler,
-               std::unique_ptr<AdaptationPolicy> adaptation,
+    Controller(std::string name, std::unique_ptr<SchedulingPolicy> policy,
                std::unique_ptr<ServiceTimeEstimator> estimator,
                std::optional<PidConfig> pidConfig = std::nullopt);
 
@@ -83,10 +81,11 @@ class Controller
     const std::string &name() const { return controllerName; }
 
     /**
-     * Run one scheduling round: measure power, select a job, choose
-     * degradation options. Returns nullopt when nothing is queued.
-     * @param runtime device-state snapshot forwarded to both policies
-     *        via observe() (default empty keeps legacy callers valid)
+     * Run one scheduling round: measure power, rank a job, admit it
+     * at chosen degradation options. Returns nullopt when nothing is
+     * queued.
+     * @param runtime device-state snapshot placed in the policy's
+     *        PolicyContext
      */
     std::optional<JobSelection>
     selectJob(TaskSystem &system, const queueing::InputBuffer &buffer,
@@ -94,8 +93,8 @@ class Controller
 
     /**
      * Report a capture dropped on buffer overflow; forwards to the
-     * adaptation policy's onBufferOverflow hook (no-op for the
-     * incumbent policies).
+     * policy's onBufferOverflow hook (no-op for the paper's
+     * policies).
      */
     void onInputDropped(const TaskSystem &system,
                         const queueing::InputBuffer &buffer,
@@ -133,16 +132,15 @@ class Controller
     const ControllerStats &stats() const { return runStats; }
 
     /** Collaborator access (tests and benches). */
-    const SchedulerPolicy &scheduler() const { return *schedPolicy; }
-    const AdaptationPolicy &adaptation() const { return *adaptPolicy; }
+    const SchedulingPolicy &policy() const { return *schedPolicy; }
     ServiceTimeEstimator &estimator() { return *serviceEstimator; }
 
     /**
      * @name Checkpoint
      * Serialize / restore the controller's mutable runtime state:
-     * counters, the PID loop, and the estimator's / adaptation
-     * policy's histories (via their saveState hooks). The policy
-     * bundle itself is configuration — the restoring controller must
+     * counters, the PID loop, and the estimator's / policy's
+     * histories (via their saveState hooks). Which policy and
+     * estimator run is configuration — the restoring controller must
      * be built identically. loadCheckpoint() returns false on
      * malformed bytes or a PID-presence mismatch.
      */
@@ -153,29 +151,13 @@ class Controller
 
   private:
     std::string controllerName;
-    std::unique_ptr<SchedulerPolicy> schedPolicy;
-    std::unique_ptr<AdaptationPolicy> adaptPolicy;
+    std::unique_ptr<SchedulingPolicy> schedPolicy;
     std::unique_ptr<ServiceTimeEstimator> serviceEstimator;
     std::optional<PidController> pid;
     ControllerStats runStats;
     obs::Recorder *observer = nullptr;
     std::uint64_t decisionCounter = 0;
 };
-
-/** Options for the stock Quetzal controller. */
-struct QuetzalOptions
-{
-    bool useCircuit = true; ///< Alg. 3 codes vs exact float power
-    bool usePid = true;     ///< section 4.3 error mitigation
-    PidConfig pidConfig;    ///< Table 1 gains by default
-};
-
-/**
- * The paper's Quetzal: Energy-aware SJF + IBO engine + energy-aware
- * estimator + PID.
- */
-std::unique_ptr<Controller>
-makeQuetzalController(const QuetzalOptions &options = {});
 
 } // namespace core
 } // namespace quetzal

@@ -6,17 +6,13 @@ namespace quetzal {
 namespace core {
 
 std::optional<SchedulerDecision>
-EnergyAwareSjfPolicy::select(const TaskSystem &system,
-                             const queueing::InputBuffer &buffer,
-                             const ServiceTimeEstimator &estimator,
-                             const PowerReading &power,
-                             double pidCorrection) const
+rankEnergyAwareSjf(const PolicyContext &ctx)
 {
     std::optional<SchedulerDecision> best;
     Tick bestCaptureTick = kTickNever;
 
-    for (const Job &job : system.jobs()) {
-        const auto slot = buffer.oldestSlotForJob(job.id);
+    for (const Job &job : ctx.system.jobs()) {
+        const auto slot = ctx.buffer.oldestSlotForJob(job.id);
         if (!slot)
             continue;
 
@@ -25,10 +21,11 @@ EnergyAwareSjfPolicy::select(const TaskSystem &system,
         // IBO engine degrades afterwards if needed). A deflating PID
         // correction cannot push a prediction below zero.
         const double expected = std::max(
-            0.0, system.expectedJobService(job, estimator, power) +
-                     pidCorrection);
+            0.0, ctx.system.expectedJobService(job, ctx.estimator,
+                                               ctx.power) +
+                     ctx.pidCorrection);
 
-        const Tick captureTick = buffer.record(*slot).captureTick;
+        const Tick captureTick = ctx.buffer.record(*slot).captureTick;
         const bool better = !best ||
             expected < best->expectedServiceSeconds ||
             (expected == best->expectedServiceSeconds &&

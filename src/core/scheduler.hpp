@@ -1,16 +1,21 @@
 /**
  * @file
- * Scheduling-policy interface and the Energy-aware SJF policy
+ * The scheduling-policy interface and Energy-aware SJF ranking
  * (paper Algorithm 1).
  *
- * A policy inspects the input buffer and picks which job to run next
- * (and which buffered input it consumes). Energy-aware SJF selects
- * the job with the smallest expected *end-to-end* service time at
- * the measured input power — including energy-recharge time — which
- * minimizes mean wait across buffered inputs and so relieves buffer
- * pressure. Ties break toward the job holding the older input
- * (section 4.1). FCFS/LCFS comparison policies live in
- * baselines/policies.hpp.
+ * A SchedulingPolicy makes the whole per-round decision of Figure 5:
+ * rank() picks which buffered input runs next, admit() picks the
+ * quality each of that job's tasks runs at, and onBufferOverflow()
+ * reacts to a dropped capture. The Controller (runtime.hpp) holds
+ * exactly one policy. The paper's Quetzal is Alg. 1 ranking + Alg. 2
+ * admission (ibo_engine.hpp); its baselines and the related-work
+ * policies are other implementations (src/policy).
+ *
+ * Energy-aware SJF selects the job with the smallest expected
+ * *end-to-end* service time at the measured input power — including
+ * energy-recharge time — which minimizes mean wait across buffered
+ * inputs and so relieves buffer pressure. Ties break toward the job
+ * holding the older input (section 4.1).
  */
 
 #ifndef QUETZAL_CORE_SCHEDULER_HPP
@@ -19,12 +24,25 @@
 #include <optional>
 #include <string>
 
-#include "core/observation.hpp"
 #include "core/system.hpp"
 #include "queueing/input_buffer.hpp"
+#include "util/wire.hpp"
 
 namespace quetzal {
 namespace core {
+
+/**
+ * Device-state snapshot taken at the start of a scheduling round.
+ * Policies that reason about stored energy (Delgado & Famaey-style
+ * lookahead) or wall-clock deadlines (Zygarde-style EDF) read it;
+ * the paper's policies ignore it.
+ */
+struct RuntimeObservation
+{
+    Joules storedEnergy = 0.0;    ///< energy currently in storage
+    Joules storageCapacity = 0.0; ///< storage capacity (0 = unknown)
+    Tick now = 0;                 ///< simulation time of the round
+};
 
 /** A policy's choice of what to run next. */
 struct SchedulerDecision
@@ -33,7 +51,7 @@ struct SchedulerDecision
     queueing::SlotId slot = 0;    ///< buffer slot of the input it consumes
     /**
      * The policy's E[S] estimate for the chosen job (0 for policies
-     * that do not estimate service times, e.g. FCFS).
+     * that do not estimate service times).
      */
     double expectedServiceSeconds = 0.0;
     /**
@@ -44,51 +62,101 @@ struct SchedulerDecision
     double energyBoundJoules = 0.0;
 };
 
+/** A policy's quality decision for one job execution. */
+struct AdaptationDecision
+{
+    /** Option index per position in job.tasks (0 == full quality). */
+    OptionVec optionPerTask;
+    /** E[S] of the job as configured (0 if the policy has no model). */
+    double predictedServiceSeconds = 0.0;
+    /** True when Little's Law predicted an overflow before reaction. */
+    bool iboPredicted = false;
+    /** True when any task was degraded below full quality. */
+    bool degraded = false;
+    /**
+     * True when the chosen configuration is predicted to avoid the
+     * overflow (always true when none was predicted).
+     */
+    bool overflowAvoided = true;
+};
+
 /**
- * Strategy interface. Policies must be stateless with respect to a
- * single run (all mutable history lives in TaskSystem / estimators),
- * so one policy object can be shared across experiments.
+ * Everything a policy may observe when making a decision. References
+ * are valid only for the duration of the call.
  */
-class SchedulerPolicy
+struct PolicyContext
+{
+    const TaskSystem &system;
+    const queueing::InputBuffer &buffer;
+    const ServiceTimeEstimator &estimator;
+    const PowerReading &power;
+    /** PID correction in seconds (0 when the loop is disabled). */
+    double pidCorrection = 0.0;
+    /** Device-state snapshot (stored energy, capacity, tick). */
+    RuntimeObservation runtime;
+};
+
+/**
+ * A complete scheduling policy: ranking + admission + IBO reaction.
+ *
+ * Decisions must be a pure function of the observable state (the
+ * context plus any internal state that itself evolved only from
+ * prior contexts/overflow notifications) — the invariant harness in
+ * policy/verify.hpp enforces this by replaying identical walks.
+ */
+class SchedulingPolicy
 {
   public:
-    virtual ~SchedulerPolicy() = default;
+    virtual ~SchedulingPolicy() = default;
+
+    /** Policy name ("sjf-ibo", "zygarde", "fcfs-full", ...). */
+    virtual std::string name() const = 0;
 
     /**
-     * Pick the next job, or nullopt when the buffer holds no input.
-     * @param pidCorrection seconds added to each job's E[S]
-     *        prediction (the PID mitigation of section 4.3; 0 for
-     *        policies that do not predict)
+     * Rank the buffered candidates and pick what runs next, or
+     * nullopt when nothing is schedulable. A nonzero
+     * energyBoundJoules in the decision must not exceed
+     * ctx.runtime.storedEnergy.
      */
     virtual std::optional<SchedulerDecision>
-    select(const TaskSystem &system, const queueing::InputBuffer &buffer,
-           const ServiceTimeEstimator &estimator,
-           const PowerReading &power, double pidCorrection) const = 0;
+    rank(const PolicyContext &ctx) = 0;
 
     /**
-     * Device-state snapshot for the upcoming round (stored energy,
-     * capacity, current tick). Called before select(); the default
-     * ignores it, which keeps legacy policies byte-identical.
+     * Admission/degradation decision for the job rank() chose: at
+     * what quality each of its tasks runs.
      */
-    virtual void observe(const RuntimeObservation &) {}
+    virtual AdaptationDecision admit(const PolicyContext &ctx,
+                                     const Job &job) = 0;
 
-    /** Human-readable policy name. */
-    virtual std::string name() const = 0;
+    /** IBO reaction hook: a capture was dropped. Default: ignore. */
+    virtual void onBufferOverflow(const TaskSystem &,
+                                  const queueing::InputBuffer &,
+                                  const queueing::InputRecord &, Tick)
+    {
+    }
+
+    /**
+     * @name Checkpoint hooks
+     * Serialize / restore the policy's mutable state (see
+     * ServiceTimeEstimator's hooks). Stateless policies keep the
+     * no-op defaults; loadState() returns false on malformed bytes.
+     */
+    /// @{
+    virtual void saveState(std::string &out) const { (void)out; }
+    virtual bool loadState(util::wire::Reader &in)
+    {
+        (void)in;
+        return true;
+    }
+    /// @}
 };
 
 /**
- * The paper's Energy-aware SJF (Algorithm 1).
+ * The paper's Energy-aware SJF ranking (Algorithm 1): the job with
+ * the smallest PID-corrected E[S], ties toward the older input.
  */
-class EnergyAwareSjfPolicy : public SchedulerPolicy
-{
-  public:
-    std::optional<SchedulerDecision>
-    select(const TaskSystem &system, const queueing::InputBuffer &buffer,
-           const ServiceTimeEstimator &estimator,
-           const PowerReading &power, double pidCorrection) const override;
-
-    std::string name() const override { return "energy-aware-sjf"; }
-};
+std::optional<SchedulerDecision>
+rankEnergyAwareSjf(const PolicyContext &ctx);
 
 } // namespace core
 } // namespace quetzal

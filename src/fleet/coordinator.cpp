@@ -50,12 +50,18 @@ FleetCoordinator::FleetCoordinator(const FleetConfig &config_)
     controls.reserve(config.cohorts.size());
     capacityNano.reserve(config.cohorts.size());
     for (const CohortConfig &cohort : config.cohorts) {
+        // The registry validates the name: an unknown policy fails
+        // here, before any device advances.
+        const std::string &name = cohort.policy;
+        (void)policy::policyRow(name);
         Control control;
-        // Instantiating through the registry validates the name (an
-        // unknown policy panics here, before any device advances)
-        // and keys the assignment rule below off policy->name().
-        control.policy = policy::makePolicy(cohort.policy);
-        controls.push_back(std::move(control));
+        if (name == "greedy-fcfs")
+            control.rule = Rule::FullQuality;
+        else if (name == "zygarde")
+            control.rule = Rule::DeadlineDrain;
+        else if (name == "delgado-famaey")
+            control.rule = Rule::EnergyHorizon;
+        controls.push_back(control);
         capacityNano.push_back(toNano(
             app::deviceProfile(cohort.device).storage.capacity()));
     }
@@ -80,11 +86,10 @@ FleetCoordinator::consumeSlab(
         const std::uint8_t keepUp = minKeepUpLevel(cohort);
 
         Directive next;
-        const std::string name = control.policy->name();
-        if (name == "greedy-fcfs") {
+        if (control.rule == Rule::FullQuality) {
             // The strawman: full quality always, whatever the fleet
             // reports. (Directive defaults already say exactly that.)
-        } else if (name == "zygarde") {
+        } else if (control.rule == Rule::DeadlineDrain) {
             // Deadline-drain (imprecise computing): each capture
             // period admits one new input, so pick the lowest level
             // at which the mean backlog plus the newcomer clears
@@ -106,7 +111,7 @@ FleetCoordinator::consumeSlab(
             next.baseLevel = base;
             next.pressureLevel = kMaxDegradeLevel;
             next.occupancyHigh = capacity > 1 ? capacity - 1 : 1;
-        } else if (name == "delgado-famaey") {
+        } else if (control.rule == Rule::EnergyHorizon) {
             // Energy lookahead: devices run full quality while their
             // own charge horizon is healthy and shed work when it
             // drops below 30 % of usable capacity; the base level

@@ -7,10 +7,10 @@
  * folds those into one Directive per cohort for the next slab:
  * thresholds a device applies locally (and purely) when it starts
  * its next job. The per-cohort rule is selected by the cohort's
- * policy::SchedulingPolicy registry name, so the PR-7 policy zoo
- * drives fleet-scale assignment: the paper's SJF+IBO degrades to
- * prevent predicted overflow, Zygarde drains by deadline, Delgado &
- * Famaey watches the energy horizon, and greedy-FCFS never degrades.
+ * registered policy name, so the policy zoo drives fleet-scale
+ * assignment: the paper's SJF+IBO degrades to prevent predicted
+ * overflow, Zygarde drains by deadline, Delgado & Famaey watches the
+ * energy horizon, and greedy-FCFS never degrades.
  *
  * Everything here is integer arithmetic over fleet-wide sums, and
  * consumeSlab() runs serially between slabs, so directives — and
@@ -22,11 +22,9 @@
 #define QUETZAL_FLEET_COORDINATOR_HPP
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "fleet/fleet.hpp"
-#include "policy/policy.hpp"
 
 namespace quetzal {
 namespace fleet {
@@ -63,8 +61,9 @@ std::uint8_t assignLevel(const Directive &directive,
                          std::uint32_t occupancy);
 
 /**
- * Owns the per-cohort policies (instantiated through the registry —
- * an unknown name fails fast at construction) and the directives.
+ * Owns the per-cohort directive rules (picked once from the cohort's
+ * policy name — an unknown name fails fast at construction) and the
+ * directives.
  */
 class FleetCoordinator
 {
@@ -84,8 +83,8 @@ class FleetCoordinator
     void consumeSlab(const std::vector<CohortCounters> &slabTotals);
 
     /** Mutable per-cohort rule state, for checkpoint serialization.
-     *  The policy object itself is stateless at fleet scope — the
-     *  directive plus lastBase is the whole evolution state. */
+     *  The rule itself is configuration — the directive plus
+     *  lastBase is the whole evolution state. */
     struct CohortState
     {
         Directive directive;
@@ -100,9 +99,17 @@ class FleetCoordinator
     void importState(const std::vector<CohortState> &state);
 
   private:
+    /** Directive rule per registered policy name (see consumeSlab). */
+    enum class Rule {
+        OverflowPrevention, ///< sjf-ibo and any other registered name
+        DeadlineDrain,      ///< zygarde
+        EnergyHorizon,      ///< delgado-famaey
+        FullQuality,        ///< greedy-fcfs
+    };
+
     struct Control
     {
-        std::shared_ptr<policy::SchedulingPolicy> policy;
+        Rule rule = Rule::OverflowPrevention;
         Directive directive;
         /** sjf-ibo rule state: last slab's base level. */
         std::uint8_t lastBase = 0;

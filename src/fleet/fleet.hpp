@@ -54,7 +54,7 @@ struct CohortConfig
 {
     std::string name;
     std::size_t devices = 0;
-    /** policy::makePolicy() registry name driving the coordinator. */
+    /** Registered policy name driving the coordinator. */
     std::string policy = "sjf-ibo";
     app::DeviceKind device = app::DeviceKind::Apollo4;
     /** Scales the interesting/uninteresting split of dropped

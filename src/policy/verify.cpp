@@ -36,7 +36,7 @@ struct InFlight
  * needs.
  */
 void
-runWalk(SchedulingPolicy &policy, const VerifyOptions &options,
+runWalk(core::SchedulingPolicy &policy, const VerifyOptions &options,
         VerifyReport *report, std::vector<std::string> *stream)
 {
     // A miniature person-detection app: a degradable inference task,
@@ -98,8 +98,8 @@ runWalk(SchedulingPolicy &policy, const VerifyOptions &options,
         const Joules stored = capacity * rng.uniform01();
         const Watts watts = rng.uniform(5e-3, 50e-3);
         const core::PowerReading power = system.measureInputPower(watts);
-        const PolicyContext ctx{system,  buffer, estimator, power, 0.0,
-                                {stored, capacity, now}};
+        const core::PolicyContext ctx{system, buffer, estimator, power,
+                                      0.0, {stored, capacity, now}};
 
         const auto decision = policy.rank(ctx);
         if (!decision) {
@@ -203,7 +203,8 @@ runWalk(SchedulingPolicy &policy, const VerifyOptions &options,
 } // namespace
 
 VerifyReport
-verifyPolicy(SchedulingPolicy &policy, const VerifyOptions &options)
+verifyPolicy(core::SchedulingPolicy &policy,
+             const VerifyOptions &options)
 {
     VerifyReport report;
     runWalk(policy, options, &report, nullptr);
@@ -211,7 +212,8 @@ verifyPolicy(SchedulingPolicy &policy, const VerifyOptions &options)
 }
 
 std::vector<std::string>
-decisionStream(SchedulingPolicy &policy, const VerifyOptions &options)
+decisionStream(core::SchedulingPolicy &policy,
+               const VerifyOptions &options)
 {
     std::vector<std::string> stream;
     runWalk(policy, options, nullptr, &stream);

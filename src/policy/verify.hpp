@@ -2,7 +2,7 @@
  * @file
  * The policy-invariant verification harness.
  *
- * Drives any policy::SchedulingPolicy through a deterministic,
+ * Drives any core::SchedulingPolicy through a deterministic,
  * seeded workload walk (arrivals, energy levels, harvest power,
  * in-flight executions, spawns, overflows) and checks the contract
  * every registered policy must honor:
@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "policy/policy.hpp"
+#include "core/scheduler.hpp"
 
 namespace quetzal {
 namespace policy {
@@ -56,14 +56,14 @@ struct VerifyReport
 };
 
 /** Run the invariant walk against a policy. */
-VerifyReport verifyPolicy(SchedulingPolicy &policy,
+VerifyReport verifyPolicy(core::SchedulingPolicy &policy,
                           const VerifyOptions &options = {});
 
 /**
  * The walk's decision fingerprints (one string per round, bit-exact
  * doubles), for purity/determinism comparisons.
  */
-std::vector<std::string> decisionStream(SchedulingPolicy &policy,
+std::vector<std::string> decisionStream(core::SchedulingPolicy &policy,
                                         const VerifyOptions &options = {});
 
 } // namespace policy

@@ -11,7 +11,7 @@ namespace {
 /** The staleness bound shared with Metrics::deadlineMisses: the time
  *  the buffer takes to cycle once at the nominal capture rate. */
 double
-deadlineSeconds(const PolicyContext &ctx)
+deadlineSeconds(const core::PolicyContext &ctx)
 {
     const double hz = ctx.system.config().captureHz;
     return static_cast<double>(ctx.buffer.capacity()) /
@@ -25,7 +25,7 @@ deadlineSeconds(const PolicyContext &ctx)
  * to 0 and become indistinguishable.
  */
 double
-rawService(const PolicyContext &ctx, const core::Job &job,
+rawService(const core::PolicyContext &ctx, const core::Job &job,
            const core::OptionVec &options = {})
 {
     return ctx.system.expectedJobService(job, ctx.estimator, ctx.power,
@@ -35,7 +35,7 @@ rawService(const PolicyContext &ctx, const core::Job &job,
 
 /** rawService() clamped for reporting as a predicted service time. */
 double
-predictedService(const PolicyContext &ctx, const core::Job &job,
+predictedService(const core::PolicyContext &ctx, const core::Job &job,
                  const core::OptionVec &options = {})
 {
     return std::max(0.0, rawService(ctx, job, options));
@@ -85,7 +85,7 @@ minimalJobEnergy(const core::TaskSystem &system, const core::Job &job)
 } // namespace
 
 std::optional<core::SchedulerDecision>
-ZygardePolicy::rank(const PolicyContext &ctx)
+ZygardePolicy::rank(const core::PolicyContext &ctx)
 {
     // Earliest deadline first == oldest capture first: every input
     // carries the same relative deadline, so urgency is input age.
@@ -109,7 +109,7 @@ ZygardePolicy::rank(const PolicyContext &ctx)
 }
 
 core::AdaptationDecision
-ZygardePolicy::admit(const PolicyContext &ctx, const core::Job &job)
+ZygardePolicy::admit(const core::PolicyContext &ctx, const core::Job &job)
 {
     double age = 0.0;
     if (const auto slot = ctx.buffer.oldestSlotForJob(job.id)) {
@@ -165,8 +165,20 @@ ZygardePolicy::onBufferOverflow(const core::TaskSystem &system,
     overflowPressure += 1.0 / (hz > 0.0 ? hz : 1.0);
 }
 
+void
+ZygardePolicy::saveState(std::string &out) const
+{
+    util::wire::putDouble(out, overflowPressure);
+}
+
+bool
+ZygardePolicy::loadState(util::wire::Reader &in)
+{
+    return in.getDouble(overflowPressure);
+}
+
 std::optional<core::SchedulerDecision>
-EnergyLookaheadPolicy::rank(const PolicyContext &ctx)
+EnergyLookaheadPolicy::rank(const core::PolicyContext &ctx)
 {
     // No runtime snapshot (storage unknown) means no energy
     // constraint: the policy degenerates to cheapest-job-first.
@@ -213,7 +225,7 @@ EnergyLookaheadPolicy::rank(const PolicyContext &ctx)
 }
 
 core::AdaptationDecision
-EnergyLookaheadPolicy::admit(const PolicyContext &ctx,
+EnergyLookaheadPolicy::admit(const core::PolicyContext &ctx,
                              const core::Job &job)
 {
     const bool haveRuntime = ctx.runtime.storedEnergy > 0.0 ||
@@ -244,7 +256,7 @@ EnergyLookaheadPolicy::admit(const PolicyContext &ctx,
 }
 
 std::optional<core::SchedulerDecision>
-GreedyFcfsPolicy::rank(const PolicyContext &ctx)
+GreedyFcfsPolicy::rank(const core::PolicyContext &ctx)
 {
     const auto slot = ctx.buffer.oldestSchedulable();
     if (!slot)
@@ -256,7 +268,7 @@ GreedyFcfsPolicy::rank(const PolicyContext &ctx)
 }
 
 core::AdaptationDecision
-GreedyFcfsPolicy::admit(const PolicyContext &, const core::Job &)
+GreedyFcfsPolicy::admit(const core::PolicyContext &, const core::Job &)
 {
     // Full quality, no prediction, no prevention: the Controller
     // fills the all-zero option vector from the empty default.

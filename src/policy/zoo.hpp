@@ -20,27 +20,31 @@
 #ifndef QUETZAL_POLICY_ZOO_HPP
 #define QUETZAL_POLICY_ZOO_HPP
 
-#include "policy/policy.hpp"
+#include "core/scheduler.hpp"
 
 namespace quetzal {
 namespace policy {
 
 /** Zygarde-style deadline/accuracy-aware EDF policy. */
-class ZygardePolicy : public SchedulingPolicy
+class ZygardePolicy : public core::SchedulingPolicy
 {
   public:
     std::string name() const override { return "zygarde"; }
 
     std::optional<core::SchedulerDecision>
-    rank(const PolicyContext &ctx) override;
+    rank(const core::PolicyContext &ctx) override;
 
     core::AdaptationDecision
-    admit(const PolicyContext &ctx, const core::Job &job) override;
+    admit(const core::PolicyContext &ctx, const core::Job &job) override;
 
     void onBufferOverflow(const core::TaskSystem &system,
                           const queueing::InputBuffer &buffer,
                           const queueing::InputRecord &dropped,
                           Tick now) override;
+
+    /** Serializes the overflow pressure. */
+    void saveState(std::string &out) const override;
+    bool loadState(util::wire::Reader &in) override;
 
   private:
     /**
@@ -51,29 +55,29 @@ class ZygardePolicy : public SchedulingPolicy
 };
 
 /** Delgado & Famaey-style energy-optimal lookahead policy. */
-class EnergyLookaheadPolicy : public SchedulingPolicy
+class EnergyLookaheadPolicy : public core::SchedulingPolicy
 {
   public:
     std::string name() const override { return "delgado-famaey"; }
 
     std::optional<core::SchedulerDecision>
-    rank(const PolicyContext &ctx) override;
+    rank(const core::PolicyContext &ctx) override;
 
     core::AdaptationDecision
-    admit(const PolicyContext &ctx, const core::Job &job) override;
+    admit(const core::PolicyContext &ctx, const core::Job &job) override;
 };
 
 /** FCFS at full quality with no overflow prevention (strawman). */
-class GreedyFcfsPolicy : public SchedulingPolicy
+class GreedyFcfsPolicy : public core::SchedulingPolicy
 {
   public:
     std::string name() const override { return "greedy-fcfs"; }
 
     std::optional<core::SchedulerDecision>
-    rank(const PolicyContext &ctx) override;
+    rank(const core::PolicyContext &ctx) override;
 
     core::AdaptationDecision
-    admit(const PolicyContext &ctx, const core::Job &job) override;
+    admit(const core::PolicyContext &ctx, const core::Job &job) override;
 };
 
 } // namespace policy

@@ -6,7 +6,8 @@
  *   #include "quetzal.hpp"
  *
  *   quetzal::core::TaskSystem system;            // annotate tasks/jobs
- *   auto qz = quetzal::core::makeQuetzalController();
+ *   auto qz = quetzal::policy::makeController(  // the paper's system
+ *       quetzal::policy::ControllerKind::Quetzal);
  *   quetzal::sim::ExperimentConfig cfg;          // or run experiments
  *   auto metrics = quetzal::sim::runExperiment(cfg);
  *
@@ -25,10 +26,11 @@
 #include "core/service_time.hpp"
 #include "core/system.hpp"
 
-// Baseline systems and controller factories (paper section 6.1).
-#include "baselines/adaptation.hpp"
-#include "baselines/controllers.hpp"
-#include "baselines/policies.hpp"
+// Baseline and related-work policies, and the controller table
+// (paper section 6.1).
+#include "policy/registry.hpp"
+#include "policy/rules.hpp"
+#include "policy/zoo.hpp"
 
 // Measurement hardware emulation (paper section 5.1).
 #include "hw/mcu_model.hpp"

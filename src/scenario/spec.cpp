@@ -40,35 +40,6 @@ environmentFromName(const std::string &name)
     return std::nullopt;
 }
 
-std::optional<sim::ControllerKind>
-controllerFromName(const std::string &name)
-{
-    using K = sim::ControllerKind;
-    if (name == "QZ")
-        return K::Quetzal;
-    if (name == "QZ-FCFS")
-        return K::QuetzalFcfs;
-    if (name == "QZ-LCFS")
-        return K::QuetzalLcfs;
-    if (name == "QZ-AvgSe2e")
-        return K::QuetzalAvgSe2e;
-    if (name == "NA")
-        return K::NoAdapt;
-    if (name == "AD")
-        return K::AlwaysDegrade;
-    if (name == "CN")
-        return K::CatNap;
-    if (name == "THR")
-        return K::BufferThreshold;
-    if (name == "PZO")
-        return K::Zgo;
-    if (name == "PZI")
-        return K::Zgi;
-    if (name == "Ideal")
-        return K::Ideal;
-    return std::nullopt;
-}
-
 std::optional<app::CheckpointPolicy>
 checkpointFromName(const std::string &name)
 {
@@ -379,10 +350,10 @@ const FieldInfo kFields[] = {
      "\"NA\", \"AD\", \"CN\", \"THR\", \"PZO\", \"PZI\", \"Ideal\"",
      [](const json::Value &v, std::string &) {
          const auto name = v.asString();
-         return name && controllerFromName(*name).has_value();
+         return name && policy::controllerKindFromLabel(*name).has_value();
      },
      [](const json::Value &v, sim::ExperimentConfig &cfg) {
-         cfg.controller = *controllerFromName(*v.asString());
+         cfg.controller = *policy::controllerKindFromLabel(*v.asString());
      },
      nullptr},
     {"policy",

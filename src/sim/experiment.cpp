@@ -5,13 +5,11 @@
 #include <optional>
 
 #include "app/person_detection.hpp"
-#include "baselines/controllers.hpp"
 #include "core/runtime.hpp"
 #include "energy/harvester.hpp"
 #include "energy/solar_model.hpp"
 #include "fault/fault_injector.hpp"
 #include "hw/mcu_model.hpp"
-#include "policy/registry.hpp"
 #include "sim/simulator.hpp"
 #include "trace/event_generator.hpp"
 #include "util/logging.hpp"
@@ -19,95 +17,10 @@
 namespace quetzal {
 namespace sim {
 
-namespace {
-
-/** Is this configuration a Quetzal variant (IBO engine + PID)? */
-bool
-isQuetzalVariant(ControllerKind kind)
-{
-    switch (kind) {
-      case ControllerKind::Quetzal:
-      case ControllerKind::QuetzalFcfs:
-      case ControllerKind::QuetzalLcfs:
-      case ControllerKind::QuetzalAvgSe2e:
-        return true;
-      default:
-        return false;
-    }
-}
-
-std::unique_ptr<core::Controller>
-buildController(const ExperimentConfig &cfg,
-                const energy::Harvester &harvester,
-                const energy::PowerTrace &watts)
-{
-    if (!cfg.policyName.empty()) {
-        policy::PolicyOptions options;
-        options.useCircuit = cfg.useCircuit;
-        options.usePid = cfg.usePid;
-        options.pidConfig = cfg.pid;
-        return policy::makePolicyController(cfg.policyName, options);
-    }
-    using baselines::SchedulerKind;
-    switch (cfg.controller) {
-      case ControllerKind::Quetzal:
-        return baselines::makeQuetzalVariantController(
-            SchedulerKind::EnergyAwareSjf, cfg.useCircuit, cfg.usePid,
-            cfg.pid);
-      case ControllerKind::QuetzalFcfs:
-        return baselines::makeQuetzalVariantController(
-            SchedulerKind::Fcfs, cfg.useCircuit, cfg.usePid, cfg.pid);
-      case ControllerKind::QuetzalLcfs:
-        return baselines::makeQuetzalVariantController(
-            SchedulerKind::Lcfs, cfg.useCircuit, cfg.usePid, cfg.pid);
-      case ControllerKind::QuetzalAvgSe2e:
-        return baselines::makeQuetzalVariantController(
-            SchedulerKind::AvgSe2e, cfg.useCircuit, cfg.usePid,
-            cfg.pid);
-      case ControllerKind::NoAdapt:
-      case ControllerKind::Ideal:
-        return baselines::makeNoAdaptController();
-      case ControllerKind::AlwaysDegrade:
-        return baselines::makeAlwaysDegradeController();
-      case ControllerKind::CatNap:
-        return baselines::makeCatNapController();
-      case ControllerKind::BufferThreshold:
-        return baselines::makeBufferThresholdController(
-            cfg.bufferThreshold);
-      case ControllerKind::Zgo:
-        // Threshold from the harvester *datasheet* maximum — real
-        // traces rarely approach it (section 6.1).
-        return baselines::makePowerThresholdController(
-            cfg.powerThresholdFraction * harvester.datasheetMaxPower(),
-            "ZGO");
-      case ControllerKind::Zgi:
-        // Oracle variant: threshold from the maximum power actually
-        // observed in this experiment's trace.
-        return baselines::makePowerThresholdController(
-            cfg.powerThresholdFraction * watts.maxValue(), "ZGI");
-    }
-    util::panic("unknown controller kind");
-}
-
-} // namespace
-
 std::string
 controllerKindName(ControllerKind kind)
 {
-    switch (kind) {
-      case ControllerKind::Quetzal: return "QZ";
-      case ControllerKind::QuetzalFcfs: return "QZ-FCFS";
-      case ControllerKind::QuetzalLcfs: return "QZ-LCFS";
-      case ControllerKind::QuetzalAvgSe2e: return "QZ-AvgSe2e";
-      case ControllerKind::NoAdapt: return "NA";
-      case ControllerKind::AlwaysDegrade: return "AD";
-      case ControllerKind::CatNap: return "CN";
-      case ControllerKind::BufferThreshold: return "THR";
-      case ControllerKind::Zgo: return "PZO";
-      case ControllerKind::Zgi: return "PZI";
-      case ControllerKind::Ideal: return "Ideal";
-    }
-    util::panic("unknown controller kind");
+    return policy::controllerRow(kind).label;
 }
 
 std::string
@@ -215,7 +128,18 @@ runExperiment(const ExperimentConfig &config)
         app::buildPersonDetectionApp(system, deviceProfile);
 
     // --- Controller -----------------------------------------------------
-    auto controller = buildController(config, harvester, watts);
+    const policy::ControllerRow &row = config.policyName.empty()
+        ? policy::controllerRow(config.controller)
+        : policy::policyRow(config.policyName);
+    policy::PolicyOptions options;
+    options.useCircuit = config.useCircuit;
+    options.usePid = config.usePid;
+    options.pidConfig = config.pid;
+    options.bufferThreshold = config.bufferThreshold;
+    options.powerThresholdFraction = config.powerThresholdFraction;
+    options.datasheetMaxPower = harvester.datasheetMaxPower();
+    options.powerTrace = &watts;
+    auto controller = policy::makeController(row, options);
 
     // --- Simulation -----------------------------------------------------
     // Start from the caller's run-level knobs and derive the rest
@@ -229,11 +153,7 @@ runExperiment(const ExperimentConfig &config)
     simCfg.schedulerOverheadEnergy = 0.0;
     simCfg.observer = nullptr;
 
-    // Policy-backed runs charge the same modeled scheduler cost as
-    // the Quetzal variants — that (plus identical decision streams)
-    // is what makes --policy sjf-ibo byte-identical to controller QZ.
-    if (!config.policyName.empty() ||
-        isQuetzalVariant(config.controller)) {
+    if (row.chargesOverhead) {
         // Charge the modeled invocation cost of Alg. 1 + Alg. 2 on
         // this MCU (section 5.1 cost model).
         const hw::McuModel mcu(deviceProfile.mcu);

@@ -20,6 +20,7 @@
 #include "energy/power_trace.hpp"
 #include "fault/fault_spec.hpp"
 #include "obs/trace_sink.hpp"
+#include "policy/registry.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "trace/event_generator.hpp"
@@ -28,20 +29,9 @@
 namespace quetzal {
 namespace sim {
 
-/** Every system configuration the paper evaluates. */
-enum class ControllerKind {
-    Quetzal,        ///< EA-SJF + IBO engine + PID (the paper's system)
-    QuetzalFcfs,    ///< Fig. 12: FCFS + IBO engine
-    QuetzalLcfs,    ///< Fig. 12: LCFS + IBO engine
-    QuetzalAvgSe2e, ///< Fig. 12: power-blind Avg. S_e2e estimator
-    NoAdapt,        ///< NA
-    AlwaysDegrade,  ///< AD
-    CatNap,         ///< CN: degrade at 100 % occupancy [62]
-    BufferThreshold,///< Fig. 11: degrade at a fixed occupancy
-    Zgo,            ///< Zygarde/Protean, datasheet-max threshold [44, 7]
-    Zgi,            ///< idealized (oracle observed-max) variant
-    Ideal,          ///< infinite buffer, never degrades
-};
+/** Every system configuration the paper evaluates (one table row
+ *  each, see policy/registry.hpp). */
+using ControllerKind = policy::ControllerKind;
 
 /** Short display name ("QZ", "NA", ...) matching the paper's bars. */
 std::string controllerKindName(ControllerKind kind);
@@ -67,10 +57,10 @@ struct ExperimentConfig
     ControllerKind controller = ControllerKind::Quetzal;
     /**
      * Registry policy name ("sjf-ibo", "zygarde", ...). When
-     * non-empty it overrides `controller`: the run uses
-     * policy::makePolicyController(policyName) (with usePid,
-     * useCircuit and pid below) and is labeled by the policy name.
-     * "sjf-ibo" is byte-identical to ControllerKind::Quetzal.
+     * non-empty it overrides `controller`: the run uses the policy's
+     * row of the controller table (with usePid, useCircuit and pid
+     * below) and is labeled by the policy name. "sjf-ibo" is
+     * byte-identical to ControllerKind::Quetzal.
      */
     std::string policyName;
     double bufferThreshold = 0.5;        ///< for BufferThreshold

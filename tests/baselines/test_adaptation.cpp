@@ -1,20 +1,29 @@
 /**
  * @file
- * Tests for the baseline adaptation policies (NoAdapt, AlwaysDegrade,
- * buffer threshold / CatNap, power threshold / ZGO-ZGI).
+ * Tests for the baselines' admit rules of RulePolicy (NoAdapt,
+ * AlwaysDegrade, buffer threshold / CatNap, power threshold /
+ * ZGO-ZGI).
  */
 
 #include <gtest/gtest.h>
 
-#include "baselines/adaptation.hpp"
 #include "../core/core_test_fixtures.hpp"
+#include "policy/rules.hpp"
 
 namespace quetzal {
-namespace baselines {
+namespace policy {
 namespace {
 
+using core::testing_fixtures::admitAt;
 using core::testing_fixtures::makeSmallSystem;
 using core::testing_fixtures::pushInput;
+
+/** A FCFS RulePolicy admitting by `kind` at `threshold`. */
+RulePolicy
+fcfs(AdmitRule::Kind kind, double threshold = 0.0)
+{
+    return RulePolicy(RankRule::Oldest, AdmitRule{kind, threshold});
+}
 
 TEST(NoAdapt, AlwaysFullQuality)
 {
@@ -22,11 +31,10 @@ TEST(NoAdapt, AlwaysFullQuality)
     queueing::InputBuffer buffer(2);
     pushInput(buffer, s, 1, 0, s.classifyJob);
     pushInput(buffer, s, 2, 0, s.classifyJob); // buffer full
-    NoAdaptPolicy policy;
-    core::EnergyAwareEstimator exact(false);
+    RulePolicy policy = fcfs(AdmitRule::Kind::FullQuality);
     const auto decision =
-        policy.adapt(*s.system, s.system->job(s.classifyJob), buffer,
-                     exact, {1e-6, 0}, 0.0);
+        admitAt(policy, *s.system, s.system->job(s.classifyJob), buffer,
+                {1e-6, 0});
     EXPECT_EQ(decision.optionPerTask, std::vector<std::size_t>{0});
     EXPECT_FALSE(decision.degraded);
 }
@@ -36,11 +44,10 @@ TEST(AlwaysDegrade, AlwaysLowestQuality)
     auto s = makeSmallSystem();
     queueing::InputBuffer buffer(10);
     pushInput(buffer, s, 1, 0, s.transmitJob);
-    AlwaysDegradePolicy policy;
-    core::EnergyAwareEstimator exact(false);
+    RulePolicy policy = fcfs(AdmitRule::Kind::LowestQuality);
     const auto decision =
-        policy.adapt(*s.system, s.system->job(s.transmitJob), buffer,
-                     exact, {1.0, 255}, 0.0);
+        admitAt(policy, *s.system, s.system->job(s.transmitJob), buffer,
+                {1.0, 255});
     EXPECT_EQ(decision.optionPerTask, std::vector<std::size_t>{1});
     EXPECT_TRUE(decision.degraded);
 }
@@ -48,21 +55,20 @@ TEST(AlwaysDegrade, AlwaysLowestQuality)
 TEST(BufferThreshold, DegradesAboveThresholdOnly)
 {
     auto s = makeSmallSystem();
-    BufferThresholdPolicy policy(0.5);
-    core::EnergyAwareEstimator exact(false);
+    RulePolicy policy = fcfs(AdmitRule::Kind::BufferThreshold, 0.5);
     queueing::InputBuffer buffer(10);
     for (std::uint64_t i = 0; i < 4; ++i)
         pushInput(buffer, s, i, 0, s.classifyJob);
     // 40 % occupancy: below threshold.
     auto decision =
-        policy.adapt(*s.system, s.system->job(s.classifyJob), buffer,
-                     exact, {1.0, 255}, 0.0);
+        admitAt(policy, *s.system, s.system->job(s.classifyJob), buffer,
+                {1.0, 255});
     EXPECT_FALSE(decision.degraded);
     pushInput(buffer, s, 10, 0, s.classifyJob);
     // 50 % occupancy: at threshold -> degrade.
     decision =
-        policy.adapt(*s.system, s.system->job(s.classifyJob), buffer,
-                     exact, {1.0, 255}, 0.0);
+        admitAt(policy, *s.system, s.system->job(s.classifyJob), buffer,
+                {1.0, 255});
     EXPECT_TRUE(decision.degraded);
     EXPECT_EQ(decision.optionPerTask, std::vector<std::size_t>{1});
 }
@@ -70,75 +76,73 @@ TEST(BufferThreshold, DegradesAboveThresholdOnly)
 TEST(BufferThreshold, CatNapIsHundredPercent)
 {
     auto s = makeSmallSystem();
-    BufferThresholdPolicy catnap(1.0);
-    core::EnergyAwareEstimator exact(false);
+    RulePolicy catnap = fcfs(AdmitRule::Kind::BufferThreshold, 1.0);
     queueing::InputBuffer buffer(2);
     pushInput(buffer, s, 1, 0, s.classifyJob);
     auto decision =
-        catnap.adapt(*s.system, s.system->job(s.classifyJob), buffer,
-                     exact, {1e-6, 0}, 0.0);
+        admitAt(catnap, *s.system, s.system->job(s.classifyJob), buffer,
+                {1e-6, 0});
     EXPECT_FALSE(decision.degraded); // half full: CatNap sleeps on it
     pushInput(buffer, s, 2, 0, s.classifyJob);
     decision =
-        catnap.adapt(*s.system, s.system->job(s.classifyJob), buffer,
-                     exact, {1e-6, 0}, 0.0);
+        admitAt(catnap, *s.system, s.system->job(s.classifyJob), buffer,
+                {1e-6, 0});
     EXPECT_TRUE(decision.degraded); // only reacts when already full
 }
 
 TEST(BufferThreshold, NameCarriesPercent)
 {
-    EXPECT_EQ(BufferThresholdPolicy(0.25).name(),
-              "buffer-threshold-25%");
-    EXPECT_DOUBLE_EQ(BufferThresholdPolicy(0.75).threshold(), 0.75);
+    EXPECT_EQ(fcfs(AdmitRule::Kind::BufferThreshold, 0.25).name(),
+              "fcfs-buffer-25%");
+    EXPECT_EQ(fcfs(AdmitRule::Kind::BufferThreshold, 0.75).name(),
+              "fcfs-buffer-75%");
 }
 
 TEST(PowerThreshold, DegradesBelowThreshold)
 {
     auto s = makeSmallSystem();
-    PowerThresholdPolicy policy(20e-3, "ZGI");
-    core::EnergyAwareEstimator exact(false);
+    RulePolicy policy = fcfs(AdmitRule::Kind::PowerThreshold, 20e-3);
     queueing::InputBuffer buffer(10);
     pushInput(buffer, s, 1, 0, s.transmitJob);
     // Above the threshold: full quality, even with a filling buffer.
     auto decision =
-        policy.adapt(*s.system, s.system->job(s.transmitJob), buffer,
-                     exact, {25e-3, 0}, 0.0);
+        admitAt(policy, *s.system, s.system->job(s.transmitJob), buffer,
+                {25e-3, 0});
     EXPECT_FALSE(decision.degraded);
     // Below the threshold: degrade, even with an empty-ish buffer —
     // the unnecessary degradation the paper criticizes.
     decision =
-        policy.adapt(*s.system, s.system->job(s.transmitJob), buffer,
-                     exact, {15e-3, 0}, 0.0);
+        admitAt(policy, *s.system, s.system->job(s.transmitJob), buffer,
+                {15e-3, 0});
     EXPECT_TRUE(decision.degraded);
-    EXPECT_EQ(policy.name(), "ZGI");
+    EXPECT_EQ(policy.name(), "fcfs-power-threshold");
 }
 
 TEST(PowerThreshold, ZgoDatasheetThresholdDegradesAlmostAlways)
 {
     auto s = makeSmallSystem();
     // Datasheet-derived threshold far above any real input power.
-    PowerThresholdPolicy zgo(70e-3, "ZGO");
-    core::EnergyAwareEstimator exact(false);
+    RulePolicy zgo = fcfs(AdmitRule::Kind::PowerThreshold, 70e-3);
     queueing::InputBuffer buffer(10);
     pushInput(buffer, s, 1, 0, s.transmitJob);
     for (double mw : {1.0, 5.0, 15.0, 30.0, 60.0}) {
         const auto decision =
-            zgo.adapt(*s.system, s.system->job(s.transmitJob), buffer,
-                      exact, {mw * 1e-3, 0}, 0.0);
+            admitAt(zgo, *s.system, s.system->job(s.transmitJob), buffer,
+                    {mw * 1e-3, 0});
         EXPECT_TRUE(decision.degraded) << mw << " mW";
     }
 }
 
 TEST(AdaptationDeathTest, InvalidThresholdsFatal)
 {
-    EXPECT_EXIT(BufferThresholdPolicy(0.0), ::testing::ExitedWithCode(1),
-                "threshold");
-    EXPECT_EXIT(BufferThresholdPolicy(1.5), ::testing::ExitedWithCode(1),
-                "threshold");
-    EXPECT_EXIT(PowerThresholdPolicy(-1.0, "bad"),
+    EXPECT_EXIT(fcfs(AdmitRule::Kind::BufferThreshold, 0.0),
+                ::testing::ExitedWithCode(1), "threshold");
+    EXPECT_EXIT(fcfs(AdmitRule::Kind::BufferThreshold, 1.5),
+                ::testing::ExitedWithCode(1), "threshold");
+    EXPECT_EXIT(fcfs(AdmitRule::Kind::PowerThreshold, -1.0),
                 ::testing::ExitedWithCode(1), "threshold");
 }
 
 } // namespace
-} // namespace baselines
+} // namespace policy
 } // namespace quetzal

@@ -1,16 +1,16 @@
 /**
  * @file
- * Tests for the controller factories: every configuration of the
- * paper's evaluation assembles and behaves per its policy.
+ * Tests for the controller table's paper rows: every configuration of
+ * the paper's evaluation assembles and behaves per its policy.
  */
 
 #include <gtest/gtest.h>
 
-#include "baselines/controllers.hpp"
 #include "../core/core_test_fixtures.hpp"
+#include "policy/registry.hpp"
 
 namespace quetzal {
-namespace baselines {
+namespace policy {
 namespace {
 
 using core::testing_fixtures::makeSmallSystem;
@@ -18,46 +18,51 @@ using core::testing_fixtures::pushInput;
 
 TEST(Factories, NamesAndCollaborators)
 {
-    EXPECT_EQ(makeNoAdaptController()->name(), "NoAdapt");
-    EXPECT_EQ(makeAlwaysDegradeController()->name(), "AlwaysDegrade");
-    EXPECT_EQ(makeCatNapController()->name(), "CatNap");
-    EXPECT_EQ(makeBufferThresholdController(0.25)->name(),
-              "Threshold-25%");
-    EXPECT_EQ(makePowerThresholdController(1e-3, "ZGO")->name(), "ZGO");
+    EXPECT_EQ(makeController(ControllerKind::NoAdapt)->name(), "NA");
+    EXPECT_EQ(makeController(ControllerKind::AlwaysDegrade)->name(), "AD");
+    EXPECT_EQ(makeController(ControllerKind::CatNap)->name(), "CN");
+    EXPECT_EQ(makeController(ControllerKind::BufferThreshold)->name(),
+              "THR");
+    EXPECT_EQ(makeController(ControllerKind::Zgo)->name(), "PZO");
 
-    auto noAdapt = makeNoAdaptController();
-    EXPECT_EQ(noAdapt->scheduler().name(), "fcfs");
-    EXPECT_EQ(noAdapt->adaptation().name(), "no-adapt");
+    auto noAdapt = makeController(ControllerKind::NoAdapt);
+    EXPECT_EQ(noAdapt->policy().name(), "fcfs-full");
+    PolicyOptions options;
+    options.bufferThreshold = 0.25;
+    EXPECT_EQ(makeController(ControllerKind::BufferThreshold, options)
+                  ->policy()
+                  .name(),
+              "fcfs-buffer-25%");
 }
 
 TEST(Factories, VariantNamesMatchKind)
 {
-    using K = SchedulerKind;
-    EXPECT_EQ(makeQuetzalVariantController(K::EnergyAwareSjf)->name(),
-              "Quetzal(EA-SJF)");
-    EXPECT_EQ(makeQuetzalVariantController(K::Fcfs)->name(),
-              "Quetzal(FCFS)");
-    EXPECT_EQ(makeQuetzalVariantController(K::Lcfs)->name(),
-              "Quetzal(LCFS)");
-    EXPECT_EQ(makeQuetzalVariantController(K::AvgSe2e)->name(),
-              "Quetzal(Avg-Se2e)");
+    using K = ControllerKind;
+    EXPECT_EQ(makeController(K::Quetzal)->name(), "QZ");
+    EXPECT_EQ(makeController(K::QuetzalFcfs)->name(), "QZ-FCFS");
+    EXPECT_EQ(makeController(K::QuetzalLcfs)->name(), "QZ-LCFS");
+    EXPECT_EQ(makeController(K::QuetzalAvgSe2e)->name(), "QZ-AvgSe2e");
+    EXPECT_EQ(makeController(K::Quetzal)->policy().name(), "sjf-ibo");
+    EXPECT_EQ(makeController(K::QuetzalFcfs)->policy().name(), "fcfs-ibo");
+    EXPECT_EQ(makeController(K::QuetzalLcfs)->policy().name(), "lcfs-ibo");
+    EXPECT_EQ(makeController(K::QuetzalAvgSe2e)->policy().name(),
+              "sjf-ibo");
 }
 
 TEST(Factories, AvgVariantUsesAveragingEstimator)
 {
-    auto controller =
-        makeQuetzalVariantController(SchedulerKind::AvgSe2e);
+    auto controller = makeController(ControllerKind::QuetzalAvgSe2e);
     EXPECT_EQ(controller->estimator().name(), "avg-se2e");
-    auto sjf =
-        makeQuetzalVariantController(SchedulerKind::EnergyAwareSjf,
-                                     false);
+    PolicyOptions exact;
+    exact.useCircuit = false;
+    auto sjf = makeController(ControllerKind::Quetzal, exact);
     EXPECT_EQ(sjf->estimator().name(), "energy-aware(exact)");
 }
 
 TEST(Controllers, NoAdaptNeverDegrades)
 {
     auto s = makeSmallSystem();
-    auto controller = makeNoAdaptController();
+    auto controller = makeController(ControllerKind::NoAdapt);
     queueing::InputBuffer buffer(2);
     pushInput(buffer, s, 1, 0, s.transmitJob);
     pushInput(buffer, s, 2, 0, s.transmitJob);
@@ -71,7 +76,7 @@ TEST(Controllers, NoAdaptNeverDegrades)
 TEST(Controllers, AlwaysDegradeAlwaysDoes)
 {
     auto s = makeSmallSystem();
-    auto controller = makeAlwaysDegradeController();
+    auto controller = makeController(ControllerKind::AlwaysDegrade);
     queueing::InputBuffer buffer(10);
     pushInput(buffer, s, 1, 0, s.transmitJob);
     const auto selection =
@@ -84,7 +89,7 @@ TEST(Controllers, AlwaysDegradeAlwaysDoes)
 TEST(Controllers, CatNapDegradesOnlyWhenFull)
 {
     auto s = makeSmallSystem();
-    auto controller = makeCatNapController();
+    auto controller = makeController(ControllerKind::CatNap);
     queueing::InputBuffer buffer(2);
     pushInput(buffer, s, 1, 0, s.transmitJob);
     auto selection = controller->selectJob(*s.system, buffer, 1e-6);
@@ -98,14 +103,15 @@ TEST(Controllers, CatNapDegradesOnlyWhenFull)
 
 TEST(Controllers, QuetzalVariantsShareIboEngine)
 {
-    for (auto kind : {SchedulerKind::EnergyAwareSjf, SchedulerKind::Fcfs,
-                      SchedulerKind::Lcfs, SchedulerKind::AvgSe2e}) {
-        auto controller = makeQuetzalVariantController(kind);
-        EXPECT_EQ(controller->adaptation().name(), "ibo-engine")
-            << schedulerKindName(kind);
+    for (auto kind : {ControllerKind::Quetzal, ControllerKind::QuetzalFcfs,
+                      ControllerKind::QuetzalLcfs,
+                      ControllerKind::QuetzalAvgSe2e}) {
+        const std::string name = makeController(kind)->policy().name();
+        EXPECT_EQ(name.substr(name.size() - 4), "-ibo")
+            << controllerRow(kind).label;
     }
 }
 
 } // namespace
-} // namespace baselines
+} // namespace policy
 } // namespace quetzal

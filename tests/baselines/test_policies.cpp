@@ -1,19 +1,23 @@
 /**
  * @file
- * Tests for the FCFS / LCFS comparison scheduling policies.
+ * Tests for the FCFS / LCFS comparison rank rules of RulePolicy.
  */
 
 #include <gtest/gtest.h>
 
-#include "baselines/policies.hpp"
 #include "../core/core_test_fixtures.hpp"
+#include "policy/rules.hpp"
 
 namespace quetzal {
-namespace baselines {
+namespace policy {
 namespace {
 
 using core::testing_fixtures::makeSmallSystem;
 using core::testing_fixtures::pushInput;
+using core::testing_fixtures::rankAt;
+
+/** The paper's FCFS / LCFS orderings at full quality. */
+const AdmitRule kFull{AdmitRule::Kind::FullQuality};
 
 TEST(Fcfs, PicksOldestCapture)
 {
@@ -22,10 +26,8 @@ TEST(Fcfs, PicksOldestCapture)
     pushInput(buffer, s, 1, 500, s.classifyJob);
     pushInput(buffer, s, 2, 100, s.transmitJob);
     pushInput(buffer, s, 3, 300, s.classifyJob);
-    FcfsPolicy policy;
-    core::EnergyAwareEstimator exact(false);
-    const auto decision =
-        policy.select(*s.system, buffer, exact, {1.0, 255}, 0.0);
+    RulePolicy fcfs(RankRule::Oldest, kFull);
+    const auto decision = rankAt(fcfs, *s.system, buffer, {1.0, 255});
     ASSERT_TRUE(decision.has_value());
     EXPECT_EQ(buffer.record(decision->slot).id, 2u);
     EXPECT_EQ(decision->jobId, s.transmitJob);
@@ -38,10 +40,8 @@ TEST(Lcfs, PicksNewestCapture)
     pushInput(buffer, s, 1, 500, s.classifyJob);
     pushInput(buffer, s, 2, 100, s.transmitJob);
     pushInput(buffer, s, 3, 900, s.classifyJob);
-    LcfsPolicy policy;
-    core::EnergyAwareEstimator exact(false);
-    const auto decision =
-        policy.select(*s.system, buffer, exact, {1.0, 255}, 0.0);
+    RulePolicy lcfs(RankRule::Newest, kFull);
+    const auto decision = rankAt(lcfs, *s.system, buffer, {1.0, 255});
     ASSERT_TRUE(decision.has_value());
     EXPECT_EQ(buffer.record(decision->slot).id, 3u);
 }
@@ -63,10 +63,8 @@ TEST(Fcfs, TieBreaksOnEnqueueTime)
     respawned.jobId = s.transmitJob;
     buffer.tryPush(respawned);
     buffer.tryPush(fresh);
-    FcfsPolicy policy;
-    core::EnergyAwareEstimator exact(false);
-    const auto decision =
-        policy.select(*s.system, buffer, exact, {1.0, 255}, 0.0);
+    RulePolicy fcfs(RankRule::Oldest, kFull);
+    const auto decision = rankAt(fcfs, *s.system, buffer, {1.0, 255});
     ASSERT_TRUE(decision.has_value());
     EXPECT_EQ(buffer.record(decision->slot).id, 1u);
 }
@@ -78,10 +76,8 @@ TEST(Fcfs, SkipsInFlight)
     pushInput(buffer, s, 1, 100, s.classifyJob);
     pushInput(buffer, s, 2, 200, s.classifyJob);
     buffer.markInFlight(*buffer.oldestSlotForJob(s.classifyJob));
-    FcfsPolicy policy;
-    core::EnergyAwareEstimator exact(false);
-    const auto decision =
-        policy.select(*s.system, buffer, exact, {1.0, 255}, 0.0);
+    RulePolicy fcfs(RankRule::Oldest, kFull);
+    const auto decision = rankAt(fcfs, *s.system, buffer, {1.0, 255});
     ASSERT_TRUE(decision.has_value());
     EXPECT_EQ(buffer.record(decision->slot).id, 2u);
 }
@@ -90,16 +86,11 @@ TEST(Fcfs, EmptyAndAllInFlightGiveNothing)
 {
     auto s = makeSmallSystem();
     queueing::InputBuffer buffer(10);
-    FcfsPolicy policy;
-    core::EnergyAwareEstimator exact(false);
-    EXPECT_FALSE(policy.select(*s.system, buffer, exact, {1.0, 255},
-                               0.0)
-                     .has_value());
+    RulePolicy fcfs(RankRule::Oldest, kFull);
+    EXPECT_FALSE(rankAt(fcfs, *s.system, buffer, {1.0, 255}).has_value());
     pushInput(buffer, s, 1, 100, s.classifyJob);
     buffer.markInFlight(*buffer.oldestSlotForJob(s.classifyJob));
-    EXPECT_FALSE(policy.select(*s.system, buffer, exact, {1.0, 255},
-                               0.0)
-                     .has_value());
+    EXPECT_FALSE(rankAt(fcfs, *s.system, buffer, {1.0, 255}).has_value());
 }
 
 TEST(Fcfs, ReportsExpectedServiceForBookkeeping)
@@ -107,14 +98,12 @@ TEST(Fcfs, ReportsExpectedServiceForBookkeeping)
     auto s = makeSmallSystem();
     queueing::InputBuffer buffer(10);
     pushInput(buffer, s, 1, 100, s.transmitJob);
-    FcfsPolicy policy;
-    core::EnergyAwareEstimator exact(false);
-    const auto decision =
-        policy.select(*s.system, buffer, exact, {1.0, 255}, 0.0);
+    RulePolicy fcfs(RankRule::Oldest, kFull);
+    const auto decision = rankAt(fcfs, *s.system, buffer, {1.0, 255});
     ASSERT_TRUE(decision.has_value());
     EXPECT_NEAR(decision->expectedServiceSeconds, 0.8, 1e-9);
 }
 
 } // namespace
-} // namespace baselines
+} // namespace policy
 } // namespace quetzal

@@ -2,7 +2,8 @@
  * @file
  * Shared fixtures for the core-module tests: a small two-job system
  * mirroring the person-detection shape (classify spawns transmit),
- * with costs chosen to make expected values easy to verify by hand.
+ * with costs chosen to make expected values easy to verify by hand,
+ * and one-call rank/admit probes of a SchedulingPolicy.
  */
 
 #ifndef QUETZAL_TESTS_CORE_TEST_FIXTURES_HPP
@@ -10,6 +11,8 @@
 
 #include <memory>
 
+#include "core/scheduler.hpp"
+#include "core/service_time.hpp"
 #include "core/system.hpp"
 #include "queueing/input_buffer.hpp"
 
@@ -66,6 +69,30 @@ pushInput(queueing::InputBuffer &buffer, const SmallSystem &s,
     record.jobId = job;
     record.interesting = interesting;
     buffer.tryPush(record);
+}
+
+/**
+ * policy.rank() at the given power with the exact-float estimator
+ * and no runtime snapshot.
+ */
+inline std::optional<SchedulerDecision>
+rankAt(SchedulingPolicy &policy, const TaskSystem &system,
+       const queueing::InputBuffer &buffer, const PowerReading &power,
+       double pidCorrection = 0.0)
+{
+    const EnergyAwareEstimator exact(false);
+    return policy.rank({system, buffer, exact, power, pidCorrection, {}});
+}
+
+/** policy.admit() for `job`, under the same context as rankAt(). */
+inline AdaptationDecision
+admitAt(SchedulingPolicy &policy, const TaskSystem &system,
+        const Job &job, const queueing::InputBuffer &buffer,
+        const PowerReading &power, double pidCorrection = 0.0)
+{
+    const EnergyAwareEstimator exact(false);
+    return policy.admit({system, buffer, exact, power, pidCorrection, {}},
+                        job);
 }
 
 } // namespace testing_fixtures

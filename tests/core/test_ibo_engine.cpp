@@ -1,19 +1,21 @@
 /**
  * @file
  * Tests for the IBO-detection and reaction engine (paper Algorithm 2
- * with the backlog-drain horizon, DESIGN.md section 4).
+ * with the backlog-drain horizon, DESIGN.md section 4): the admit()
+ * half of the paper's "sjf-ibo" policy.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/ibo_engine.hpp"
 #include "core_test_fixtures.hpp"
+#include "policy/registry.hpp"
 
 namespace quetzal {
 namespace core {
 namespace {
 
 using testing_fixtures::makeSmallSystem;
+using testing_fixtures::admitAt;
 using testing_fixtures::pushInput;
 
 /** Fill the arrival tracker to a steady rate of `stored` per capture. */
@@ -33,11 +35,10 @@ TEST(IboEngine, NoPressureKeepsFullQuality)
     primeArrivals(*s.system, 0.1);
     queueing::InputBuffer buffer(10);
     pushInput(buffer, s, 1, 0, s.classifyJob);
-    IboReactionEngine engine;
-    EnergyAwareEstimator exact(false);
+    const auto ibo = policy::makePolicy("sjf-ibo");
     const auto decision =
-        engine.adapt(*s.system, s.system->job(s.classifyJob), buffer,
-                     exact, {1.0, 255}, 0.0);
+        admitAt(*ibo, *s.system, s.system->job(s.classifyJob), buffer,
+                {1.0, 255});
     EXPECT_FALSE(decision.iboPredicted);
     EXPECT_FALSE(decision.degraded);
     EXPECT_EQ(decision.optionPerTask, std::vector<std::size_t>{0});
@@ -55,11 +56,10 @@ TEST(IboEngine, UnsustainableRateForcesDegradation)
     // 0.5 s each: drain horizon 4 s < headroom 6 -> avoids.
     for (std::uint64_t i = 0; i < 4; ++i)
         pushInput(buffer, s, i, 0, s.transmitJob);
-    IboReactionEngine engine;
-    EnergyAwareEstimator exact(false);
+    const auto ibo = policy::makePolicy("sjf-ibo");
     const auto decision =
-        engine.adapt(*s.system, s.system->job(s.transmitJob), buffer,
-                     exact, {10e-3, 0}, 0.0);
+        admitAt(*ibo, *s.system, s.system->job(s.transmitJob), buffer,
+                {10e-3, 0});
     EXPECT_TRUE(decision.iboPredicted);
     EXPECT_TRUE(decision.degraded);
     // radio-low: 5 mJ -> 0.5 s at 10 mW: sustainable, so it avoids.
@@ -73,13 +73,12 @@ TEST(IboEngine, PicksHighestQualityOptionThatAvoids)
     primeArrivals(*s.system, 1.0);
     queueing::InputBuffer buffer(10);
     pushInput(buffer, s, 1, 0, s.transmitJob);
-    IboReactionEngine engine;
-    EnergyAwareEstimator exact(false);
+    const auto ibo = policy::makePolicy("sjf-ibo");
     // At 1 W even radio-high is compute-bound (0.8 s < 1 s arrival
     // period): full quality already avoids -> no degradation.
     const auto decision =
-        engine.adapt(*s.system, s.system->job(s.transmitJob), buffer,
-                     exact, {1.0, 255}, 0.0);
+        admitAt(*ibo, *s.system, s.system->job(s.transmitJob), buffer,
+                {1.0, 255});
     EXPECT_FALSE(decision.degraded);
     EXPECT_TRUE(decision.overflowAvoided);
 }
@@ -92,11 +91,10 @@ TEST(IboEngine, FullBufferAlwaysPredicts)
     for (std::uint64_t i = 0; i < 3; ++i)
         pushInput(buffer, s, i, 0, s.classifyJob);
     ASSERT_TRUE(buffer.full());
-    IboReactionEngine engine;
-    EnergyAwareEstimator exact(false);
+    const auto ibo = policy::makePolicy("sjf-ibo");
     const auto decision =
-        engine.adapt(*s.system, s.system->job(s.classifyJob), buffer,
-                     exact, {1.0, 255}, 0.0);
+        admitAt(*ibo, *s.system, s.system->job(s.classifyJob), buffer,
+                {1.0, 255});
     // Headroom zero: overflow predicted regardless of lambda, and no
     // option can avoid it -> fastest option chosen.
     EXPECT_TRUE(decision.iboPredicted);
@@ -111,13 +109,12 @@ TEST(IboEngine, FallbackPicksFastestWhenNothingAvoids)
     queueing::InputBuffer buffer(4);
     for (std::uint64_t i = 0; i < 4; ++i)
         pushInput(buffer, s, i, 0, s.transmitJob);
-    IboReactionEngine engine;
-    EnergyAwareEstimator exact(false);
+    const auto ibo = policy::makePolicy("sjf-ibo");
     // At 1 mW even radio-low (5 mJ -> 5 s) cannot keep up with
     // 1 arrival/s: nothing avoids, fastest option is still chosen.
     const auto decision =
-        engine.adapt(*s.system, s.system->job(s.transmitJob), buffer,
-                     exact, {1e-3, 0}, 0.0);
+        admitAt(*ibo, *s.system, s.system->job(s.transmitJob), buffer,
+                {1e-3, 0});
     EXPECT_TRUE(decision.iboPredicted);
     EXPECT_FALSE(decision.overflowAvoided);
     EXPECT_EQ(decision.optionPerTask, std::vector<std::size_t>{1});
@@ -131,23 +128,20 @@ TEST(IboEngine, RemembersOtherTasksQuality)
     for (std::uint64_t i = 0; i < 3; ++i)
         pushInput(buffer, s, i, 0, s.transmitJob);
     pushInput(buffer, s, 10, 0, s.classifyJob);
-    IboReactionEngine engine;
-    EnergyAwareEstimator exact(false);
+    const auto ibo = policy::makePolicy("sjf-ibo");
     const PowerReading power{40e-3, 0};
 
     // First, the transmit decision degrades the radio (radio-high is
     // 2 s per entry at 40 mW: rho > 1).
     const auto radioDecision =
-        engine.adapt(*s.system, s.system->job(s.transmitJob), buffer,
-                     exact, power, 0.0);
+        admitAt(*ibo, *s.system, s.system->job(s.transmitJob), buffer, power);
     ASSERT_TRUE(radioDecision.degraded);
 
     // Now the classify decision prices the transmit backlog at the
     // degraded radio quality: ml-high (0.5 s at 40 mW) plus 3
     // radio-low (0.125 s each) drains fast, so ML stays full quality.
     const auto mlDecision =
-        engine.adapt(*s.system, s.system->job(s.classifyJob), buffer,
-                     exact, power, 0.0);
+        admitAt(*ibo, *s.system, s.system->job(s.classifyJob), buffer, power);
     EXPECT_FALSE(mlDecision.degraded);
 }
 
@@ -158,19 +152,18 @@ TEST(IboEngine, RecoversQualityWhenPressureClears)
     queueing::InputBuffer buffer(10);
     for (std::uint64_t i = 0; i < 5; ++i)
         pushInput(buffer, s, i, 0, s.transmitJob);
-    IboReactionEngine engine;
-    EnergyAwareEstimator exact(false);
+    const auto ibo = policy::makePolicy("sjf-ibo");
     // Degrade under pressure at 10 mW...
     const auto pressured =
-        engine.adapt(*s.system, s.system->job(s.transmitJob), buffer,
-                     exact, {10e-3, 0}, 0.0);
+        admitAt(*ibo, *s.system, s.system->job(s.transmitJob), buffer,
+                {10e-3, 0});
     EXPECT_TRUE(pressured.degraded);
     // ...then power returns and the backlog clears: full quality again.
     queueing::InputBuffer calm(10);
     pushInput(calm, s, 99, 0, s.transmitJob);
     const auto recovered =
-        engine.adapt(*s.system, s.system->job(s.transmitJob), calm,
-                     exact, {1.0, 255}, 0.0);
+        admitAt(*ibo, *s.system, s.system->job(s.transmitJob), calm,
+                {1.0, 255});
     EXPECT_FALSE(recovered.degraded);
 }
 
@@ -184,11 +177,9 @@ TEST(IboEngine, NonDegradableJobDetectsOnly)
     queueing::InputBuffer buffer(2);
     pushInput(buffer, s, 1, 0, fixedJob);
     pushInput(buffer, s, 2, 0, fixedJob);
-    IboReactionEngine engine;
-    EnergyAwareEstimator exact(false);
+    const auto ibo = policy::makePolicy("sjf-ibo");
     const auto decision =
-        engine.adapt(*s.system, s.system->job(fixedJob), buffer, exact,
-                     {1e-3, 0}, 0.0);
+        admitAt(*ibo, *s.system, s.system->job(fixedJob), buffer, {1e-3, 0});
     EXPECT_TRUE(decision.iboPredicted);
     EXPECT_FALSE(decision.degraded);
     EXPECT_FALSE(decision.overflowAvoided);

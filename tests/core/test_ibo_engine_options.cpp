@@ -9,11 +9,14 @@
 
 #include <gtest/gtest.h>
 
-#include "core/ibo_engine.hpp"
+#include "core_test_fixtures.hpp"
+#include "policy/registry.hpp"
 
 namespace quetzal {
 namespace core {
 namespace {
+
+using testing_fixtures::admitAt;
 
 /**
  * One four-option degradable task; latencies are compute-bound at
@@ -64,20 +67,19 @@ TEST(FourOptionWalk, RisingPressureDegradesOneNotchAtATime)
     // long busy period. The engine should move down the list only as
     // occupancy (pressure) actually demands.
     FourOptionSystem s;
-    EnergyAwareEstimator exact(false);
-    IboReactionEngine engine;
+    const auto ibo = policy::makePolicy("sjf-ibo");
 
     // Occupancy 1: "l" (rho 0.8 -> horizon 0.8/0.2 = 4 s; expected
     // arrivals 4 < headroom 9). "xl" is unstable -> rejected.
-    auto d1 = engine.adapt(s.system, s.system.job(s.job),
-                           backlogOf(1, s.job), exact, kFullPower, 0.0);
+    auto d1 = admitAt(*ibo, s.system, s.system.job(s.job),
+                      backlogOf(1, s.job), kFullPower);
     EXPECT_TRUE(d1.iboPredicted);
     EXPECT_EQ(d1.optionPerTask[0], 1u);
 
     // Occupancy 5: "l" horizon = 5*0.8/0.2 = 20 s -> 20 >= 5: too
     // slow. "m" horizon = 5*0.4/0.6 = 3.33 -> 3.33 < 5: chosen.
-    auto d5 = engine.adapt(s.system, s.system.job(s.job),
-                           backlogOf(5, s.job), exact, kFullPower, 0.0);
+    auto d5 = admitAt(*ibo, s.system, s.system.job(s.job),
+                      backlogOf(5, s.job), kFullPower);
     EXPECT_TRUE(d5.iboPredicted);
     EXPECT_EQ(d5.optionPerTask[0], 2u);
     EXPECT_TRUE(d5.overflowAvoided);
@@ -85,8 +87,8 @@ TEST(FourOptionWalk, RisingPressureDegradesOneNotchAtATime)
     // Occupancy 9: headroom 1. "m" horizon = 9*0.4/0.6 = 6 >= 1;
     // "s" horizon = 9*0.2/0.8 = 2.25 >= 1 too: nothing avoids ->
     // fastest option, not avoided.
-    auto d9 = engine.adapt(s.system, s.system.job(s.job),
-                           backlogOf(9, s.job), exact, kFullPower, 0.0);
+    auto d9 = admitAt(*ibo, s.system, s.system.job(s.job),
+                      backlogOf(9, s.job), kFullPower);
     EXPECT_TRUE(d9.iboPredicted);
     EXPECT_EQ(d9.optionPerTask[0], 3u);
     EXPECT_FALSE(d9.overflowAvoided);
@@ -106,11 +108,9 @@ TEST(FourOptionWalk, NoPressureKeepsTopQuality)
     for (int i = 0; i < 64; ++i)
         calm.recordCapture(i % 4 == 0);
 
-    EnergyAwareEstimator exact(false);
-    IboReactionEngine engine;
+    const auto ibo = policy::makePolicy("sjf-ibo");
     const auto decision =
-        engine.adapt(calm, calm.job(job), backlogOf(1, job), exact,
-                     kFullPower, 0.0);
+        admitAt(*ibo, calm, calm.job(job), backlogOf(1, job), kFullPower);
     // rho = 0.25 * 1.6 = 0.4; horizon 1.6/0.6 = 2.67 s; expected
     // arrivals 0.67 < headroom 9 -> full quality holds.
     EXPECT_FALSE(decision.iboPredicted);
@@ -120,13 +120,12 @@ TEST(FourOptionWalk, NoPressureKeepsTopQuality)
 TEST(FourOptionWalk, RecoveryClimbsAllTheWayBack)
 {
     FourOptionSystem s;
-    EnergyAwareEstimator exact(false);
-    IboReactionEngine engine;
+    const auto ibo = policy::makePolicy("sjf-ibo");
 
     // Force deep degradation first...
     const auto pressured =
-        engine.adapt(s.system, s.system.job(s.job),
-                     backlogOf(9, s.job), exact, kFullPower, 0.0);
+        admitAt(*ibo, s.system, s.system.job(s.job), backlogOf(9, s.job),
+                kFullPower);
     EXPECT_EQ(pressured.optionPerTask[0], 3u);
 
     // ...then evaluate a calm buffer: the walk restarts from the top
@@ -142,8 +141,7 @@ TEST(FourOptionWalk, RecoveryClimbsAllTheWayBack)
     for (int i = 0; i < 64; ++i)
         calm.recordCapture(i % 8 == 0);
     const auto relaxed =
-        engine.adapt(calm, calm.job(job), backlogOf(1, job), exact,
-                     kFullPower, 0.0);
+        admitAt(*ibo, calm, calm.job(job), backlogOf(1, job), kFullPower);
     EXPECT_EQ(relaxed.optionPerTask[0], 0u);
 }
 

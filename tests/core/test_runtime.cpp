@@ -8,6 +8,7 @@
 
 #include "core/runtime.hpp"
 #include "core_test_fixtures.hpp"
+#include "policy/registry.hpp"
 
 namespace quetzal {
 namespace core {
@@ -16,12 +17,19 @@ namespace {
 using testing_fixtures::makeSmallSystem;
 using testing_fixtures::pushInput;
 
+/** The paper's Quetzal row of the controller table. */
+std::unique_ptr<Controller>
+makeQuetzal(const policy::PolicyOptions &options = {})
+{
+    return policy::makeController(policy::ControllerKind::Quetzal,
+                                  options);
+}
+
 TEST(Controller, QuetzalFactoryAssemblesPieces)
 {
-    auto controller = makeQuetzalController();
-    EXPECT_EQ(controller->name(), "Quetzal");
-    EXPECT_EQ(controller->scheduler().name(), "energy-aware-sjf");
-    EXPECT_EQ(controller->adaptation().name(), "ibo-engine");
+    auto controller = makeQuetzal();
+    EXPECT_EQ(controller->name(), "QZ");
+    EXPECT_EQ(controller->policy().name(), "sjf-ibo");
     EXPECT_EQ(controller->estimator().name(), "energy-aware(circuit)");
     EXPECT_EQ(controller->pidCorrection(), 0.0);
 }
@@ -29,7 +37,7 @@ TEST(Controller, QuetzalFactoryAssemblesPieces)
 TEST(Controller, SelectReturnsNothingOnEmptyBuffer)
 {
     auto s = makeSmallSystem();
-    auto controller = makeQuetzalController();
+    auto controller = makeQuetzal();
     queueing::InputBuffer buffer(10);
     EXPECT_FALSE(
         controller->selectJob(*s.system, buffer, 10e-3).has_value());
@@ -39,9 +47,9 @@ TEST(Controller, SelectReturnsNothingOnEmptyBuffer)
 TEST(Controller, SelectionCarriesOptions)
 {
     auto s = makeSmallSystem();
-    QuetzalOptions options;
+    policy::PolicyOptions options;
     options.useCircuit = false;
-    auto controller = makeQuetzalController(options);
+    auto controller = makeQuetzal(options);
     queueing::InputBuffer buffer(10);
     pushInput(buffer, s, 1, 0, s.classifyJob);
     const auto selection =
@@ -55,7 +63,7 @@ TEST(Controller, SelectionCarriesOptions)
 TEST(Controller, CompletionFeedsProbabilityTrackers)
 {
     auto s = makeSmallSystem();
-    auto controller = makeQuetzalController();
+    auto controller = makeQuetzal();
     queueing::InputBuffer buffer(10);
     pushInput(buffer, s, 1, 0, s.classifyJob);
     const auto selection =
@@ -69,13 +77,13 @@ TEST(Controller, CompletionFeedsProbabilityTrackers)
 TEST(Controller, PidRespondsToPredictionError)
 {
     auto s = makeSmallSystem();
-    QuetzalOptions options;
+    policy::PolicyOptions options;
     options.useCircuit = false;
     // Crank the gains so the effect is visible in a couple of steps.
     options.pidConfig.kp = 0.5;
     options.pidConfig.ki = 0.0;
     options.pidConfig.kd = 0.0;
-    auto controller = makeQuetzalController(options);
+    auto controller = makeQuetzal(options);
 
     queueing::InputBuffer buffer(10);
     pushInput(buffer, s, 1, 0, s.classifyJob);
@@ -95,9 +103,9 @@ TEST(Controller, PidRespondsToPredictionError)
 TEST(Controller, NoPidMeansZeroCorrection)
 {
     auto s = makeSmallSystem();
-    QuetzalOptions options;
+    policy::PolicyOptions options;
     options.usePid = false;
-    auto controller = makeQuetzalController(options);
+    auto controller = makeQuetzal(options);
     queueing::InputBuffer buffer(10);
     pushInput(buffer, s, 1, 0, s.classifyJob);
     const auto selection =
@@ -111,8 +119,7 @@ TEST(Controller, TaskObservationsFeedAverageEstimator)
 {
     auto s = makeSmallSystem();
     auto controller = std::make_unique<Controller>(
-        "avg", std::make_unique<EnergyAwareSjfPolicy>(),
-        std::make_unique<IboReactionEngine>(),
+        "avg", policy::makePolicy("sjf-ibo"),
         std::make_unique<AverageServiceTimeEstimator>());
     controller->onTaskComplete(*s.system, s.mlTask, 0, 7.0);
     const auto &avg = static_cast<AverageServiceTimeEstimator &>(
@@ -124,10 +131,10 @@ TEST(Controller, TaskObservationsFeedAverageEstimator)
 TEST(Controller, DegradationCountsInStats)
 {
     auto s = makeSmallSystem();
-    QuetzalOptions options;
+    policy::PolicyOptions options;
     options.useCircuit = false;
     options.usePid = false;
-    auto controller = makeQuetzalController(options);
+    auto controller = makeQuetzal(options);
     // High lambda + heavy transmit backlog at low power: must degrade.
     for (int i = 0; i < 64; ++i)
         s.system->recordCapture(true);
@@ -144,7 +151,7 @@ TEST(Controller, DegradationCountsInStats)
 
 TEST(ControllerDeathTest, MissingCollaboratorsFatal)
 {
-    EXPECT_EXIT(Controller("broken", nullptr, nullptr, nullptr),
+    EXPECT_EXIT(Controller("broken", nullptr, nullptr),
                 ::testing::ExitedWithCode(1), "requires");
 }
 

@@ -1,12 +1,13 @@
 /**
  * @file
- * Tests for the Energy-aware SJF policy (paper Algorithm 1).
+ * Tests for Energy-aware SJF (paper Algorithm 1): the rank() half of
+ * the paper's "sjf-ibo" policy.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/scheduler.hpp"
 #include "core_test_fixtures.hpp"
+#include "policy/registry.hpp"
 
 namespace quetzal {
 namespace core {
@@ -14,16 +15,14 @@ namespace {
 
 using testing_fixtures::makeSmallSystem;
 using testing_fixtures::pushInput;
+using testing_fixtures::rankAt;
 
 TEST(EnergyAwareSjf, EmptyBufferGivesNothing)
 {
     auto s = makeSmallSystem();
     queueing::InputBuffer buffer(10);
-    EnergyAwareSjfPolicy policy;
-    EnergyAwareEstimator exact(false);
-    EXPECT_FALSE(policy.select(*s.system, buffer, exact,
-                               {10e-3, 0}, 0.0)
-                     .has_value());
+    const auto sjf = policy::makePolicy("sjf-ibo");
+    EXPECT_FALSE(rankAt(*sjf, *s.system, buffer, {10e-3, 0}).has_value());
 }
 
 TEST(EnergyAwareSjf, PicksShortestJobAtHighPower)
@@ -32,12 +31,10 @@ TEST(EnergyAwareSjf, PicksShortestJobAtHighPower)
     queueing::InputBuffer buffer(10);
     pushInput(buffer, s, 1, 100, s.classifyJob);
     pushInput(buffer, s, 2, 200, s.transmitJob);
-    EnergyAwareSjfPolicy policy;
-    EnergyAwareEstimator exact(false);
+    const auto sjf = policy::makePolicy("sjf-ibo");
     // At 1 W everything is compute bound: ml-high 1.0 s vs
     // radio-high 0.8 s -> transmit wins.
-    const auto decision =
-        policy.select(*s.system, buffer, exact, {1.0, 255}, 0.0);
+    const auto decision = rankAt(*sjf, *s.system, buffer, {1.0, 255});
     ASSERT_TRUE(decision.has_value());
     EXPECT_EQ(decision->jobId, s.transmitJob);
     EXPECT_NEAR(decision->expectedServiceSeconds, 0.8, 1e-9);
@@ -49,14 +46,12 @@ TEST(EnergyAwareSjf, PowerFlipsTheWinner)
     queueing::InputBuffer buffer(10);
     pushInput(buffer, s, 1, 100, s.classifyJob);
     pushInput(buffer, s, 2, 200, s.transmitJob);
-    EnergyAwareSjfPolicy policy;
-    EnergyAwareEstimator exact(false);
+    const auto sjf = policy::makePolicy("sjf-ibo");
     // At 25 mW: ml-high stays compute-bound (1.0 s; 20 mJ needs only
     // 0.8 s of harvesting) while radio-high becomes energy-bound
     // (80 mJ -> 3.2 s): classify wins. Same buffer state, different
     // winner — the heart of *energy-aware* SJF.
-    const auto decision =
-        policy.select(*s.system, buffer, exact, {25e-3, 0}, 0.0);
+    const auto decision = rankAt(*sjf, *s.system, buffer, {25e-3, 0});
     ASSERT_TRUE(decision.has_value());
     EXPECT_EQ(decision->jobId, s.classifyJob);
     EXPECT_NEAR(decision->expectedServiceSeconds, 1.0, 1e-9);
@@ -71,10 +66,8 @@ TEST(EnergyAwareSjf, TieBreaksTowardOlderInput)
     queueing::InputBuffer buffer(10);
     pushInput(buffer, s, 1, 500, other);
     pushInput(buffer, s, 2, 100, s.classifyJob); // older capture
-    EnergyAwareSjfPolicy policy;
-    EnergyAwareEstimator exact(false);
-    const auto decision =
-        policy.select(*s.system, buffer, exact, {1.0, 255}, 0.0);
+    const auto sjf = policy::makePolicy("sjf-ibo");
+    const auto decision = rankAt(*sjf, *s.system, buffer, {1.0, 255});
     ASSERT_TRUE(decision.has_value());
     EXPECT_EQ(decision->jobId, s.classifyJob);
 }
@@ -85,10 +78,8 @@ TEST(EnergyAwareSjf, SelectsOldestInputOfChosenJob)
     queueing::InputBuffer buffer(10);
     pushInput(buffer, s, 1, 300, s.classifyJob);
     pushInput(buffer, s, 2, 100, s.classifyJob);
-    EnergyAwareSjfPolicy policy;
-    EnergyAwareEstimator exact(false);
-    const auto decision =
-        policy.select(*s.system, buffer, exact, {1.0, 255}, 0.0);
+    const auto sjf = policy::makePolicy("sjf-ibo");
+    const auto decision = rankAt(*sjf, *s.system, buffer, {1.0, 255});
     ASSERT_TRUE(decision.has_value());
     // oldestSlotForJob returns the first (oldest-enqueued) entry.
     EXPECT_EQ(buffer.record(decision->slot).id, 1u);
@@ -99,12 +90,9 @@ TEST(EnergyAwareSjf, PidCorrectionAddsUniformly)
     auto s = makeSmallSystem();
     queueing::InputBuffer buffer(10);
     pushInput(buffer, s, 1, 100, s.classifyJob);
-    EnergyAwareSjfPolicy policy;
-    EnergyAwareEstimator exact(false);
-    const auto base =
-        policy.select(*s.system, buffer, exact, {1.0, 255}, 0.0);
-    const auto corrected =
-        policy.select(*s.system, buffer, exact, {1.0, 255}, 2.5);
+    const auto sjf = policy::makePolicy("sjf-ibo");
+    const auto base = rankAt(*sjf, *s.system, buffer, {1.0, 255});
+    const auto corrected = rankAt(*sjf, *s.system, buffer, {1.0, 255}, 2.5);
     ASSERT_TRUE(base && corrected);
     EXPECT_NEAR(corrected->expectedServiceSeconds,
                 base->expectedServiceSeconds + 2.5, 1e-9);
@@ -115,10 +103,8 @@ TEST(EnergyAwareSjf, NegativeCorrectionClampsAtZero)
     auto s = makeSmallSystem();
     queueing::InputBuffer buffer(10);
     pushInput(buffer, s, 1, 100, s.classifyJob);
-    EnergyAwareSjfPolicy policy;
-    EnergyAwareEstimator exact(false);
-    const auto decision =
-        policy.select(*s.system, buffer, exact, {1.0, 255}, -100.0);
+    const auto sjf = policy::makePolicy("sjf-ibo");
+    const auto decision = rankAt(*sjf, *s.system, buffer, {1.0, 255}, -100.0);
     ASSERT_TRUE(decision.has_value());
     EXPECT_GE(decision->expectedServiceSeconds, 0.0);
 }
@@ -129,11 +115,8 @@ TEST(EnergyAwareSjf, SkipsInFlightInputs)
     queueing::InputBuffer buffer(10);
     pushInput(buffer, s, 1, 100, s.classifyJob);
     buffer.markInFlight(*buffer.oldestSlotForJob(s.classifyJob));
-    EnergyAwareSjfPolicy policy;
-    EnergyAwareEstimator exact(false);
-    EXPECT_FALSE(policy.select(*s.system, buffer, exact, {1.0, 255},
-                               0.0)
-                     .has_value());
+    const auto sjf = policy::makePolicy("sjf-ibo");
+    EXPECT_FALSE(rankAt(*sjf, *s.system, buffer, {1.0, 255}).has_value());
 }
 
 } // namespace

@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "app/audio_monitor.hpp"
-#include "baselines/controllers.hpp"
+#include "policy/registry.hpp"
 #include "energy/harvester.hpp"
 #include "energy/solar_model.hpp"
 #include "sim/simulator.hpp"
@@ -17,6 +17,8 @@
 namespace quetzal {
 namespace sim {
 namespace {
+
+using policy::ControllerKind;
 
 struct AudioRig
 {
@@ -61,8 +63,8 @@ struct AudioRig
 TEST(AudioApp, RunsEndToEndUnderQuetzal)
 {
     AudioRig rig;
-    const Metrics m = rig.run(baselines::makeQuetzalVariantController(
-        baselines::SchedulerKind::EnergyAwareSjf));
+    const Metrics m =
+        rig.run(policy::makeController(ControllerKind::Quetzal));
     EXPECT_GT(m.jobsCompleted, 0u);
     EXPECT_GT(m.txInterestingHq + m.txInterestingLq, 0u);
     EXPECT_EQ(m.interestingCaptured,
@@ -74,9 +76,9 @@ TEST(AudioApp, QuetzalBeatsNoAdaptHereToo)
 {
     AudioRig rig;
     const Metrics qz =
-        rig.run(baselines::makeQuetzalVariantController(
-            baselines::SchedulerKind::EnergyAwareSjf));
-    const Metrics na = rig.run(baselines::makeNoAdaptController());
+        rig.run(policy::makeController(ControllerKind::Quetzal));
+    const Metrics na =
+        rig.run(policy::makeController(ControllerKind::NoAdapt));
     // The same machinery generalizes to a different pipeline.
     EXPECT_LE(qz.interestingDiscardedTotal(),
               na.interestingDiscardedTotal());
@@ -86,7 +88,8 @@ TEST(AudioApp, QuetzalBeatsNoAdaptHereToo)
 TEST(AudioApp, DegradationUsesTheAudioOptions)
 {
     AudioRig rig;
-    const Metrics ad = rig.run(baselines::makeAlwaysDegradeController());
+    const Metrics ad =
+        rig.run(policy::makeController(ControllerKind::AlwaysDegrade));
     EXPECT_EQ(ad.txInterestingHq, 0u);
     EXPECT_GT(ad.txInterestingLq, 0u);
 }

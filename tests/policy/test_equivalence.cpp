@@ -3,10 +3,11 @@
  * Incumbent-equivalence and determinism differentials for the policy
  * layer.
  *
- *  - The ported incumbent (--policy sjf-ibo) reproduces the
- *    pre-refactor controller (ControllerKind::Quetzal) byte-for-byte:
- *    identical metrics and an identical full-telemetry JSONL stream
- *    on fig09-, fig12- and fault_sweep-style configurations.
+ *  - The "sjf-ibo" row of the controller table (--policy sjf-ibo)
+ *    reproduces the Quetzal row (ControllerKind::Quetzal)
+ *    byte-for-byte: identical metrics and an identical full-telemetry
+ *    JSONL stream on fig09-, fig12- and fault_sweep-style
+ *    configurations. The two rows must differ only in their label.
  *  - Every registered policy produces byte-identical telemetry on
  *    the tick and event engines, and across --jobs 1 / --jobs 4
  *    ensemble execution.
@@ -107,21 +108,27 @@ equivalenceCases()
     return cases;
 }
 
-TEST(PolicyEquivalence, PortedIncumbentMatchesLegacyControllerExactly)
+TEST(PolicyEquivalence, SjfIboRowMatchesQuetzalRowExactly)
 {
+    const ControllerRow &quetzal = controllerRow(ControllerKind::Quetzal);
+    const ControllerRow &sjfIbo = policyRow("sjf-ibo");
+    EXPECT_EQ(sjfIbo.estimator, quetzal.estimator);
+    EXPECT_EQ(sjfIbo.honoursPid, quetzal.honoursPid);
+    EXPECT_EQ(sjfIbo.chargesOverhead, quetzal.chargesOverhead);
+
     for (const EquivalenceCase &c : equivalenceCases()) {
         SCOPED_TRACE(c.name);
 
-        sim::ExperimentConfig legacy = c.config;
-        legacy.controller = sim::ControllerKind::Quetzal;
-        sim::ExperimentConfig ported = c.config;
-        ported.policyName = "sjf-ibo";
+        sim::ExperimentConfig byKind = c.config;
+        byKind.controller = sim::ControllerKind::Quetzal;
+        sim::ExperimentConfig byName = c.config;
+        byName.policyName = "sjf-ibo";
 
-        expectIdenticalMetrics(sim::runExperiment(legacy),
-                               sim::runExperiment(ported));
-        const std::string legacyTrace = traceOf(legacy);
-        ASSERT_FALSE(legacyTrace.empty());
-        EXPECT_EQ(legacyTrace, traceOf(ported));
+        expectIdenticalMetrics(sim::runExperiment(byKind),
+                               sim::runExperiment(byName));
+        const std::string kindTrace = traceOf(byKind);
+        ASSERT_FALSE(kindTrace.empty());
+        EXPECT_EQ(kindTrace, traceOf(byName));
     }
 }
 

@@ -2,10 +2,11 @@
  * @file
  * Policy-invariant property suite. Two halves:
  *
- *  1. Every registered policy survives the verify.hpp walk with zero
- *     violations and produces bit-identical decision streams from
- *     fresh instances (decisions are a pure function of observable
- *     state).
+ *  1. Every row of the controller table — the paper's Quetzal
+ *     variants and baselines as well as the registered zoo —
+ *     survives the verify.hpp walk with zero violations and produces
+ *     bit-identical decision streams from fresh instances (decisions
+ *     are a pure function of observable state).
  *  2. The harness itself is demonstrated sharp: deliberately broken
  *     policies — scheduling an in-flight slot, overclaiming the
  *     energy bound, mismatching the slot's job, malformed option
@@ -36,6 +37,19 @@ joined(const std::vector<std::string> &violations)
     return out;
 }
 
+/** The walk's threshold rows switch inside its 5-50 mW harvest:
+ *  ZGO at 35 mW (datasheet 100 mW), ZGI at 21 mW (trace max 60 mW). */
+const energy::PowerTrace kWalkTrace = energy::PowerTrace::constant(60e-3);
+
+std::unique_ptr<core::SchedulingPolicy>
+rowPolicy(const ControllerRow &row)
+{
+    PolicyOptions options;
+    options.datasheetMaxPower = 100e-3;
+    options.powerTrace = &kWalkTrace;
+    return row.makePolicy(options);
+}
+
 bool
 anyContains(const std::vector<std::string> &violations,
             const std::string &needle)
@@ -47,11 +61,11 @@ anyContains(const std::vector<std::string> &violations,
     return false;
 }
 
-TEST(PolicyInvariants, EveryRegisteredPolicyPassesTheWalk)
+TEST(PolicyInvariants, EveryTableRowPassesTheWalk)
 {
-    for (const std::string &name : registeredPolicyNames()) {
-        SCOPED_TRACE(name);
-        const auto policy = makePolicy(name);
+    for (const ControllerRow &row : controllerRows()) {
+        SCOPED_TRACE(row.label);
+        const auto policy = rowPolicy(row);
         const VerifyReport report = verifyPolicy(*policy);
         EXPECT_TRUE(report.ok()) << joined(report.violations);
         // A walk that never exercised the policy proves nothing.
@@ -59,16 +73,16 @@ TEST(PolicyInvariants, EveryRegisteredPolicyPassesTheWalk)
     }
 }
 
-TEST(PolicyInvariants, EveryRegisteredPolicyPassesAlternateWalks)
+TEST(PolicyInvariants, EveryTableRowPassesAlternateWalks)
 {
     VerifyOptions options;
     options.seed = 99;
     options.rounds = 200;
     options.bufferCapacity = 3;  // tighter buffer, more overflows
     options.serviceRounds = 4;   // longer in-flight windows
-    for (const std::string &name : registeredPolicyNames()) {
-        SCOPED_TRACE(name);
-        const auto policy = makePolicy(name);
+    for (const ControllerRow &row : controllerRows()) {
+        SCOPED_TRACE(row.label);
+        const auto policy = rowPolicy(row);
         const VerifyReport report = verifyPolicy(*policy, options);
         EXPECT_TRUE(report.ok()) << joined(report.violations);
     }
@@ -76,12 +90,12 @@ TEST(PolicyInvariants, EveryRegisteredPolicyPassesAlternateWalks)
 
 TEST(PolicyInvariants, DecisionsArePureFunctionsOfObservableState)
 {
-    for (const std::string &name : registeredPolicyNames()) {
-        SCOPED_TRACE(name);
+    for (const ControllerRow &row : controllerRows()) {
+        SCOPED_TRACE(row.label);
         // Two fresh instances replay the identical walk: any hidden
         // state not derived from observations diverges the streams.
-        const auto first = makePolicy(name);
-        const auto second = makePolicy(name);
+        const auto first = rowPolicy(row);
+        const auto second = rowPolicy(row);
         const std::vector<std::string> a = decisionStream(*first);
         const std::vector<std::string> b = decisionStream(*second);
         ASSERT_FALSE(a.empty());
@@ -103,13 +117,13 @@ TEST(PolicyInvariants, DecisionStreamsRespondToTheSeed)
 // --- Deliberately broken policies: the harness must flag each. -----
 
 /** Schedules the FIFO head even while it is in flight. */
-class DoubleReleasePolicy : public SchedulingPolicy
+class DoubleReleasePolicy : public core::SchedulingPolicy
 {
   public:
     std::string name() const override { return "broken-in-flight"; }
 
     std::optional<core::SchedulerDecision>
-    rank(const PolicyContext &ctx) override
+    rank(const core::PolicyContext &ctx) override
     {
         std::optional<core::SchedulerDecision> decision;
         ctx.buffer.forEachFifo([&](queueing::SlotId slot,
@@ -125,7 +139,7 @@ class DoubleReleasePolicy : public SchedulingPolicy
     }
 
     core::AdaptationDecision
-    admit(const PolicyContext &, const core::Job &) override
+    admit(const core::PolicyContext &, const core::Job &) override
     {
         return {};
     }
@@ -138,7 +152,7 @@ class OverclaimPolicy : public GreedyFcfsPolicy
     std::string name() const override { return "broken-overclaim"; }
 
     std::optional<core::SchedulerDecision>
-    rank(const PolicyContext &ctx) override
+    rank(const core::PolicyContext &ctx) override
     {
         auto decision = GreedyFcfsPolicy::rank(ctx);
         if (decision)
@@ -155,7 +169,7 @@ class WrongJobPolicy : public GreedyFcfsPolicy
     std::string name() const override { return "broken-wrong-job"; }
 
     std::optional<core::SchedulerDecision>
-    rank(const PolicyContext &ctx) override
+    rank(const core::PolicyContext &ctx) override
     {
         auto decision = GreedyFcfsPolicy::rank(ctx);
         if (decision)
@@ -172,7 +186,7 @@ class BadOptionPolicy : public GreedyFcfsPolicy
     std::string name() const override { return "broken-option"; }
 
     core::AdaptationDecision
-    admit(const PolicyContext &, const core::Job &job) override
+    admit(const core::PolicyContext &, const core::Job &job) override
     {
         core::AdaptationDecision decision;
         decision.optionPerTask.assign(job.tasks.size(), 99);
@@ -187,7 +201,7 @@ class NegativePredictionPolicy : public GreedyFcfsPolicy
     std::string name() const override { return "broken-negative"; }
 
     core::AdaptationDecision
-    admit(const PolicyContext &, const core::Job &) override
+    admit(const core::PolicyContext &, const core::Job &) override
     {
         core::AdaptationDecision decision;
         decision.predictedServiceSeconds = -1.0;
@@ -202,7 +216,7 @@ class HiddenStatePolicy : public GreedyFcfsPolicy
     std::string name() const override { return "broken-hidden"; }
 
     std::optional<core::SchedulerDecision>
-    rank(const PolicyContext &ctx) override
+    rank(const core::PolicyContext &ctx) override
     {
         // Modulus chosen not to divide the walk length, so the
         // counter's phase differs between two consecutive walks.

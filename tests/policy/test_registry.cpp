@@ -1,9 +1,10 @@
 /**
  * @file
- * Policy registry tests: every registered name resolves to a fresh
- * policy reporting that name, the incumbent controller keeps the
- * legacy component names the rest of the suite pins, and unknown
- * names die loudly instead of silently running the wrong policy.
+ * Controller-table tests: every registered name resolves to a fresh
+ * policy reporting that name, the incumbent controller runs the
+ * paper's policy, every ControllerKind finds its row by kind and by
+ * label, and unknown names die loudly instead of silently running
+ * the wrong policy.
  */
 
 #include <gtest/gtest.h>
@@ -46,32 +47,50 @@ TEST(PolicyRegistry, TournamentEntrantsAreRegistered)
 TEST(PolicyRegistry, UnknownPolicyNameDies)
 {
     EXPECT_DEATH((void)makePolicy("round-robin"), "unknown policy");
-    EXPECT_DEATH((void)makePolicyController("round-robin"),
+    EXPECT_DEATH((void)makeController(policyRow("round-robin")),
                  "unknown policy");
 }
 
-TEST(PolicyRegistry, IncumbentControllerKeepsLegacyComponentNames)
+TEST(PolicyRegistry, IncumbentControllerRunsThePaperPolicy)
 {
-    const auto controller = makePolicyController("sjf-ibo");
+    const auto controller = makeController(policyRow("sjf-ibo"));
     ASSERT_NE(controller, nullptr);
     EXPECT_EQ(controller->name(), "sjf-ibo");
-    // The composite forwards the wrapped pair's names, so telemetry
-    // and tests keyed on the incumbent's components keep working.
-    EXPECT_EQ(controller->scheduler().name(), "energy-aware-sjf");
-    EXPECT_EQ(controller->adaptation().name(), "ibo-engine");
+    EXPECT_EQ(controller->policy().name(), "sjf-ibo");
+    EXPECT_EQ(makeController(ControllerKind::Quetzal)->policy().name(),
+              "sjf-ibo");
 }
 
-TEST(PolicyRegistry, ZooControllersReportThePolicyNameForBothHalves)
+TEST(PolicyRegistry, ZooControllersReportThePolicyName)
 {
     for (const char *name : {"zygarde", "delgado-famaey",
                              "greedy-fcfs"}) {
         SCOPED_TRACE(name);
-        const auto controller = makePolicyController(name);
+        const auto controller = makeController(policyRow(name));
         ASSERT_NE(controller, nullptr);
         EXPECT_EQ(controller->name(), name);
-        EXPECT_EQ(controller->scheduler().name(), name);
-        EXPECT_EQ(controller->adaptation().name(), name);
+        EXPECT_EQ(controller->policy().name(), name);
     }
+}
+
+TEST(PolicyRegistry, ControllerKindRowsComeFirstInEnumOrder)
+{
+    const auto rows = controllerRows();
+    const auto kinds = static_cast<std::size_t>(ControllerKind::Ideal) + 1;
+    ASSERT_EQ(rows.size(), kinds + registeredPolicyNames().size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        SCOPED_TRACE(rows[i].label);
+        EXPECT_EQ(rows[i].registered, i >= kinds);
+        if (i < kinds) {
+            const auto kind = static_cast<ControllerKind>(i);
+            EXPECT_EQ(&controllerRow(kind), &rows[i]);
+            EXPECT_EQ(controllerKindFromLabel(rows[i].label), kind);
+        } else {
+            EXPECT_EQ(&policyRow(rows[i].label), &rows[i]);
+            EXPECT_FALSE(controllerKindFromLabel(rows[i].label));
+        }
+    }
+    EXPECT_FALSE(controllerKindFromLabel("qz"));
 }
 
 } // namespace

@@ -12,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "app/person_detection.hpp"
-#include "baselines/controllers.hpp"
+#include "policy/registry.hpp"
 #include "sim/simulator.hpp"
 
 namespace quetzal {
@@ -66,7 +66,8 @@ TEST(DeathPathDeathTest, SimulatorRunDiesOnMalformedDeviceProfile)
     const app::DeviceProfile profile = unfundableProfile();
     const app::ApplicationModel appModel =
         app::buildPersonDetectionApp(system, profile);
-    const auto controller = baselines::makeNoAdaptController();
+    const auto controller =
+        policy::makeController(policy::ControllerKind::NoAdapt);
     const auto watts = energy::PowerTrace::constant(1e-3);
     const trace::EventTrace events({{500, 10'000, true}});
 
@@ -83,7 +84,8 @@ TEST(DeathPathDeathTest, SimulatorRejectsMalformedConfig)
     const app::DeviceProfile profile = app::apollo4Device();
     const app::ApplicationModel appModel =
         app::buildPersonDetectionApp(system, profile);
-    const auto controller = baselines::makeNoAdaptController();
+    const auto controller =
+        policy::makeController(policy::ControllerKind::NoAdapt);
     const auto watts = energy::PowerTrace::constant(10e-3);
     const trace::EventTrace events({{500, 1'000, true}});
 

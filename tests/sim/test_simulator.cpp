@@ -7,13 +7,15 @@
 #include <gtest/gtest.h>
 
 #include "app/person_detection.hpp"
-#include "baselines/controllers.hpp"
+#include "policy/registry.hpp"
 #include "sim/simulator.hpp"
 #include "trace/event_generator.hpp"
 
 namespace quetzal {
 namespace sim {
 namespace {
+
+using policy::ControllerKind;
 
 struct Rig
 {
@@ -42,7 +44,7 @@ singleEvent(Tick start, Tick duration, bool interesting)
 
 TEST(Simulator, QuietEnvironmentStoresNothing)
 {
-    Rig rig(baselines::makeNoAdaptController(), 50e-3,
+    Rig rig(policy::makeController(ControllerKind::NoAdapt), 50e-3,
             trace::EventTrace({{1'000'000, 1000, true}}));
     SimulationConfig cfg;
     cfg.drainTicks = 5'000;
@@ -60,7 +62,7 @@ TEST(Simulator, InterestingEventFlowsToHqTransmission)
 {
     // Plenty of power, one 5 s interesting event: all five inputs
     // should be classified and transmitted at high quality.
-    Rig rig(baselines::makeNoAdaptController(), 200e-3,
+    Rig rig(policy::makeController(ControllerKind::NoAdapt), 200e-3,
             singleEvent(10'000, 5'000, true));
     SimulationConfig cfg;
     cfg.outcomeSeed = 5; // no misclassification draws fire at 3 % FN
@@ -78,7 +80,7 @@ TEST(Simulator, InterestingEventFlowsToHqTransmission)
 TEST(Simulator, OverflowDropsWhenBufferTiny)
 {
     // Buffer of 1 with very low power: a long event must overflow.
-    Rig rig(baselines::makeNoAdaptController(), 1e-3,
+    Rig rig(policy::makeController(ControllerKind::NoAdapt), 1e-3,
             singleEvent(5'000, 30'000, true));
     SimulationConfig cfg;
     cfg.bufferCapacity = 1;
@@ -99,10 +101,10 @@ TEST(Simulator, ConservationHoldsAcrossControllers)
                                   trace::EnvironmentPreset::Crowded, 60,
                                   11))
             .generate();
-    for (auto make : {baselines::makeNoAdaptController,
-                      baselines::makeAlwaysDegradeController,
-                      baselines::makeCatNapController}) {
-        Rig rig(make(), 8e-3, events);
+    for (auto kind : {ControllerKind::NoAdapt,
+                      ControllerKind::AlwaysDegrade,
+                      ControllerKind::CatNap}) {
+        Rig rig(policy::makeController(kind), 8e-3, events);
         SimulationConfig cfg;
         Simulator sim(cfg, app::apollo4Device(), rig.appModel,
                       rig.system, *rig.controller, rig.watts,
@@ -119,8 +121,8 @@ TEST(Simulator, ConservationHoldsAcrossControllers)
 
 TEST(Simulator, DegradedControllerSendsLowQuality)
 {
-    Rig rig(baselines::makeAlwaysDegradeController(), 200e-3,
-            singleEvent(10'000, 5'000, true));
+    Rig rig(policy::makeController(ControllerKind::AlwaysDegrade),
+            200e-3, singleEvent(10'000, 5'000, true));
     SimulationConfig cfg;
     Simulator sim(cfg, app::apollo4Device(), rig.appModel, rig.system,
                   *rig.controller, rig.watts, rig.events);
@@ -134,7 +136,7 @@ TEST(Simulator, CaptureRateDegradationMissesEvents)
 {
     // Fig. 2b mechanism: a 9 s event sampled at 5 s period yields at
     // most 2 captures of 9 nominal.
-    Rig rig(baselines::makeNoAdaptController(), 200e-3,
+    Rig rig(policy::makeController(ControllerKind::NoAdapt), 200e-3,
             singleEvent(10'000, 9'000, true));
     SimulationConfig cfg;
     cfg.capturePeriod = 5'000;
@@ -148,8 +150,7 @@ TEST(Simulator, CaptureRateDegradationMissesEvents)
 
 TEST(Simulator, SchedulerOverheadAccounted)
 {
-    Rig rig(baselines::makeQuetzalVariantController(
-                baselines::SchedulerKind::EnergyAwareSjf),
+    Rig rig(policy::makeController(ControllerKind::Quetzal),
             50e-3, singleEvent(10'000, 5'000, true));
     SimulationConfig cfg;
     cfg.schedulerOverheadSeconds = 0.01;
@@ -164,7 +165,7 @@ TEST(Simulator, SchedulerOverheadAccounted)
 
 TEST(Simulator, InfiniteBufferNeverDrops)
 {
-    Rig rig(baselines::makeNoAdaptController(), 2e-3,
+    Rig rig(policy::makeController(ControllerKind::NoAdapt), 2e-3,
             singleEvent(5'000, 60'000, true));
     SimulationConfig cfg;
     cfg.infiniteBuffer = true;

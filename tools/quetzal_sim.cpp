@@ -196,18 +196,8 @@ conflict(const std::string &flag, const std::string &other,
 sim::ControllerKind
 parseController(const std::string &name)
 {
-    using K = sim::ControllerKind;
-    if (name == "QZ") return K::Quetzal;
-    if (name == "QZ-FCFS") return K::QuetzalFcfs;
-    if (name == "QZ-LCFS") return K::QuetzalLcfs;
-    if (name == "QZ-AvgSe2e") return K::QuetzalAvgSe2e;
-    if (name == "NA") return K::NoAdapt;
-    if (name == "AD") return K::AlwaysDegrade;
-    if (name == "CN") return K::CatNap;
-    if (name == "THR") return K::BufferThreshold;
-    if (name == "PZO") return K::Zgo;
-    if (name == "PZI") return K::Zgi;
-    if (name == "Ideal") return K::Ideal;
+    if (const auto kind = policy::controllerKindFromLabel(name))
+        return *kind;
     util::fatal(util::msg("unknown controller: ", name));
 }
 
