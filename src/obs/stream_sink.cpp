@@ -42,15 +42,17 @@ void
 StreamingBtraceSink::enqueue(std::string &&block)
 {
     std::unique_lock<std::mutex> lock(mutex);
-    if (queuedBytes + block.size() > budget && !queue.empty()) {
+    // queuedBytes, not the queue, is the in-flight measure: it still
+    // counts the block the flusher has popped and is writing.
+    if (queuedBytes + block.size() > budget && queuedBytes != 0) {
         // Deterministic backpressure: block until the flusher drains
         // below budget. Never drop, never reorder, never exceed it
-        // (beyond a single oversized block on an otherwise empty
-        // queue, which the budget floor in the ctor prevents for
+        // (beyond a single oversized block with nothing else in
+        // flight, which the budget floor in the ctor prevents for
         // normal chunk sizes).
         producerWaits.fetch_add(1, std::memory_order_release);
         producerCv.wait(lock, [this, &block] {
-            return queue.empty() ||
+            return queuedBytes == 0 ||
                 queuedBytes + block.size() <= budget;
         });
     }
