@@ -1,14 +1,14 @@
 /**
  * @file
- * Wall-clock microbenchmark of the experiment engine: a reference
+ * Wall-clock microbenchmark of the simulator's run loop: a reference
  * ensemble (Quetzal, Crowded) run serially (jobs=1) and on the
  * parallel runner (--jobs N, default hardware concurrency /
- * QUETZAL_JOBS). Emits one line of JSON so successive PRs can track
- * the perf trajectory in BENCH_*.json files:
+ * QUETZAL_JOBS). Emits one line of JSON for the BENCH_*.json
+ * trajectories that scripts/check_bench.sh gates:
  *
- *   {"bench": "micro_simulator", "runs": 16, "jobs": 4,
- *    "serial_ns_per_run": ..., "parallel_ns_per_run": ...,
- *    "speedup": ..., "ns_per_run": ...}
+ *   {"bench": "micro_simulator", "mode": "quetzal", "runs": 16,
+ *    "events": 200, "jobs": 4, "serial_ns_per_run": ...,
+ *    "parallel_ns_per_run": ..., "speedup": ..., "ns_per_run": ...}
  *
  * "ns_per_run" is the parallel figure (the configuration a sweep
  * would actually use). Results are asserted bit-identical between
@@ -18,9 +18,7 @@
  * telemetry subsystem recording at LEVEL (counters | decisions |
  * full) into per-run in-memory sinks, and reports the relative
  * overhead as "traced_overhead" (traced / untraced serial time).
- * The default build keeps ObsLevel::Off on the hot path, which this
- * benchmark's plain figures measure — the PR acceptance gate is
- * that those stay within 2 % of the pre-telemetry baseline.
+ * The plain figures measure the default ObsLevel::Off hot path.
  *
  * --ideal switches the ensemble to the infinite-buffer Ideal
  * baseline on the more-crowded environment — the large-buffer regime
@@ -28,23 +26,14 @@
  * E[S] memoization dominate; the reported figures track that
  * scenario's cost per run.
  *
- * --engine selects the simulation engine (tick | event) so the two
- * implementations of the same observable timeline can be compared
- * directly; --idle-day replaces the sensing trace with an empty one
- * over a full simulated day (zero arrivals, captures only) — the
- * regime where the event engine's closed-form advance between
- * instants shows its largest advantage over per-tick stepping.
- *
  * Usage: micro_simulator [--jobs N] [--runs N] [--events N]
- *                        [--trace LEVEL] [--ideal] [--idle-day]
- *                        [--engine tick|event]
+ *                        [--trace LEVEL] [--ideal]
  */
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -91,8 +80,6 @@ main(int argc, char **argv)
     std::size_t events = 200;
     obs::ObsLevel traceLevel = obs::ObsLevel::Off;
     bool ideal = false;
-    bool idleDay = false;
-    sim::EngineKind engine = sim::EngineKind::Tick;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -118,13 +105,6 @@ main(int argc, char **argv)
             traceLevel = *level;
         } else if (arg == "--ideal") {
             ideal = true;
-        } else if (arg == "--idle-day") {
-            idleDay = true;
-        } else if (arg == "--engine") {
-            const auto kind = sim::parseEngineKind(value());
-            if (!kind)
-                util::fatal("unknown engine (tick | event)");
-            engine = *kind;
         } else {
             std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
             return 2;
@@ -141,15 +121,6 @@ main(int argc, char **argv)
     cfg.eventCount = events;
     cfg.controller = ideal ? sim::ControllerKind::Ideal
                            : sim::ControllerKind::Quetzal;
-    cfg.sim.engine = engine;
-    if (idleDay) {
-        // Zero-arrival day: an empty sensing trace plus a day-long
-        // drain window. Every capture fails the diff filter, so the
-        // run measures pure "waiting" cost — per-tick stepping for
-        // the tick engine, closed-form jumps for the event engine.
-        cfg.sharedEvents = std::make_shared<const trace::EventTrace>();
-        cfg.sim.drainTicks = Tick{24} * 3600 * kTicksPerSecond;
-    }
 
     // Warm-up: touch every code path once so first-run effects
     // (allocator, page faults) do not skew either measurement.
@@ -199,8 +170,7 @@ main(int argc, char **argv)
     }
 
     bench::JsonLine line("micro_simulator");
-    line.add("mode", idleDay ? "idle-day" : (ideal ? "ideal" : "quetzal"))
-        .add("engine", sim::engineKindName(engine))
+    line.add("mode", ideal ? "ideal" : "quetzal")
         .add("runs", runs)
         .add("events", events)
         .add("jobs", jobs)

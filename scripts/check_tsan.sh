@@ -24,12 +24,6 @@ export TSAN_OPTIONS="halt_on_error=1 exitcode=66 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/test_sim \
     --gtest_filter='ParallelRunner.*:TraceCache.*'
 
-# The event engine under parallel execution: the differential suite
-# runs both engines back to back, and the job-count tests drive the
-# event engine from 1 and 4 workers over the shared traces.
-"$BUILD_DIR"/tests/test_sim \
-    --gtest_filter='EngineDifferential.*'
-
 # Telemetry under parallel execution: per-run sinks recorded from
 # worker threads, serialized after the joins (GoldenTrace runs the
 # same ensemble on 1 and 4 workers and compares bytes).
@@ -91,8 +85,6 @@ export TSAN_OPTIONS="halt_on_error=1 exitcode=66 ${TSAN_OPTIONS:-}"
     --shards 8 --jobs 4 --checkpoint >/dev/null
 
 "$BUILD_DIR"/bench/micro_simulator --jobs 4 --runs 8 --events 120
-"$BUILD_DIR"/bench/micro_simulator --jobs 4 --runs 8 --events 120 \
-    --engine event
 "$BUILD_DIR"/bench/micro_buffer --occupancy 512 --ops 20000
 
 echo "check_tsan: OK"

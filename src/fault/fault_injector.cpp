@@ -171,16 +171,6 @@ FaultInjector::onTick(Tick now)
     }
 }
 
-Tick
-FaultInjector::nextWindowEdgeAfter(Tick now) const
-{
-    for (std::size_t i = pendingWindow; i < windows_.size(); ++i) {
-        if (windows_[i].start > now)
-            return windows_[i].start;
-    }
-    return kTickNever;
-}
-
 Watts
 FaultInjector::perturbMeasuredPower(Watts truePower)
 {

@@ -84,16 +84,6 @@ class FaultInjector
     /** Emit injection events for windows whose start has passed. */
     void onTick(Tick now);
 
-    /**
-     * The next unannounced fault-window edge (window start) strictly
-     * after `now`, or kTickNever when none remain. The event engine
-     * schedules these as FaultWindowEdge queue entries; the
-     * announcement itself stays pinned to onTick() at system-event
-     * instants, preserving byte-equality with the tick engine's
-     * recorder timestamps.
-     */
-    Tick nextWindowEdgeAfter(Tick now) const;
-
     /** The measured (possibly lying) input power for a true power. */
     Watts perturbMeasuredPower(Watts truePower);
 

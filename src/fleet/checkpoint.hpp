@@ -14,8 +14,7 @@
  * generic decode failure.
  *
  * The fleet fingerprint deliberately excludes the shard count (block
- * device ranges are re-derived from the target count on restore, the
- * same way the experiment fingerprint excludes the engine kind) and
+ * device ranges are re-derived from the target count on restore) and
  * the checkpoint cadence (saving draws no randomness and mutates
  * nothing, so cadence never shapes the run's evolution).
  */

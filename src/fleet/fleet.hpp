@@ -7,9 +7,8 @@
  * Instead of one heap sim::Simulator per device, the fleet keeps a
  * compact struct-of-arrays snapshot per device (fleet::ShardState)
  * and advances whole shards across fixed *time slabs* by rehydrating
- * one scratch sim::Device per (shard, cohort) and replaying the
- * closed-form Device::planStep/commitStep span logic device by
- * device. Shards are scheduled on sim::parallelFor — the same
+ * one scratch sim::Device per (shard, cohort) and advancing it with
+ * the closed-form Device::advance span logic device by device. Shards are scheduled on sim::parallelFor — the same
  * deterministic pool as the experiment engine — and all cross-device
  * aggregation is 64-bit-integer arithmetic (ticks, counts,
  * nanojoules), so fleet outputs are byte-identical for every --jobs

@@ -367,15 +367,6 @@ const FieldInfo kFields[] = {
          cfg.policyName = *v.asString();
      },
      nullptr},
-    {"engine", "one of \"tick\", \"event\"",
-     [](const json::Value &v, std::string &) {
-         const auto name = v.asString();
-         return name && sim::parseEngineKind(*name).has_value();
-     },
-     [](const json::Value &v, sim::ExperimentConfig &cfg) {
-         cfg.sim.engine = *sim::parseEngineKind(*v.asString());
-     },
-     nullptr},
     {"events", "an integer in [1, 10000000]",
      [](const json::Value &v, std::string &) {
          return uintInRange(v, 1, 10'000'000);
@@ -909,9 +900,8 @@ validateSpec(const ScenarioSpec &spec)
         }
 
         // The fleet engine replaces the run matrix: sweep axes would
-        // be silently ignored, and the tick/event "engine" field does
-        // not exist at fleet scale. Both are hard errors with the
-        // offending JSON path, never a silent ignore.
+        // be silently ignored, so they are a hard error with the
+        // offending JSON path.
         if (!spec.axes.empty())
             addError(errors,
                      spec.axes.front().path.empty()
@@ -920,19 +910,6 @@ validateSpec(const ScenarioSpec &spec)
                      "sweep axes cannot be combined with a \"fleet\" "
                      "block (the fleet engine runs cohorts, not a "
                      "run matrix)");
-        const auto rejectEngine = [&](const Override &override) {
-            if (override.field == "engine")
-                addError(errors, override.path,
-                         "\"engine\" overrides do not apply to the "
-                         "fleet engine (remove this override or the "
-                         "\"fleet\" block)");
-        };
-        for (const Override &override : spec.defaults)
-            rejectEngine(override);
-        for (const PopulationSpec &population : spec.populations) {
-            for (const Override &override : population.overrides)
-                rejectEngine(override);
-        }
         if (spec.report.enabled)
             addError(errors, "report",
                      "figure reports compare run-matrix populations "

@@ -210,9 +210,8 @@ struct FleetCohortSpec
 /**
  * The "fleet" block: run the scenario on the sharded fleet engine
  * (src/fleet) instead of the per-run experiment matrix. Mutually
- * exclusive with sweep axes and with "engine" overrides — the fleet
- * has its own slab engine, and silently ignoring either would lie
- * about what ran.
+ * exclusive with sweep axes — the fleet has its own slab engine, and
+ * silently ignoring them would lie about what ran.
  */
 struct FleetSpec
 {

@@ -460,10 +460,9 @@ std::uint64_t
 experimentFingerprint(const ExperimentConfig &config)
 {
     // Serialize every evolution-shaping knob into a canonical byte
-    // string, then FNV-1a it. The engine kind is deliberately absent
-    // (both engines are byte-identical by contract), as are derived
-    // and output-only fields (obsSink, debugLog, shared traces —
-    // callers own keeping those consistent with the parameters).
+    // string, then FNV-1a it. Derived and output-only fields
+    // (obsSink, debugLog, shared traces) are deliberately absent —
+    // callers own keeping those consistent with the parameters.
     std::string bytes;
     wire::putVarint(bytes, static_cast<std::uint64_t>(config.device));
     wire::putVarint(bytes,

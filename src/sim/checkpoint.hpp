@@ -15,10 +15,7 @@
  * The fingerprint hashes every ExperimentConfig knob that shapes the
  * run's evolution; readers refuse an archive whose fingerprint does
  * not match the resuming configuration, turning "resumed the wrong
- * run" into a clean diagnostic instead of silent divergence. The
- * engine kind is deliberately *not* part of it: both engines produce
- * byte-identical timelines, so a checkpoint taken under one resumes
- * under the other.
+ * run" into a clean diagnostic instead of silent divergence.
  *
  * A checkpoint *stream* (DESIGN.md section 17) is the append-only
  * concatenation of such records, one per fleet coordinator barrier.

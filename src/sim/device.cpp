@@ -127,23 +127,16 @@ Device::applyNet(Watts net, Tick span)
         storage.draw(-delta);
 }
 
-StepPlan
+Device::StepPlan
 Device::planStep(Tick now, Tick limit)
 {
-    // The span available inside the current power-trace segment. A
-    // span that ends at the segment boundary (rather than one of the
-    // bounds below) is a PowerSegmentBreak event; one that ends at
-    // `limit` is LimitReached.
+    // The span available inside the current power-trace segment.
     const Tick segmentEnd =
         std::min(limit, powerCursor.nextChangeAfter(now));
     const Tick span = segmentEnd - now;
-    const bool atSegment = segmentEnd < limit;
 
     StepPlan plan;
     plan.pin = powerCursor.valueAt(now);
-    plan.phase = currentPhase;
-    plan.kind = atSegment ? EventKind::PowerSegmentBreak
-                          : EventKind::LimitReached;
 
     switch (currentPhase) {
       case DevicePhase::Idle: {
@@ -155,20 +148,18 @@ Device::planStep(Tick now, Tick limit)
         const bool periodic = profile.checkpoint.policy ==
             app::CheckpointPolicy::Periodic;
         Tick run = span;
+        bool completes = false;
         if (remainingTaskTicks <= run) {
             run = remainingTaskTicks;
-            plan.kind = EventKind::TaskCompletion;
+            completes = true;
         }
         if (periodic) {
-            // Stop at the next scheduled checkpoint.
+            // Stop at the next scheduled checkpoint; a task that
+            // completes on the same tick completes first.
             const Tick toCheckpoint =
                 profile.checkpoint.periodicInterval - progressSinceSave;
-            if (toCheckpoint < run ||
-                (toCheckpoint == run &&
-                 plan.kind != EventKind::TaskCompletion)) {
+            if (toCheckpoint < run || (toCheckpoint == run && !completes))
                 run = toCheckpoint;
-                plan.kind = EventKind::PhaseEnd;
-            }
         }
         const Watts net = plan.pin - taskPower;
         if (net < 0.0) {
@@ -176,30 +167,17 @@ Device::planStep(Tick now, Tick limit)
             const Joules perTick = energyOver(-net, 1);
             const auto fundable =
                 static_cast<Tick>(std::floor(storage.energy() / perTick));
-            if (fundable < run) {
-                run = fundable;
-                plan.kind = EventKind::StorageThreshold;
-            }
+            run = std::min(run, fundable);
         }
-        if (run <= 0) {
-            // Cannot fund the next tick: power failure (an immediate
-            // transition; the commit consumes no time).
-            plan.run = 0;
-            plan.kind = EventKind::StorageThreshold;
-            return plan;
-        }
-        plan.run = run;
+        // run <= 0: cannot fund the next tick, a power failure (an
+        // immediate transition; the commit consumes no time).
+        plan.run = std::max<Tick>(run, 0);
         return plan;
       }
 
       case DevicePhase::CheckpointSave:
       case DevicePhase::Restoring: {
-        if (remainingPhaseTicks <= span) {
-            plan.run = remainingPhaseTicks;
-            plan.kind = EventKind::PhaseEnd;
-        } else {
-            plan.run = span;
-        }
+        plan.run = std::min(remainingPhaseTicks, span);
         return plan;
       }
 
@@ -209,7 +187,6 @@ Device::planStep(Tick now, Tick limit)
             // Already above the restart threshold: immediate
             // transition to Restoring.
             plan.run = 0;
-            plan.kind = EventKind::StorageThreshold;
             return plan;
         }
         Tick run = span;
@@ -220,11 +197,7 @@ Device::planStep(Tick now, Tick limit)
             const Joules perTick = energyOver(plan.pin, 1);
             const auto needed = static_cast<Tick>(
                 std::ceil(deficit / perTick));
-            const Tick bound = std::max<Tick>(needed, 1);
-            if (bound <= run) {
-                run = bound;
-                plan.kind = EventKind::StorageThreshold;
-            }
+            run = std::min(run, std::max<Tick>(needed, 1));
         }
         plan.run = run;
         return plan;
@@ -236,8 +209,6 @@ Device::planStep(Tick now, Tick limit)
 void
 Device::commitStep(const StepPlan &plan)
 {
-    if (plan.phase != currentPhase)
-        util::panic("Device::commitStep with a stale plan");
     const Tick run = plan.run;
 
     switch (currentPhase) {

@@ -27,7 +27,6 @@
 #include "app/device_profiles.hpp"
 #include "energy/energy_storage.hpp"
 #include "energy/power_trace.hpp"
-#include "sim/event_queue.hpp"
 #include "util/types.hpp"
 
 namespace quetzal {
@@ -50,22 +49,6 @@ struct DeviceStats
     Tick rechargeTicks = 0;          ///< time spent off, recharging
     Tick activeTicks = 0;            ///< time actually executing tasks
     Tick rolledBackTicks = 0;        ///< re-executed work (Periodic)
-};
-
-/**
- * One planned constant-power step: how far the device can evolve
- * from `now` without an internal state change, and what kind of
- * event ends the span. Produced by Device::planStep (pure, closed
- * form) and applied by Device::commitStep; the tick and event
- * engines share these primitives, so their energy arithmetic is
- * identical by construction.
- */
-struct StepPlan
-{
-    Tick run = 0;          ///< ticks the device evolves linearly
-    EventKind kind = EventKind::LimitReached; ///< what ends the span
-    Watts pin = 0.0;       ///< harvested power over the span
-    DevicePhase phase = DevicePhase::Idle; ///< phase the plan is for
 };
 
 /**
@@ -105,25 +88,6 @@ class Device
      *         completed earlier)
      */
     Tick advance(Tick now, Tick limit);
-
-    /**
-     * Closed-form plan of the next constant-power span starting at
-     * `now`, bounded by `limit`: how many ticks the device evolves
-     * with no internal transition, and the EventKind that ends the
-     * span (task completion, storage-threshold crossing, power-trace
-     * segment breakpoint, phase-timer expiry, or the limit). A plan
-     * with run == 0 marks an immediate phase transition (e.g.
-     * depleted-while-running -> checkpoint save). Pure except for
-     * the monotone power-trace cursor.
-     */
-    StepPlan planStep(Tick now, Tick limit);
-
-    /**
-     * Apply a plan produced by planStep at the same `now` with no
-     * intervening mutation: advances energy state over plan.run
-     * ticks and performs the transition the plan classified.
-     */
-    void commitStep(const StepPlan &plan);
 
     /**
      * Instantaneous energy draw (capture/compression costs charged
@@ -215,6 +179,34 @@ class Device
     Tick progressSinceSave = 0;   ///< Periodic: uncheckpointed work
     bool periodicSaveInProgress = false;
     DeviceStats deviceStats;
+
+    /**
+     * One constant-power span: how far the device can evolve from
+     * `now` without an internal state change, and the harvested
+     * power over it.
+     */
+    struct StepPlan
+    {
+        Tick run = 0;    ///< ticks the device evolves linearly
+        Watts pin = 0.0; ///< harvested power over the span
+    };
+
+    /**
+     * Closed-form plan of the next span starting at `now`, bounded
+     * by `limit`, the power-trace segment, task completion, a
+     * storage-threshold crossing and the phase timers. A plan with
+     * run == 0 marks an immediate phase transition (e.g.
+     * depleted-while-running -> checkpoint save). Pure except for
+     * the monotone power-trace cursor.
+     */
+    StepPlan planStep(Tick now, Tick limit);
+
+    /**
+     * Apply the plan planStep just produced: advance the energy
+     * state over plan.run ticks and perform the phase transition
+     * that ends the span.
+     */
+    void commitStep(const StepPlan &plan);
 
     /** Handle depletion while Running, per the checkpoint policy. */
     void onPowerFailure();

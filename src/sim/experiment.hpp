@@ -70,8 +70,8 @@ struct ExperimentConfig
     /** PID gains/limits for Quetzal variants when usePid is set. */
     core::PidConfig pid;
     /**
-     * Run-level simulation knobs. Respected fields: engine,
-     * capturePeriod, bufferCapacity, drainTicks,
+     * Run-level simulation knobs. Respected fields: capturePeriod,
+     * bufferCapacity, drainTicks,
      * executionJitterSigma, debugLog, the checkpoint/resume block
      * (checkpointEveryCaptures, checkpointStop, checkpointSink,
      * resumeState) and the telemetry self-cost rates

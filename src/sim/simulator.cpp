@@ -82,9 +82,7 @@ Simulator::run()
 
     nextCheckpointAtCaptures = cfg.checkpointEveryCaptures;
 
-    const Tick now = cfg.engine == EngineKind::Event
-        ? runEvent(horizon, hardCap)
-        : runTick(horizon, hardCap);
+    const Tick now = runLoop(horizon, hardCap);
 
     if (stoppedAtCheckpoint_) {
         // The run was cut at a checkpoint boundary on request: skip
@@ -152,7 +150,7 @@ Simulator::run()
 }
 
 Tick
-Simulator::runTick(Tick horizon, Tick hardCap)
+Simulator::runLoop(Tick horizon, Tick hardCap)
 {
     Tick now = 0;
     // Nominal capture instants are k * capturePeriod; the fault layer
@@ -260,22 +258,6 @@ Simulator::runTick(Tick horizon, Tick hardCap)
         }
     }
     return now;
-}
-
-std::optional<EngineKind>
-parseEngineKind(const std::string &name)
-{
-    if (name == "tick")
-        return EngineKind::Tick;
-    if (name == "event")
-        return EngineKind::Event;
-    return std::nullopt;
-}
-
-const char *
-engineKindName(EngineKind engine)
-{
-    return engine == EngineKind::Event ? "event" : "tick";
 }
 
 void

@@ -2,18 +2,20 @@
  * @file
  * The experiment simulator (paper section 6.3).
  *
- * Fixed-increment (1 ms tick) co-simulation of the environment
- * (harvested-power trace + sensing-event trace) and the device
- * (capture pipeline, input buffer, controller, intermittent task
- * execution). Captures occur strictly periodically regardless of
- * device state — the paper's premise — and are charged to the energy
- * store at the capture instant; "different" frames are compressed
- * and inserted into the input buffer (inserts into a full buffer are
- * IBO drops). Whenever the device is idle and the buffer is
- * non-empty, the controller is invoked (its modeled overhead charged
- * first, as in section 6.3), the selected job's tasks execute
- * through the intermittent device model, and completion feeds the
- * trackers, estimator and PID loop.
+ * Co-simulation of the environment (harvested-power trace +
+ * sensing-event trace) and the device (capture pipeline, input
+ * buffer, controller, intermittent task execution) on a 1 ms tick
+ * grid. The run loop visits only system instants — captures, task
+ * completions, the horizon — and the device covers the span between
+ * two of them in closed form (sim/device.hpp). Captures occur
+ * strictly periodically regardless of device state — the paper's
+ * premise — and are charged to the energy store at the capture
+ * instant; "different" frames are compressed and inserted into the
+ * input buffer (inserts into a full buffer are IBO drops). Whenever
+ * the device is idle and the buffer is non-empty, the controller is
+ * invoked (its modeled overhead charged first, as in section 6.3),
+ * the selected job's tasks execute through the intermittent device
+ * model, and completion feeds the trackers, estimator and PID loop.
  */
 
 #ifndef QUETZAL_SIM_SIMULATOR_HPP
@@ -42,28 +44,9 @@ class FaultInjector;
 }
 namespace sim {
 
-/**
- * Which stepper drives the run. Both produce byte-identical
- * observable timelines (metrics, obs/trace streams, RNG consumption);
- * the tick engine is the differential-test reference, the event
- * engine the production path.
- */
-enum class EngineKind {
-    Tick,  ///< fixed-increment reference loop (simulator.cpp)
-    Event, ///< discrete-event queue engine (event_core.cpp)
-};
-
-/** Parse an engine name ("tick" / "event"); nullopt when unknown. */
-std::optional<EngineKind> parseEngineKind(const std::string &name);
-
-/** Canonical name of an engine kind. */
-const char *engineKindName(EngineKind engine);
-
 /** Run-level knobs. */
 struct SimulationConfig
 {
-    /** Which stepper executes the run. */
-    EngineKind engine = EngineKind::Tick;
     Tick capturePeriod = 1000;      ///< paper: 1 FPS
     std::size_t bufferCapacity = 10; ///< paper Table 1: 10 images
     /** Model the paper's infinite-memory Ideal baseline. */
@@ -190,25 +173,16 @@ class Simulator
     };
 
     /**
-     * The fixed-increment reference stepper (simulator.cpp): the
-     * historical main loop, advancing capture-to-capture and
-     * completion-to-completion. Returns the final simulated tick.
+     * The run loop: from one system instant (capture, task
+     * completion, horizon) to the next, letting Device::advance cover
+     * each span in closed form. Returns the final simulated tick.
      */
-    Tick runTick(Tick horizon, Tick hardCap);
-
-    /**
-     * The discrete-event stepper (event_core.cpp): a monotone event
-     * queue over capture arrivals, task completions, storage
-     * threshold crossings, power-trace segment breakpoints and fault
-     * window edges. Must reproduce runTick()'s observable timeline
-     * exactly. Returns the final simulated tick.
-     */
-    Tick runEvent(Tick horizon, Tick hardCap);
+    Tick runLoop(Tick horizon, Tick hardCap);
 
     /**
      * @name Checkpoint plumbing (sim/checkpoint.cpp)
-     * Both engine loops call checkpointDue() at the top of every
-     * system instant and saveCheckpoint() when it fires; a resuming
+     * The run loop calls checkpointDue() at the top of every system
+     * instant and saveCheckpoint() when it fires; a resuming
      * run calls restoreCheckpoint() once before its first instant.
      * The loop-local clocks travel by reference because they are the
      * only run state not owned by a member.

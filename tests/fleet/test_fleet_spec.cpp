@@ -152,29 +152,29 @@ TEST(FleetSpec, SweepAxesCannotCombineWithFleet)
 
 TEST(FleetSpec, EngineOverridesAreRejectedWithTheirJsonPath)
 {
-    // The scheduled-PR bugfix: an "engine" override combined with a
-    // "fleet" block used to be silently ignored; it must be a
-    // diagnostic anchored to the override's own JSON path.
-    const auto inDefaults = parseScenarioText(R"({
-      "name": "bad",
-      "defaults": {"engine": "tick"},
-      "populations": [{"name": "a"}],
-      "fleet": {"cohorts": [{"population": "a", "devices": 1}]}
-    })");
-    EXPECT_FALSE(inDefaults.ok());
-    EXPECT_TRUE(hasError(inDefaults, "defaults.engine",
-                         "do not apply to the fleet engine"))
-        << describeErrors(inDefaults);
+    // There is one time-advance loop, so "engine" is not an
+    // experiment field: an override is an unknown-field diagnostic
+    // anchored to its own JSON path, with or without a "fleet" block.
+    const std::string fleetBlock =
+        R"(, "fleet": {"cohorts": [{"population": "a", "devices": 1}]})";
+    for (const std::string &tail : {std::string(), fleetBlock}) {
+        SCOPED_TRACE(tail.empty() ? "run matrix" : "fleet");
+        const auto inDefaults = parseScenarioText(
+            R"({"name": "bad", "defaults": {"engine": "tick"},)"
+            R"( "populations": [{"name": "a"}])" + tail + "}");
+        EXPECT_FALSE(inDefaults.ok());
+        EXPECT_TRUE(hasError(inDefaults, "defaults.engine",
+                             "unknown experiment field"))
+            << describeErrors(inDefaults);
 
-    const auto inPopulation = parseScenarioText(R"({
-      "name": "bad",
-      "populations": [{"name": "a", "engine": "event"}],
-      "fleet": {"cohorts": [{"population": "a", "devices": 1}]}
-    })");
-    EXPECT_FALSE(inPopulation.ok());
-    EXPECT_TRUE(hasError(inPopulation, "populations[0].engine",
-                         "do not apply to the fleet engine"))
-        << describeErrors(inPopulation);
+        const auto inPopulation = parseScenarioText(
+            R"({"name": "bad", "populations": [{"name": "a",)"
+            R"( "engine": "event"}])" + tail + "}");
+        EXPECT_FALSE(inPopulation.ok());
+        EXPECT_TRUE(hasError(inPopulation, "populations[0].engine",
+                             "unknown experiment field"))
+            << describeErrors(inPopulation);
+    }
 }
 
 TEST(FleetSpec, RunMatrixOutputsAreRejectedWithFleet)

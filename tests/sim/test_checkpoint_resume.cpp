@@ -14,7 +14,7 @@
  * The QZCK archive framing (magic/version/CRC/fingerprint) is
  * exercised at the bottom: corruption and version skew must fail
  * loudly, and the fingerprint must separate configurations while
- * ignoring the engine kind (both engines are byte-identical).
+ * ignoring output plumbing.
  */
 
 #include <gtest/gtest.h>
@@ -204,34 +204,6 @@ TEST(CheckpointResume, StopSegmentConcatenatesWithResume)
                     seg2.events.end());
     EXPECT_EQ(eventBytes(straight.events), eventBytes(stitched));
     EXPECT_EQ(metricsLine(straight.metrics), metricsLine(seg2.metrics));
-}
-
-TEST(CheckpointResume, CrossEngineResumeMatches)
-{
-    const RunCapture straight = runCaptured(baseConfig());
-
-    for (const EngineKind saveEngine :
-         {EngineKind::Tick, EngineKind::Event}) {
-        ExperimentConfig saveCfg = baseConfig();
-        saveCfg.sim.engine = saveEngine;
-        const RunCapture saving = runCaptured(saveCfg, 60);
-        ASSERT_GE(saving.checkpoints.size(), 1u);
-        const Snapshot &snap = saving.checkpoints.front();
-
-        const EngineKind resumeEngine = saveEngine == EngineKind::Tick
-            ? EngineKind::Event : EngineKind::Tick;
-        ExperimentConfig resumeCfg = baseConfig();
-        resumeCfg.sim.engine = resumeEngine;
-        const RunCapture resumed =
-            runCaptured(resumeCfg, 0, false, &snap.first);
-
-        EXPECT_EQ(metricsLine(straight.metrics),
-                  metricsLine(resumed.metrics))
-            << "cross-engine resume (save under "
-            << engineKindName(saveEngine) << ") diverged";
-        EXPECT_EQ(eventBytes(suffixFrom(straight.events, snap.second)),
-                  eventBytes(resumed.events));
-    }
 }
 
 TEST(CheckpointResume, FaultedRunResumes)
@@ -452,7 +424,7 @@ TEST(CheckpointArchive, RejectsCorruption)
     EXPECT_FALSE(unframeCheckpoint(std::string(), archive, error));
 }
 
-TEST(CheckpointArchive, FingerprintSeparatesConfigsButNotEngines)
+TEST(CheckpointArchive, FingerprintSeparatesConfigsButNotOutputPlumbing)
 {
     const ExperimentConfig base = baseConfig();
     const std::uint64_t fp = experimentFingerprint(base);
@@ -469,13 +441,7 @@ TEST(CheckpointArchive, FingerprintSeparatesConfigsButNotEngines)
     otherBuffer.sim.bufferCapacity = base.sim.bufferCapacity + 1;
     EXPECT_NE(fp, experimentFingerprint(otherBuffer));
 
-    // The engine kind must NOT matter: both engines are byte-identical
-    // by contract, so a checkpoint resumes under either.
-    ExperimentConfig otherEngine = base;
-    otherEngine.sim.engine = EngineKind::Event;
-    EXPECT_EQ(fp, experimentFingerprint(otherEngine));
-
-    // Output plumbing must not matter either.
+    // Output plumbing must not matter.
     ExperimentConfig otherObs = base;
     otherObs.obsSink = nullptr;
     EXPECT_EQ(fp, experimentFingerprint(otherObs));

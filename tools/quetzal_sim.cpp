@@ -105,7 +105,6 @@ usage(const char *argv0, bool requested)
         "  --env ENV              more-crowded|crowded|less-crowded|"
         "msp430\n"
         "  --device DEV           apollo4|msp430\n"
-        "  --engine KIND          tick|event\n"
         "  --events N             sensing events per run\n"
         "  --seed N               master RNG seed\n"
         "  --buffer N             input-buffer capacity\n"
@@ -403,14 +402,6 @@ main(int argc, char **argv)
         } else if (arg == "--power-trace") {
             configArg();
             cfg.powerTraceCsv = value();
-        } else if (arg == "--engine") {
-            configArg();
-            const std::string name = value();
-            const auto engine = sim::parseEngineKind(name);
-            if (!engine)
-                util::fatal(util::msg("unknown engine: ", name,
-                                      " (expected tick or event)"));
-            cfg.sim.engine = *engine;
         } else if (arg == "--ensemble") {
             ensembleFlag = arg;
             ensembleRuns = std::strtoull(value().c_str(), nullptr, 10);
