@@ -25,12 +25,12 @@
  * byte-identical or panic (the determinism contract the fleet test
  * suite enforces per commit; here it guards the bench numbers too).
  *
- * --checkpoint measures the barrier-checkpoint tax: three clean and
- * three checkpointing runs interleaved (an in-memory sink swallows
- * the blobs so disk speed stays out of the number), min-of wall
- * times, and the line gains "checkpoint_overhead_pct" — the extra
- * slab-advance cost of snapshotting every barrier, which
- * scripts/check_bench.sh gates below 5%. In this mode
+ * --checkpoint measures the barrier-checkpoint tax: fifteen back-to-back
+ * pairs of one clean and one checkpointing run (an in-memory sink
+ * swallows the blobs so disk speed stays out of the number), and the
+ * line gains "checkpoint_overhead_pct" — the median over the pairs
+ * of the extra slab-advance cost of snapshotting every barrier,
+ * which scripts/check_bench.sh gates below 5%. In this mode
  * ns_per_device_day comes from the clean minimum, so the primary
  * metric stays comparable to non-checkpoint baselines.
  *
@@ -44,8 +44,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench_json.hpp"
 #include "fleet/fleet.hpp"
@@ -55,6 +57,10 @@
 namespace {
 
 using namespace quetzal;
+
+/** Clean/checkpointing run pairs behind --checkpoint (odd, so the
+ *  median is one pair's ratio). */
+constexpr int kCheckpointPairs = 15;
 
 /** Peak resident set (VmHWM) in bytes; 0 when unavailable. */
 std::size_t
@@ -186,11 +192,18 @@ main(int argc, char **argv)
         static_cast<double>(std::chrono::duration_cast<
             std::chrono::nanoseconds>(end - start).count());
 
-    // The checkpoint tax: interleave clean and checkpointing runs so
-    // both phases see the same thermal/cache conditions, take the
-    // minimum of each, and report the relative slab-advance overhead
-    // of snapshotting every barrier. An in-memory sink swallows the
-    // blobs; encoding cost is the measurement, disk speed is not.
+    // The checkpoint tax: run clean and checkpointing runs in
+    // back-to-back pairs so both see the same thermal/cache and host
+    // load conditions, and report the median over the pairs of the
+    // relative slab-advance overhead of snapshotting every barrier.
+    // Host noise on a smoke-sized run is several percent, the order
+    // of the tax itself, so a minimum per phase would compare the
+    // luckiest run of one phase against the luckiest of the other;
+    // pairing cancels load that drifts over seconds and the median
+    // discards the pairs a burst hit. The pairs alternate which run
+    // goes first, so a trend in host speed favours neither phase.
+    // An in-memory sink swallows the blobs; encoding cost is the
+    // measurement, disk speed is not.
     double overheadPct = 0.0;
     std::size_t checkpointBytes = 0;
     std::uint64_t checkpointsWritten = 0;
@@ -216,14 +229,19 @@ main(int argc, char **argv)
             return static_cast<double>(std::chrono::duration_cast<
                 std::chrono::nanoseconds>(repEnd - repStart).count());
         };
-        double cleanNs = timedRun(false);
-        double ckptNs = timedRun(true);
-        for (int rep = 1; rep < 3; ++rep) {
-            cleanNs = std::min(cleanNs, timedRun(false));
-            ckptNs = std::min(ckptNs, timedRun(true));
+        double cleanNs = std::numeric_limits<double>::infinity();
+        std::vector<double> ratios;
+        for (int pair = 0; pair < kCheckpointPairs; ++pair) {
+            const bool cleanFirst = pair % 2 == 0;
+            const double first = timedRun(!cleanFirst);
+            const double second = timedRun(cleanFirst);
+            const double clean = cleanFirst ? first : second;
+            cleanNs = std::min(cleanNs, clean);
+            ratios.push_back((cleanFirst ? second : first) / clean);
         }
-        overheadPct =
-            std::max(0.0, (ckptNs - cleanNs) / cleanNs * 100.0);
+        const auto median = ratios.begin() + kCheckpointPairs / 2;
+        std::nth_element(ratios.begin(), median, ratios.end());
+        overheadPct = std::max(0.0, (*median - 1.0) * 100.0);
         wallNs = cleanNs;
     }
 
@@ -249,7 +267,7 @@ main(int argc, char **argv)
         .add("shards", shards)
         .add("jobs", jobs)
         .add("verified", verify ? "jobs-1-vs-N" : "off")
-        .add("checkpointed", checkpoint ? "alternating-min3" : "off")
+        .add("checkpointed", checkpoint ? "paired-median15" : "off")
         .add("ns_per_device_day", wallNs / deviceDays)
         .add("device_days_per_sec", deviceDays / (wallNs * 1e-9))
         .add("bytes_per_device",

@@ -1,0 +1,87 @@
+#!/usr/bin/env bash
+# Command-line contract of quetzal-sim: every bad flag value is
+# rejected through a named diagnostic (exit 1, the flag on stderr),
+# never a panic, an abort or a silent fallback; mode conflicts exit 2
+# naming both flags; --fleet requires a "fleet" block; and a small
+# valid experiment runs.
+#
+# Usage: scripts/check_cli.sh [quetzal-sim] [scenario-dir]
+#   quetzal-sim   path to the CLI (default build/tools/quetzal-sim)
+#   scenario-dir  directory holding fig09.json and fleet_day.json
+#                 (default scenarios/)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+SIM="${1:-build/tools/quetzal-sim}"
+DIR="${2:-scenarios}"
+
+if [ ! -x "$SIM" ]; then
+    echo "check_cli: simulator not found at $SIM" >&2
+    echo "  build it first: cmake --build build --target quetzal_sim_cli" >&2
+    exit 1
+fi
+
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+status=0
+
+# expect WANT_EXIT "NAMED..." ARGS...: run the CLI on ARGS, demand exit
+# status WANT_EXIT and every space-separated word of NAMED on stderr.
+expect() {
+    local want="$1" named="$2"
+    shift 2
+    local code=0
+    "$SIM" "$@" >"$tmp/out" 2>"$tmp/err" || code=$?
+    if [ "$code" -ne "$want" ]; then
+        echo "check_cli: FAIL '$*' exited $code, want $want" >&2
+        sed 's/^/  /' "$tmp/err" >&2
+        status=1
+        return
+    fi
+    for word in $named; do
+        if ! grep -qF -- "$word" "$tmp/err"; then
+            echo "check_cli: FAIL '$*' stderr does not name $word" >&2
+            sed 's/^/  /' "$tmp/err" >&2
+            status=1
+            return
+        fi
+    done
+    echo "check_cli: OK '$*' (exit $code)"
+}
+
+# Experiment flags go through the scenario field table.
+expect 1 --buffer --buffer 0
+expect 1 --buffer --buffer -3
+expect 1 --cells --cells 65
+expect 1 --cells --cells 3.7
+expect 1 --events --events 0
+expect 1 --env --env nowhere
+expect 1 --policy --policy nope
+expect 1 --controller --controller WARP
+expect 1 --threshold --threshold 150
+
+# Flags without a field-table row go through the checked parser.
+expect 1 --ensemble --ensemble abc
+expect 1 --ensemble --ensemble 0
+expect 1 --jobs --jobs 2x
+expect 1 --jobs --jobs ""
+expect 1 --checkpoint-every --checkpoint-every -1
+expect 1 --fleet-checkpoint-every --fleet-checkpoint-every 0
+expect 1 --fleet-stop-after-s --fleet-stop-after-s 99999999999999999999
+expect 1 --telemetry-cost-s --telemetry-cost-s nan
+
+# Mode conflicts and the fleet-block requirement.
+expect 2 "--scenario --controller" \
+    --scenario "$DIR/fig09.json" --controller QZ
+expect 1 fleet --fleet "$DIR/fig09.json" --validate
+expect 0 "" --fleet "$DIR/fleet_day.json" --validate
+
+# A small valid experiment runs.
+expect 0 "" --events 30 --buffer 10 --cells 4
+
+if [ $status -ne 0 ]; then
+    echo "check_cli: FAILED" >&2
+    exit $status
+fi
+echo "check_cli: all checks OK"

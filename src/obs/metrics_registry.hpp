@@ -14,9 +14,8 @@
  * IBO-prediction accuracy (precision/recall against the observed
  * overflow outcome of every scheduling decision).
  *
- * A registry is a TraceSink, so it can aggregate live (behind a
- * TeeSink next to the exporting VectorSink) or replay a stream read
- * back from a JSONL trace file.
+ * A registry is a TraceSink, so it can aggregate live (as a run's
+ * sink) or replay a stream read back from a JSONL trace file.
  */
 
 #ifndef QUETZAL_OBS_METRICS_REGISTRY_HPP

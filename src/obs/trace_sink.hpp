@@ -62,31 +62,6 @@ class VectorSink : public TraceSink
 };
 
 /**
- * Broadcast sink: forwards every event to several downstream sinks
- * (e.g. a VectorSink for export plus a MetricsRegistry for live
- * aggregation). Downstream sinks are borrowed, never owned.
- */
-class TeeSink : public TraceSink
-{
-  public:
-    /** Add a downstream sink (must outlive this tee). */
-    void addSink(TraceSink *sink)
-    {
-        if (sink != nullptr)
-            sinks.push_back(sink);
-    }
-
-    void record(const Event &event) override
-    {
-        for (TraceSink *sink : sinks)
-            sink->record(event);
-    }
-
-  private:
-    std::vector<TraceSink *> sinks;
-};
-
-/**
  * The handle instrumented code holds: an observation level, a sink,
  * and the run's current simulated time. The simulator advances the
  * clock; decision-layer code (Controller, policies) records against

@@ -413,12 +413,10 @@ namespace {
 /**
  * Run a validated spec's fleet block: fleet rollups and summaries to
  * stdout, rollup events into a sink when the spec requests traces or
- * the aggregate rollup. Returns 0; fills `metricsOut` (when given)
- * with the per-cohort metrics, in cohort order.
+ * the aggregate rollup.
  */
-int
-runFleetSpec(const ScenarioSpec &spec, const EngineOptions &options,
-             std::vector<sim::Metrics> *metricsOut)
+void
+runFleetSpec(const ScenarioSpec &spec, const EngineOptions &options)
 {
     const fleet::FleetConfig config = buildFleetConfig(spec);
 
@@ -521,20 +519,12 @@ runFleetSpec(const ScenarioSpec &spec, const EngineOptions &options,
             util::fatal(util::msg("error writing episode trace: ",
                                   options.fleetEpisodeTracePath));
     }
-
-    if (metricsOut) {
-        metricsOut->clear();
-        for (const fleet::CohortResult &cohort : result.cohorts)
-            metricsOut->push_back(cohort.metrics);
-    }
-    return 0;
 }
 
+} // namespace
+
 int
-runScenarioFileImpl(const std::string &path,
-                    const EngineOptions &options,
-                    std::vector<sim::Metrics> *metricsOut,
-                    bool requireFleet)
+runScenarioFile(const std::string &path, const EngineOptions &options)
 {
     const auto reportErrors = [&](const std::vector<SpecError> &errors,
                                   const char *stage) {
@@ -549,7 +539,7 @@ runScenarioFileImpl(const std::string &path,
     if (!spec.ok())
         return reportErrors(spec.errors, "validation");
 
-    if (requireFleet && !spec.value->fleet)
+    if (options.requireFleet && !spec.value->fleet)
         return reportErrors(
             {{"fleet",
               "a fleet run needs a \"fleet\" block in the scenario"}},
@@ -579,7 +569,8 @@ runScenarioFileImpl(const std::string &path,
         }
         // --events applies to run-matrix event traces; the fleet's
         // workload is set by the spec's capture/horizon parameters.
-        return runFleetSpec(*spec.value, options, metricsOut);
+        runFleetSpec(*spec.value, options);
+        return 0;
     }
 
     CompileOptions compileOptions;
@@ -598,19 +589,8 @@ runScenarioFileImpl(const std::string &path,
         return 0;
     }
 
-    std::vector<sim::Metrics> results =
-        runPlan(*plan.value, options);
-    if (metricsOut)
-        *metricsOut = std::move(results);
+    runPlan(*plan.value, options);
     return 0;
-}
-
-} // namespace
-
-int
-runScenarioFile(const std::string &path, const EngineOptions &options)
-{
-    return runScenarioFileImpl(path, options, nullptr, false);
 }
 
 fleet::FleetConfig
@@ -686,42 +666,6 @@ buildFleetConfig(const ScenarioSpec &spec)
         config.cohorts.push_back(std::move(cohort));
     }
     return config;
-}
-
-void
-installRunHandlers(sim::RunDispatcher &dispatcher)
-{
-    const auto toOptions = [](const sim::RunRequest &request) {
-        EngineOptions options;
-        options.jobs = request.jobs;
-        options.validateOnly = request.validateOnly;
-        options.eventCountOverride = request.eventCountOverride;
-        options.fleetCheckpointPath = request.fleetCheckpointPath;
-        options.fleetCheckpointEverySlabs =
-            request.fleetCheckpointEverySlabs;
-        options.fleetStopAfterSeconds = request.fleetStopAfterSeconds;
-        options.fleetResumePath = request.fleetResumePath;
-        options.fleetEpisodeTracePath = request.fleetEpisodeTracePath;
-        return options;
-    };
-    dispatcher.setHandler(
-        sim::RunKind::Scenario,
-        [toOptions](const sim::RunRequest &request) {
-            sim::RunOutcome outcome;
-            outcome.exitCode = runScenarioFileImpl(
-                request.scenarioPath, toOptions(request),
-                &outcome.metrics, false);
-            return outcome;
-        });
-    dispatcher.setHandler(
-        sim::RunKind::Fleet,
-        [toOptions](const sim::RunRequest &request) {
-            sim::RunOutcome outcome;
-            outcome.exitCode = runScenarioFileImpl(
-                request.scenarioPath, toOptions(request),
-                &outcome.metrics, true);
-            return outcome;
-        });
 }
 
 } // namespace scenario

@@ -22,7 +22,6 @@
 #include "fleet/fleet.hpp"
 #include "scenario/compile.hpp"
 #include "sim/metrics.hpp"
-#include "sim/runner.hpp"
 
 namespace quetzal {
 namespace scenario {
@@ -36,14 +35,25 @@ struct EngineOptions
     std::size_t eventCountOverride = 0;
     /** Compile + validate only; don't run (quetzal_sim --validate). */
     bool validateOnly = false;
+    /** Reject a file without a "fleet" block (quetzal_sim --fleet). */
+    bool requireFleet = false;
 
-    /** @name Fleet barrier checkpointing (DESIGN.md section 17);
-     *  mirrors the sim::RunRequest fields of the same names. */
+    /** @name Fleet barrier checkpointing (DESIGN.md section 17) */
     /// @{
+    /** Append a QZCK barrier snapshot stream here ("" = no
+     *  checkpointing). */
     std::string fleetCheckpointPath;
+    /** Snapshot cadence in coordinator barriers (0 = the scenario's
+     *  fleet.checkpoint_slabs, itself defaulting to 1). */
     unsigned fleetCheckpointEverySlabs = 0;
+    /** Halt cleanly after the first barrier at or past this many
+     *  simulated seconds (0 = run to the horizon). */
     long long fleetStopAfterSeconds = 0;
+    /** Resume from the last complete record of this QZCK stream
+     *  ("" = start at tick 0). */
     std::string fleetResumePath;
+    /** Write checkpoint/restore episode events (JSONL) here ("" =
+     *  discard them); never mixed into the run trace. */
     std::string fleetEpisodeTracePath;
     /// @}
 };
@@ -57,12 +67,14 @@ std::vector<sim::Metrics> runPlan(const ScenarioPlan &plan,
                                   const EngineOptions &options = {});
 
 /**
- * Load, validate, compile and run a scenario file. Validation
- * problems are printed to stderr, one line per error with the JSON
- * field path, and the function returns 1 without running anything —
- * invalid input never crashes and never runs a partial fleet.
- * Returns 0 on success (also in --validate mode, which prints a
- * one-line plan summary instead of running).
+ * Load, validate, compile and run a scenario file — on the fleet
+ * engine when the file has a "fleet" block, otherwise as a run
+ * matrix. Validation problems (including a missing "fleet" block
+ * under options.requireFleet) are printed to stderr, one line per
+ * error with the JSON field path, and the function returns 1 without
+ * running anything — invalid input never crashes and never runs a
+ * partial fleet. Returns 0 on success (also in --validate mode,
+ * which prints a one-line plan summary instead of running).
  */
 int runScenarioFile(const std::string &path,
                     const EngineOptions &options = {});
@@ -77,16 +89,6 @@ int runScenarioFile(const std::string &path,
  * Precondition: validateSpec(spec) passed and spec.fleet is present.
  */
 fleet::FleetConfig buildFleetConfig(const ScenarioSpec &spec);
-
-/**
- * Install the Scenario and Fleet handlers on a RunDispatcher (the
- * built-in Experiment/Ensemble/Batch handlers live in sim; these two
- * are installed here so src/sim does not depend on the scenario
- * parser). Scenario runs runScenarioFile() — which itself routes to
- * the fleet engine when the file has a "fleet" block; Fleet requires
- * the block and fails with exit code 1 if it is missing.
- */
-void installRunHandlers(sim::RunDispatcher &dispatcher);
 
 } // namespace scenario
 } // namespace quetzal

@@ -1519,111 +1519,5 @@ loadScenarioFile(const std::string &path)
     return parseScenarioText(text.str());
 }
 
-ScenarioBuilder::ScenarioBuilder(std::string name)
-{
-    spec.name = std::move(name);
-}
-
-ScenarioBuilder &
-ScenarioBuilder::describe(std::string text)
-{
-    spec.description = std::move(text);
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::setDefault(const std::string &field, json::Value value)
-{
-    spec.defaults.push_back(
-        {field, std::move(value), "defaults." + field});
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::addPopulation(const std::string &name)
-{
-    PopulationSpec population;
-    population.name = name;
-    population.path =
-        "populations[" + std::to_string(spec.populations.size()) + "]";
-    spec.populations.push_back(std::move(population));
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::set(const std::string &field, json::Value value)
-{
-    if (spec.populations.empty()) {
-        buildErrors.push_back(
-            {"populations",
-             "set(\"" + field + "\") before any addPopulation()"});
-        return *this;
-    }
-    PopulationSpec &population = spec.populations.back();
-    population.overrides.push_back(
-        {field, std::move(value), population.path + "." + field});
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::addAxis(const std::string &field,
-                         std::vector<json::Value> values)
-{
-    SweepAxis axis;
-    axis.field = field;
-    axis.values = std::move(values);
-    axis.path = "sweep.axes[" + std::to_string(spec.axes.size()) + "]";
-    spec.axes.push_back(std::move(axis));
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::zip()
-{
-    spec.mode = SweepMode::Zip;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::maxRuns(std::uint64_t limit)
-{
-    spec.maxRuns = limit;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::summary(bool enabled)
-{
-    spec.output.summary = enabled;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::rollup(bool enabled)
-{
-    spec.output.rollup = enabled;
-    return *this;
-}
-
-ScenarioBuilder &
-ScenarioBuilder::league(bool enabled)
-{
-    spec.output.league = enabled;
-    return *this;
-}
-
-Expected<ScenarioSpec>
-ScenarioBuilder::build() const
-{
-    Expected<ScenarioSpec> result;
-    result.errors = buildErrors;
-    const std::vector<SpecError> semantic = validateSpec(spec);
-    result.errors.insert(result.errors.end(), semantic.begin(),
-                         semantic.end());
-    if (result.errors.empty())
-        result.value = spec;
-    return result;
-}
-
 } // namespace scenario
 } // namespace quetzal

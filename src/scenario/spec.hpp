@@ -13,17 +13,16 @@
  *  - *outputs*: metrics table, CSV, per-run JSONL/Chrome traces,
  *    aggregate fleet rollup, and a printf-style figure report.
  *
- * Both front ends — JSON files (parseScenario*) and the fluent
- * ScenarioBuilder — produce the same ScenarioSpec struct and run the
- * same semantic validation (validateSpec), so a scenario that
- * validates in a test validates on the command line. Validation is
- * expected-style: every problem is collected as a SpecError carrying
- * the JSON field path ("populations[2].controller"), never a crash
- * or a silent default.
+ * The JSON loader (parseScenario*) is the only producer of a
+ * ScenarioSpec, and it runs the semantic validation (validateSpec).
+ * Validation is expected-style: every problem is collected as a
+ * SpecError carrying the JSON field path
+ * ("populations[2].controller"), never a crash or a silent default.
  *
  * Experiment fields are named by a single table (fields::*) shared
- * by validation, compilation and axis labeling; see
- * fields::describeFields() for the authoritative list.
+ * by validation, compilation, axis labeling and quetzal-sim's
+ * experiment flags; see fields::describeFields() for the
+ * authoritative list.
  */
 
 #ifndef QUETZAL_SCENARIO_SPEC_HPP
@@ -256,7 +255,7 @@ std::optional<std::size_t>
 countFormatConversions(const std::string &format, std::string &why);
 
 /**
- * Semantic validation shared by every front end: field values against
+ * Semantic validation, run by the JSON loader: field values against
  * the field table, population-name uniqueness, axis uniqueness and
  * population-shadowing, zip length agreement, report references and
  * format strings, and the cells x populations <= maxRuns limit
@@ -272,48 +271,6 @@ Expected<ScenarioSpec> parseScenarioText(const std::string &text);
 
 /** Read, parse + validate a scenario file. */
 Expected<ScenarioSpec> loadScenarioFile(const std::string &path);
-
-/**
- * Fluent in-code front end producing the same validated spec as the
- * JSON path:
- *
- *   auto spec = ScenarioBuilder("sweep")
- *       .setDefault("events", json::makeNumber(std::uint64_t(500)))
- *       .addPopulation("QZ").set("controller", json::makeString("QZ"))
- *       .addPopulation("NA").set("controller", json::makeString("NA"))
- *       .addAxis("environment", {json::makeString("crowded"),
- *                                json::makeString("less-crowded")})
- *       .build();
- *
- * set() applies to the most recently added population. build() runs
- * validateSpec() and returns the same Expected shape as the JSON
- * front end.
- */
-class ScenarioBuilder
-{
-  public:
-    explicit ScenarioBuilder(std::string name);
-
-    ScenarioBuilder &describe(std::string text);
-    ScenarioBuilder &setDefault(const std::string &field,
-                                json::Value value);
-    ScenarioBuilder &addPopulation(const std::string &name);
-    /** Override a field on the most recently added population. */
-    ScenarioBuilder &set(const std::string &field, json::Value value);
-    ScenarioBuilder &addAxis(const std::string &field,
-                             std::vector<json::Value> values);
-    ScenarioBuilder &zip();
-    ScenarioBuilder &maxRuns(std::uint64_t limit);
-    ScenarioBuilder &summary(bool enabled = true);
-    ScenarioBuilder &rollup(bool enabled = true);
-    ScenarioBuilder &league(bool enabled = true);
-
-    Expected<ScenarioSpec> build() const;
-
-  private:
-    ScenarioSpec spec;
-    std::vector<SpecError> buildErrors;
-};
 
 } // namespace scenario
 } // namespace quetzal

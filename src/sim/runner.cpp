@@ -149,71 +149,5 @@ ParallelRunner::runSeeds(const ExperimentConfig &config,
     return runBatch(std::move(configs));
 }
 
-const char *
-runKindName(RunKind kind)
-{
-    switch (kind) {
-      case RunKind::Experiment: return "experiment";
-      case RunKind::Ensemble: return "ensemble";
-      case RunKind::Batch: return "batch";
-      case RunKind::Scenario: return "scenario";
-      case RunKind::Fleet: return "fleet";
-    }
-    util::panic("invalid RunKind");
-}
-
-RunDispatcher::RunDispatcher()
-{
-    handlers[static_cast<std::size_t>(RunKind::Experiment)] =
-        [](const RunRequest &request) {
-            RunOutcome outcome;
-            ParallelRunner runner(request.jobs);
-            outcome.metrics = runner.runBatch({request.config});
-            return outcome;
-        };
-    handlers[static_cast<std::size_t>(RunKind::Ensemble)] =
-        [](const RunRequest &request) {
-            RunOutcome outcome;
-            ParallelRunner runner(request.jobs);
-            outcome.metrics =
-                runner.runSeeds(request.config, request.seeds);
-            return outcome;
-        };
-    handlers[static_cast<std::size_t>(RunKind::Batch)] =
-        [](const RunRequest &request) {
-            RunOutcome outcome;
-            ParallelRunner runner(request.jobs);
-            outcome.metrics = runner.runBatch(request.batch);
-            return outcome;
-        };
-}
-
-void
-RunDispatcher::setHandler(RunKind kind, Handler handler)
-{
-    handlers[static_cast<std::size_t>(kind)] = std::move(handler);
-}
-
-bool
-RunDispatcher::hasHandler(RunKind kind) const
-{
-    return static_cast<bool>(
-        handlers[static_cast<std::size_t>(kind)]);
-}
-
-RunOutcome
-RunDispatcher::run(const RunRequest &request) const
-{
-    const auto &handler =
-        handlers[static_cast<std::size_t>(request.kind)];
-    if (!handler)
-        util::panic(util::msg(
-            "RunDispatcher: no handler installed for run kind '",
-            runKindName(request.kind),
-            "' (scenario/fleet handlers are installed by "
-            "scenario::installRunHandlers)"));
-    return handler(request);
-}
-
 } // namespace sim
 } // namespace quetzal

@@ -1,6 +1,6 @@
 /**
  * @file
- * Parallel experiment-execution engine and the run front door.
+ * Parallel experiment-execution engine.
  *
  * Every experiment run is an independent pure function of its
  * ExperimentConfig (each run owns its seed and all mutable state),
@@ -19,20 +19,14 @@
  * case for controller sweeps at a fixed seed, and for repeated
  * figure panels over the same environment.
  *
- * RunRequest / RunDispatcher are the single front door over every
- * kind of run the toolchain supports: a lone experiment, a seed
- * ensemble, an explicit config batch, a declarative scenario file,
- * and a fleet simulation. The experiment-shaped kinds have built-in
- * handlers over ParallelRunner; the scenario and fleet kinds live in
- * higher layers and are installed explicitly (see
- * scenario::installRunHandlers), keeping the dependency graph
- * acyclic while callers still talk to one surface.
+ * Callers use ParallelRunner directly: quetzal-sim runs a lone
+ * experiment as a one-config batch and a seed ensemble as a batch of
+ * seeds, and scenario::runPlan() runs a compiled run matrix.
  */
 
 #ifndef QUETZAL_SIM_RUNNER_HPP
 #define QUETZAL_SIM_RUNNER_HPP
 
-#include <array>
 #include <cstddef>
 #include <functional>
 #include <map>
@@ -133,113 +127,6 @@ class ParallelRunner
   private:
     unsigned jobCount;
     TraceCache cache;
-};
-
-/** Every kind of run the front door accepts. */
-enum class RunKind {
-    Experiment, ///< one ExperimentConfig, one run
-    Ensemble,   ///< one base config repeated over a seed list
-    Batch,      ///< an explicit vector of configs, submission order
-    Scenario,   ///< a declarative scenario file (src/scenario)
-    Fleet,      ///< a sharded fleet simulation (src/fleet)
-};
-
-/** Number of RunKind values (handler-table size). */
-constexpr std::size_t kRunKindCount = 5;
-
-/** Lower-case display name ("experiment", "scenario", ...). */
-const char *runKindName(RunKind kind);
-
-/**
- * One run, fully described: the single request type the CLI parses
- * its flags into and every entry point consumes. Which fields are
- * read depends on `kind`:
- *
- *   Experiment  config, jobs
- *   Ensemble    config, seeds, jobs
- *   Batch       batch, jobs
- *   Scenario    scenarioPath, jobs, eventCountOverride, validateOnly
- *   Fleet       scenarioPath, jobs, validateOnly
- *
- * Unread fields are ignored, so a caller can fill the request
- * incrementally (the CLI does) and pick the kind last.
- */
-struct RunRequest
-{
-    RunKind kind = RunKind::Experiment;
-    /** Experiment / Ensemble: the (base) configuration. */
-    ExperimentConfig config;
-    /** Ensemble: seeds to repeat config over (config.seed ignored). */
-    std::vector<std::uint64_t> seeds;
-    /** Batch: explicit configurations, run in submission order. */
-    std::vector<ExperimentConfig> batch;
-    /** Scenario / Fleet: path of the scenario JSON file. */
-    std::string scenarioPath;
-    /** Worker threads; 0 = defaultJobs(). */
-    unsigned jobs = 0;
-    /** Scenario / Fleet: validate + summarize without running. */
-    bool validateOnly = false;
-    /** Scenario: override every run's eventCount (0 = spec values). */
-    std::size_t eventCountOverride = 0;
-
-    /** @name Fleet barrier checkpointing (DESIGN.md section 17) */
-    /// @{
-    /** Fleet: append a QZCK barrier snapshot stream here ("" = no
-     *  checkpointing). */
-    std::string fleetCheckpointPath;
-    /** Fleet: snapshot cadence in coordinator barriers (0 = the
-     *  scenario's fleet.checkpoint_slabs, itself defaulting to 1). */
-    unsigned fleetCheckpointEverySlabs = 0;
-    /** Fleet: halt cleanly after the first barrier at or past this
-     *  many simulated seconds (0 = run to the horizon). */
-    long long fleetStopAfterSeconds = 0;
-    /** Fleet: resume from the last complete record of this QZCK
-     *  stream ("" = start at tick 0). */
-    std::string fleetResumePath;
-    /** Fleet: write checkpoint/restore episode events (JSONL) here
-     *  ("" = discard them); never mixed into the run trace. */
-    std::string fleetEpisodeTracePath;
-    /// @}
-};
-
-/** What a dispatched run produced. */
-struct RunOutcome
-{
-    /** Process-style exit code (0 = success). Scenario/fleet
-     *  handlers report validation failures here instead of
-     *  throwing, mirroring runScenarioFile(). */
-    int exitCode = 0;
-    /** Per-run metrics in submission order (experiment-shaped
-     *  kinds; scenario/fleet handlers may leave it empty). */
-    std::vector<Metrics> metrics;
-};
-
-/**
- * The front door: routes a RunRequest to the handler registered for
- * its kind. Experiment, Ensemble and Batch handlers are built in
- * (ParallelRunner over the request's jobs); Scenario and Fleet are
- * installed by the layers that own them — dispatching a kind with no
- * handler panics, naming the kind and the installer to call.
- */
-class RunDispatcher
-{
-  public:
-    using Handler = std::function<RunOutcome(const RunRequest &)>;
-
-    /** Installs the built-in Experiment/Ensemble/Batch handlers. */
-    RunDispatcher();
-
-    /** Register (or replace) the handler for a kind. */
-    void setHandler(RunKind kind, Handler handler);
-
-    /** True when a handler is registered for the kind. */
-    bool hasHandler(RunKind kind) const;
-
-    /** Dispatch: panics if no handler is registered for the kind. */
-    RunOutcome run(const RunRequest &request) const;
-
-  private:
-    std::array<Handler, kRunKindCount> handlers;
 };
 
 } // namespace sim

@@ -1,7 +1,6 @@
 #include "util/csv.hpp"
 
 #include <cstdlib>
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -42,15 +41,6 @@ readCsv(std::istream &in)
         rows.push_back(std::move(fields));
     }
     return rows;
-}
-
-std::vector<CsvRow>
-readCsvFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        fatal(msg("cannot open CSV file: ", path));
-    return readCsv(in);
 }
 
 CsvWriter::CsvWriter(std::ostream &out_) : out(out_) {}

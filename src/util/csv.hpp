@@ -27,9 +27,6 @@ using CsvRow = std::vector<std::string>;
  */
 std::vector<CsvRow> readCsv(std::istream &in);
 
-/** Parse CSV from a file; calls fatal() if the file cannot be read. */
-std::vector<CsvRow> readCsvFile(const std::string &path);
-
 /** Writer that streams rows to an ostream. */
 class CsvWriter
 {

@@ -12,7 +12,6 @@
 
 #include "scenario/engine.hpp"
 #include "scenario/spec.hpp"
-#include "sim/runner.hpp"
 
 namespace {
 
@@ -223,34 +222,24 @@ TEST(FleetSpec, CohortProblemsCarryTheirJsonPaths)
         << describeErrors(result);
 }
 
-TEST(FleetSpec, DispatcherRoutesScenarioAndFleetKinds)
+TEST(FleetSpec, FleetModeRequiresAFleetBlock)
 {
-    sim::RunDispatcher dispatcher;
-    EXPECT_FALSE(dispatcher.hasHandler(sim::RunKind::Scenario));
-    EXPECT_FALSE(dispatcher.hasHandler(sim::RunKind::Fleet));
-
-    scenario::installRunHandlers(dispatcher);
-    ASSERT_TRUE(dispatcher.hasHandler(sim::RunKind::Scenario));
-    ASSERT_TRUE(dispatcher.hasHandler(sim::RunKind::Fleet));
-
-    // Validate-only through the front door: the fleet scenario is
-    // accepted by both kinds, and a matrix-only scenario is rejected
-    // by the Fleet kind (it has no "fleet" block).
-    sim::RunRequest request;
-    request.kind = sim::RunKind::Scenario;
-    request.scenarioPath =
+    // Validate-only: the fleet scenario is accepted in both modes,
+    // and a matrix-only scenario is rejected when a fleet block is
+    // required (quetzal-sim --fleet).
+    scenario::EngineOptions options;
+    options.validateOnly = true;
+    const std::string fleetDay =
         std::string(QUETZAL_SCENARIO_DIR) + "/fleet_day.json";
-    request.validateOnly = true;
-    EXPECT_EQ(dispatcher.run(request).exitCode, 0);
-
-    request.kind = sim::RunKind::Fleet;
-    EXPECT_EQ(dispatcher.run(request).exitCode, 0);
-
-    request.scenarioPath =
+    const std::string fig09 =
         std::string(QUETZAL_SCENARIO_DIR) + "/fig09.json";
-    EXPECT_EQ(dispatcher.run(request).exitCode, 1);
-    request.kind = sim::RunKind::Scenario;
-    EXPECT_EQ(dispatcher.run(request).exitCode, 0);
+
+    EXPECT_EQ(scenario::runScenarioFile(fleetDay, options), 0);
+    EXPECT_EQ(scenario::runScenarioFile(fig09, options), 0);
+
+    options.requireFleet = true;
+    EXPECT_EQ(scenario::runScenarioFile(fleetDay, options), 0);
+    EXPECT_EQ(scenario::runScenarioFile(fig09, options), 1);
 }
 
 } // namespace

@@ -130,30 +130,6 @@ TEST(ObsRecorder, StampsEventsWithRunClock)
     EXPECT_EQ(sink.events()[1].tick, 7);
 }
 
-TEST(ObsSink, TeeBroadcastsToAllDownstreams)
-{
-    VectorSink a;
-    VectorSink b;
-    TeeSink tee;
-    tee.addSink(&a);
-    tee.addSink(&b);
-    tee.addSink(nullptr); // ignored
-
-    Event event;
-    event.kind = EventKind::RunEnd;
-    event.id = 5;
-    tee.record(event);
-
-    ASSERT_EQ(a.size(), 1u);
-    ASSERT_EQ(b.size(), 1u);
-    EXPECT_EQ(a.events()[0].id, 5u);
-    EXPECT_EQ(b.events()[0].id, 5u);
-
-    a.clear();
-    EXPECT_EQ(a.size(), 0u);
-    EXPECT_EQ(b.size(), 1u);
-}
-
 } // namespace
 } // namespace obs
 } // namespace quetzal

@@ -3,8 +3,7 @@
  * ScenarioSpec front-door tests: valid scenarios round-trip into the
  * expected spec, every class of invalid input produces an
  * expected-style error naming the offending JSON field path (never a
- * crash or a silent default), and the fluent builder shares the same
- * validation as the JSON path.
+ * crash or a silent default).
  */
 
 #include <gtest/gtest.h>
@@ -205,6 +204,24 @@ TEST(ScenarioSpecParse, RejectsAxisShadowedByPopulationOverride)
         {"field": "environment", "values": ["crowded", "msp430"]}]}
     })");
     EXPECT_TRUE(contains(paths, "populations[0].environment"));
+
+    // Two axes over one field are rejected on the second axis.
+    const Expected<ScenarioSpec> twice = parseScenarioText(R"({
+      "name": "x",
+      "populations": [{"name": "A", "controller": "QZ"}],
+      "sweep": {"axes": [
+        {"field": "environment", "values": ["crowded"]},
+        {"field": "environment", "values": ["msp430"]}]}
+    })");
+    ASSERT_FALSE(twice.ok());
+    const auto swept = std::find_if(
+        twice.errors.begin(), twice.errors.end(),
+        [](const SpecError &error) {
+            return error.path == "sweep.axes[1].field";
+        });
+    ASSERT_NE(swept, twice.errors.end());
+    EXPECT_NE(swept->message.find("swept by more than one axis"),
+              std::string::npos);
 }
 
 TEST(ScenarioSpecParse, RejectsZipLengthMismatch)
@@ -309,47 +326,6 @@ TEST(ScenarioSpecParse, MissingFileIsAnError)
     ASSERT_FALSE(result.ok());
     EXPECT_NE(result.errors[0].message.find("cannot open"),
               std::string::npos);
-}
-
-TEST(ScenarioBuilderApi, BuildsTheSameSpecAsJson)
-{
-    const Expected<ScenarioSpec> built =
-        ScenarioBuilder("minimal")
-            .addPopulation("QZ")
-            .set("controller", json::makeString("QZ"))
-            .build();
-    ASSERT_TRUE(built.ok());
-    const ScenarioSpec fromJson = parseOk(kMinimal);
-    EXPECT_EQ(built.value->name, fromJson.name);
-    ASSERT_EQ(built.value->populations.size(), 1u);
-    EXPECT_EQ(built.value->populations[0].overrides[0].path,
-              fromJson.populations[0].overrides[0].path);
-}
-
-TEST(ScenarioBuilderApi, SharesValidationWithJsonFrontEnd)
-{
-    const Expected<ScenarioSpec> bad =
-        ScenarioBuilder("bad")
-            .addPopulation("A")
-            .set("controller", json::makeString("WARP"))
-            .addAxis("environment", {json::makeString("crowded")})
-            .addAxis("environment", {json::makeString("msp430")})
-            .build();
-    ASSERT_FALSE(bad.ok());
-    std::vector<std::string> paths;
-    for (const SpecError &error : bad.errors)
-        paths.push_back(error.path);
-    EXPECT_TRUE(contains(paths, "populations[0].controller"));
-    EXPECT_TRUE(contains(paths, "sweep.axes[1].field"));
-}
-
-TEST(ScenarioBuilderApi, SetBeforePopulationIsAnError)
-{
-    const Expected<ScenarioSpec> bad =
-        ScenarioBuilder("bad")
-            .set("controller", json::makeString("QZ"))
-            .build();
-    ASSERT_FALSE(bad.ok());
 }
 
 TEST(ScenarioCompile, AppliesDefaultsAxisThenPopulation)

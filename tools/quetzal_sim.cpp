@@ -1,10 +1,12 @@
 /**
  * @file
- * quetzal_sim — the one command-line front door onto the run API
- * (sim::RunRequest / sim::RunDispatcher). Flags are parsed exactly
- * once into a RunRequest; the dispatcher routes it to the experiment
- * engine, the parallel ensemble runner, the declarative scenario
- * engine, or the sharded fleet engine.
+ * quetzal_sim — the one command-line front door. It calls the engines
+ * directly: sim::ParallelRunner::runBatch() for one experiment or a
+ * seed ensemble, scenario::runScenarioFile() for a scenario or fleet
+ * file. Experiment flags go through the scenario field table
+ * (DESIGN.md section 10), so they accept exactly what a scenario file
+ * does; a rejected flag value exits naming the flag and the value
+ * (cli_flags.hpp).
  *
  * Run modes (mutually exclusive; flags that conflict are reported as
  * errors naming both flags, never silently ignored):
@@ -45,20 +47,20 @@
  *       --fleet-resume day.qzck --fleet-checkpoint day.qzck
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <numeric>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "cli_flags.hpp"
 #include "obs/btrace.hpp"
 #include "obs/stream_sink.hpp"
 #include "obs/trace_io.hpp"
-#include "policy/registry.hpp"
 #include "scenario/engine.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/ensemble.hpp"
@@ -69,6 +71,7 @@
 namespace {
 
 using namespace quetzal;
+using cli::checkedNumber;
 
 [[noreturn]] void
 usage(const char *argv0, bool requested)
@@ -192,25 +195,6 @@ conflict(const std::string &flag, const std::string &other,
     std::exit(2);
 }
 
-sim::ControllerKind
-parseController(const std::string &name)
-{
-    if (const auto kind = policy::controllerKindFromLabel(name))
-        return *kind;
-    util::fatal(util::msg("unknown controller: ", name));
-}
-
-trace::EnvironmentPreset
-parseEnvironment(const std::string &name)
-{
-    using E = trace::EnvironmentPreset;
-    if (name == "more-crowded") return E::MoreCrowded;
-    if (name == "crowded") return E::Crowded;
-    if (name == "less-crowded") return E::LessCrowded;
-    if (name == "msp430") return E::Msp430Short;
-    util::fatal(util::msg("unknown environment: ", name));
-}
-
 void
 csvHeader()
 {
@@ -292,8 +276,9 @@ writeTraceOutput(const std::string &path, const std::string &format,
 int
 main(int argc, char **argv)
 {
-    sim::RunRequest request;
-    sim::ExperimentConfig &cfg = request.config;
+    sim::ExperimentConfig cfg;
+    scenario::EngineOptions engine; ///< jobs, and --scenario/--fleet
+    std::string scenarioPath;
     bool csv = false;
     bool header = false;
     std::size_t ensembleRuns = 0;
@@ -301,7 +286,6 @@ main(int argc, char **argv)
     std::string traceOut;
     std::string traceFormat = "jsonl";
     obs::ObsLevel traceLevel = obs::ObsLevel::Full;
-    bool eventsSet = false;
 
     // Flag provenance for conflict diagnostics: the mode flag, and
     // the first flag seen from each conflicting group.
@@ -309,10 +293,8 @@ main(int argc, char **argv)
     std::string configFlag;     ///< first experiment-config flag
     std::string traceFlag;      ///< first --trace-* flag
     std::string outputFlag;     ///< --csv / --csv-header
-    std::string ensembleFlag;   ///< --ensemble
     std::string checkpointFlag; ///< first --checkpoint*/--resume flag
     std::string fleetCkptFlag;  ///< first --fleet-checkpoint*/--fleet-* flag
-    bool validateOnly = false;
 
     std::string checkpointOut;
     std::uint64_t checkpointEvery = 1000;
@@ -321,6 +303,9 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        const cli::ConfigFlag *row = std::find_if(
+            std::begin(cli::kConfigFlags), std::end(cli::kConfigFlags),
+            [&](const cli::ConfigFlag &flag) { return arg == flag.flag; });
         auto value = [&]() -> std::string {
             if (i + 1 >= argc)
                 usage(argv[0], false);
@@ -335,79 +320,27 @@ main(int argc, char **argv)
                 conflict(arg, modeFlag,
                          "give one scenario file in one mode");
             modeFlag = arg;
-            request.kind = arg == "--fleet" ? sim::RunKind::Fleet
-                                            : sim::RunKind::Scenario;
-            request.scenarioPath = value();
+            engine.requireFleet = arg == "--fleet";
+            scenarioPath = value();
         } else if (arg == "--validate") {
-            validateOnly = true;
-        } else if (arg == "--controller") {
-            configArg();
-            cfg.controller = parseController(value());
-        } else if (arg == "--policy") {
-            configArg();
-            cfg.policyName = value();
-            if (!policy::isRegisteredPolicy(cfg.policyName)) {
-                std::string known;
-                for (const auto &n : policy::registeredPolicyNames())
-                    known += (known.empty() ? "" : ", ") + n;
-                util::fatal(util::msg("unknown policy: ", cfg.policyName,
-                                      " (registered: ", known, ")"));
-            }
-        } else if (arg == "--env") {
-            configArg();
-            environment = value();
-            cfg.environment = parseEnvironment(environment);
-        } else if (arg == "--device") {
-            configArg();
-            const std::string dev = value();
-            if (dev == "apollo4")
-                cfg.device = app::DeviceKind::Apollo4;
-            else if (dev == "msp430")
-                cfg.device = app::DeviceKind::Msp430;
+            engine.validateOnly = true;
+        } else if (row != std::end(cli::kConfigFlags)) {
+            const std::string text =
+                row->value == cli::FlagValue::False ? "" : value();
+            cli::applyConfigFlag(*row, text, cfg);
+            // --events doubles as the scenario smoke override, so it
+            // is deliberately not an experiment-config flag here.
+            if (arg == "--events")
+                engine.eventCountOverride = cfg.eventCount;
             else
-                util::fatal(util::msg("unknown device: ", dev));
-        } else if (arg == "--events") {
-            // Shared: run-matrix event count, and the scenario smoke
-            // override — deliberately not a configArg().
-            cfg.eventCount = std::strtoull(value().c_str(), nullptr, 10);
-            eventsSet = true;
-        } else if (arg == "--seed") {
-            configArg();
-            cfg.seed = std::strtoull(value().c_str(), nullptr, 10);
-        } else if (arg == "--buffer") {
-            configArg();
-            cfg.sim.bufferCapacity =
-                std::strtoull(value().c_str(), nullptr, 10);
-        } else if (arg == "--cells") {
-            configArg();
-            cfg.harvesterCells =
-                static_cast<int>(std::strtol(value().c_str(), nullptr,
-                                             10));
-        } else if (arg == "--capture-period-ms") {
-            configArg();
-            cfg.sim.capturePeriod = std::strtoll(value().c_str(), nullptr,
-                                             10);
-        } else if (arg == "--threshold") {
-            configArg();
-            cfg.bufferThreshold =
-                std::strtod(value().c_str(), nullptr) / 100.0;
-        } else if (arg == "--arrival-window") {
-            configArg();
-            cfg.system.arrivalWindow = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
-        } else if (arg == "--task-window") {
-            configArg();
-            cfg.system.taskWindow = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
-        } else if (arg == "--power-trace") {
-            configArg();
-            cfg.powerTraceCsv = value();
+                configArg();
+            if (arg == "--env")
+                environment = text;
         } else if (arg == "--ensemble") {
-            ensembleFlag = arg;
-            ensembleRuns = std::strtoull(value().c_str(), nullptr, 10);
+            ensembleRuns =
+                checkedNumber<std::size_t>(arg, value(), 1, 1'000'000);
         } else if (arg == "--jobs") {
-            request.jobs = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            engine.jobs = checkedNumber<unsigned>(arg, value(), 0);
         } else if (arg == "--trace-out") {
             traceFlag = arg;
             traceOut = value();
@@ -428,20 +361,18 @@ main(int argc, char **argv)
         } else if (arg == "--telemetry-cost-s") {
             configArg();
             cfg.sim.telemetrySecondsPerEvent =
-                std::strtod(value().c_str(), nullptr);
+                checkedNumber<double>(arg, value(), 0.0);
         } else if (arg == "--telemetry-cost-j") {
             configArg();
             cfg.sim.telemetryEnergyPerEvent =
-                std::strtod(value().c_str(), nullptr);
+                checkedNumber<double>(arg, value(), 0.0);
         } else if (arg == "--checkpoint") {
             checkpointFlag = checkpointFlag.empty() ? arg : checkpointFlag;
             checkpointOut = value();
         } else if (arg == "--checkpoint-every") {
             checkpointFlag = checkpointFlag.empty() ? arg : checkpointFlag;
             checkpointEvery =
-                std::strtoull(value().c_str(), nullptr, 10);
-            if (checkpointEvery == 0)
-                util::fatal("--checkpoint-every must be positive");
+                checkedNumber<std::uint64_t>(arg, value(), 1);
         } else if (arg == "--checkpoint-stop") {
             checkpointFlag = checkpointFlag.empty() ? arg : checkpointFlag;
             checkpointStop = true;
@@ -450,31 +381,22 @@ main(int argc, char **argv)
             resumePath = value();
         } else if (arg == "--fleet-checkpoint") {
             fleetCkptFlag = fleetCkptFlag.empty() ? arg : fleetCkptFlag;
-            request.fleetCheckpointPath = value();
+            engine.fleetCheckpointPath = value();
         } else if (arg == "--fleet-checkpoint-every") {
             fleetCkptFlag = fleetCkptFlag.empty() ? arg : fleetCkptFlag;
-            request.fleetCheckpointEverySlabs = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
-            if (request.fleetCheckpointEverySlabs == 0)
-                util::fatal("--fleet-checkpoint-every must be positive");
+            engine.fleetCheckpointEverySlabs =
+                checkedNumber<unsigned>(arg, value(), 1);
         } else if (arg == "--fleet-stop-after-s") {
             fleetCkptFlag = fleetCkptFlag.empty() ? arg : fleetCkptFlag;
-            request.fleetStopAfterSeconds =
-                std::strtoll(value().c_str(), nullptr, 10);
-            if (request.fleetStopAfterSeconds <= 0)
-                util::fatal("--fleet-stop-after-s must be positive");
+            engine.fleetStopAfterSeconds = checkedNumber<long long>(
+                arg, value(), 1,
+                std::numeric_limits<Tick>::max() / kTicksPerSecond);
         } else if (arg == "--fleet-resume") {
             fleetCkptFlag = fleetCkptFlag.empty() ? arg : fleetCkptFlag;
-            request.fleetResumePath = value();
+            engine.fleetResumePath = value();
         } else if (arg == "--fleet-ckpt-trace") {
             fleetCkptFlag = fleetCkptFlag.empty() ? arg : fleetCkptFlag;
-            request.fleetEpisodeTracePath = value();
-        } else if (arg == "--no-pid") {
-            configArg();
-            cfg.usePid = false;
-        } else if (arg == "--no-circuit") {
-            configArg();
-            cfg.useCircuit = false;
+            engine.fleetEpisodeTracePath = value();
         } else if (arg == "--csv") {
             outputFlag = outputFlag.empty() ? arg : outputFlag;
             csv = true;
@@ -495,8 +417,8 @@ main(int argc, char **argv)
             conflict(configFlag, modeFlag,
                      "scenario files define their own device "
                      "populations");
-        if (!ensembleFlag.empty())
-            conflict(ensembleFlag, modeFlag,
+        if (ensembleRuns > 0)
+            conflict("--ensemble", modeFlag,
                      "scenario files define their own run matrix");
         if (!outputFlag.empty())
             conflict(outputFlag, modeFlag,
@@ -510,11 +432,11 @@ main(int argc, char **argv)
             conflict(checkpointFlag, modeFlag,
                      "single-experiment checkpointing; fleet runs "
                      "take --fleet-checkpoint/--fleet-resume");
-        if (!fleetCkptFlag.empty() && validateOnly)
+        if (!fleetCkptFlag.empty() && engine.validateOnly)
             conflict(fleetCkptFlag, "--validate",
                      "--validate never runs, so there is nothing to "
                      "checkpoint or resume");
-    } else if (validateOnly) {
+    } else if (engine.validateOnly) {
         util::fatal(
             "--validate requires --scenario or --fleet FILE.json");
     } else if (!fleetCkptFlag.empty()) {
@@ -525,25 +447,23 @@ main(int argc, char **argv)
     }
 
     if (!fleetCkptFlag.empty()) {
-        if (request.fleetCheckpointEverySlabs > 0 &&
-            request.fleetCheckpointPath.empty())
+        if (engine.fleetCheckpointEverySlabs > 0 &&
+            engine.fleetCheckpointPath.empty())
             util::fatal("--fleet-checkpoint-every requires "
                         "--fleet-checkpoint FILE");
-        if (request.fleetStopAfterSeconds > 0 &&
-            request.fleetCheckpointPath.empty() &&
-            request.fleetResumePath.empty())
+        const bool fleetStream = !engine.fleetCheckpointPath.empty() ||
+            !engine.fleetResumePath.empty();
+        if (engine.fleetStopAfterSeconds > 0 && !fleetStream)
             util::fatal("--fleet-stop-after-s requires "
                         "--fleet-checkpoint or --fleet-resume");
-        if (request.fleetEpisodeTracePath != "" &&
-            request.fleetCheckpointPath.empty() &&
-            request.fleetResumePath.empty())
+        if (!engine.fleetEpisodeTracePath.empty() && !fleetStream)
             util::fatal("--fleet-ckpt-trace requires "
                         "--fleet-checkpoint or --fleet-resume");
     }
 
     if (!checkpointFlag.empty()) {
-        if (!ensembleFlag.empty())
-            conflict(checkpointFlag, ensembleFlag,
+        if (ensembleRuns > 0)
+            conflict(checkpointFlag, "--ensemble",
                      "checkpoint/resume is a single-experiment "
                      "feature");
         if (checkpointStop && checkpointOut.empty())
@@ -553,14 +473,8 @@ main(int argc, char **argv)
                 "--checkpoint-every requires --checkpoint FILE");
     }
 
-    // The single dispatch point: every mode goes through the run API.
-    sim::RunDispatcher dispatcher;
-    scenario::installRunHandlers(dispatcher);
-
     if (!modeFlag.empty()) {
-        request.validateOnly = validateOnly;
-        request.eventCountOverride = eventsSet ? cfg.eventCount : 0;
-        return dispatcher.run(request).exitCode;
+        return scenario::runScenarioFile(scenarioPath, engine);
     }
 
     const bool tracing = !traceOut.empty() &&
@@ -573,8 +487,8 @@ main(int argc, char **argv)
         // into its own sink (no locks on the hot path) and the sinks
         // are serialized in seed order after the joins.
         std::vector<obs::VectorSink> sinks(tracing ? ensembleRuns : 0);
-        request.kind = sim::RunKind::Batch;
-        request.batch.reserve(ensembleRuns);
+        std::vector<sim::ExperimentConfig> batch;
+        batch.reserve(ensembleRuns);
         for (std::size_t i = 0; i < ensembleRuns; ++i) {
             sim::ExperimentConfig seedCfg = cfg;
             seedCfg.seed = i + 1;
@@ -582,19 +496,19 @@ main(int argc, char **argv)
                 seedCfg.obsLevel = traceLevel;
                 seedCfg.obsSink = &sinks[i];
             }
-            request.batch.push_back(std::move(seedCfg));
+            batch.push_back(std::move(seedCfg));
         }
 
-        const sim::RunOutcome outcome = dispatcher.run(request);
+        const std::vector<sim::Metrics> metrics =
+            sim::ParallelRunner(engine.jobs).runBatch(batch);
 
         if (csv) {
             if (header)
                 csvHeader();
-            for (std::size_t i = 0; i < outcome.metrics.size(); ++i)
-                csvRow(request.batch[i], environment,
-                       outcome.metrics[i]);
+            for (std::size_t i = 0; i < metrics.size(); ++i)
+                csvRow(batch[i], environment, metrics[i]);
         } else {
-            sim::aggregateEnsemble(outcome.metrics)
+            sim::aggregateEnsemble(metrics)
                 .printSummary(std::cout, sim::experimentLabel(cfg));
         }
         if (tracing)
@@ -648,9 +562,8 @@ main(int argc, char **argv)
         }
     }
 
-    request.kind = sim::RunKind::Experiment;
-    const sim::RunOutcome outcome = dispatcher.run(request);
-    const sim::Metrics &m = outcome.metrics.front();
+    const sim::Metrics m =
+        sim::ParallelRunner(engine.jobs).runBatch({cfg}).front();
 
     if (csv) {
         if (header)
