@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "queueing/littles_law.hpp"
+#include "util/wire.hpp"
 
 namespace quetzal {
 namespace core {
@@ -150,31 +151,15 @@ IboReactionEngine::admit(const PolicyContext &ctx, const Job &job)
 }
 
 void
-IboReactionEngine::saveState(std::string &out) const
+IboReactionEngine::state(util::wire::Archive &ar)
 {
-    namespace wire = util::wire;
-    wire::putVarint(out, currentOption.size());
-    for (const std::size_t option : currentOption)
-        wire::putVarint(out, option);
     // taskTermScratch is rebuilt per call; not state.
-}
-
-bool
-IboReactionEngine::loadState(util::wire::Reader &in)
-{
-    std::uint64_t size = 0;
-    if (!in.getVarint(size) || size > in.remaining())
-        return false;
-    std::vector<std::size_t> restored;
-    restored.reserve(static_cast<std::size_t>(size));
-    for (std::uint64_t i = 0; i < size; ++i) {
-        std::uint64_t option = 0;
-        if (!in.getVarint(option))
-            return false;
-        restored.push_back(static_cast<std::size_t>(option));
-    }
-    currentOption = std::move(restored);
-    return true;
+    std::vector<std::size_t> options = currentOption;
+    options.resize(ar.count(options.size()));
+    for (std::size_t &option : options)
+        ar.varint(option);
+    if (ar.loaded())
+        currentOption = std::move(options);
 }
 
 } // namespace core

@@ -45,9 +45,9 @@ class IboReactionEngine
     /** Decide the degradation options for the ranked job. */
     AdaptationDecision admit(const PolicyContext &ctx, const Job &job);
 
-    /** Serializes the per-task current-option settings. */
-    void saveState(std::string &out) const;
-    bool loadState(util::wire::Reader &in);
+    /** Walks the per-task current-option settings (the policy hook
+     *  of the rules that use the engine). */
+    void state(util::wire::Archive &ar);
 
   private:
     /**

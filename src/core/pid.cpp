@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/logging.hpp"
+#include "util/wire.hpp"
 
 namespace quetzal {
 namespace core {
@@ -56,6 +57,16 @@ PidController::reset()
     previousError = 0.0;
     lastOutput = 0.0;
     updateCount = 0;
+}
+
+void
+PidController::State::walk(util::wire::Archive &ar)
+{
+    ar.real(integrator);
+    ar.real(differentiator);
+    ar.real(previousError);
+    ar.real(lastOutput);
+    ar.varint(updateCount);
 }
 
 } // namespace core

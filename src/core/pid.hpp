@@ -15,6 +15,10 @@
 #ifndef QUETZAL_CORE_PID_HPP
 #define QUETZAL_CORE_PID_HPP
 
+namespace quetzal::util::wire {
+class Archive;
+}
+
 namespace quetzal {
 namespace core {
 
@@ -67,6 +71,9 @@ class PidController
         double previousError = 0.0;
         double lastOutput = 0.0;
         unsigned long updateCount = 0;
+
+        /** The wire layout: four doubles, varint update count. */
+        void walk(util::wire::Archive &ar);
     };
 
     /** Snapshot the loop state (see State). */

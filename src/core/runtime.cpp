@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/logging.hpp"
+#include "util/wire.hpp"
 
 namespace quetzal {
 namespace core {
@@ -150,91 +151,39 @@ Controller::pidCorrection() const
 }
 
 void
-Controller::saveCheckpoint(std::string &out) const
+Controller::checkpoint(util::wire::Archive &ar)
 {
-    namespace wire = util::wire;
-    wire::putVarint(out, decisionCounter);
-    wire::putVarint(out, runStats.invocations);
-    wire::putVarint(out, runStats.iboPredictions);
-    wire::putVarint(out, runStats.degradedJobs);
-    wire::putVarint(out, runStats.jobsCompleted);
-    const util::RunningStats::State error =
-        runStats.predictionError.exportState();
-    wire::putVarint(out, error.n);
-    wire::putDouble(out, error.runningMean);
-    wire::putDouble(out, error.m2);
-    wire::putDouble(out, error.minSample);
-    wire::putDouble(out, error.maxSample);
-    wire::putDouble(out, error.total);
-    out.push_back(pid ? '\1' : '\0');
-    if (pid) {
-        const PidController::State loop = pid->exportState();
-        wire::putDouble(out, loop.integrator);
-        wire::putDouble(out, loop.differentiator);
-        wire::putDouble(out, loop.previousError);
-        wire::putDouble(out, loop.lastOutput);
-        wire::putVarint(out, loop.updateCount);
-    }
+    std::uint64_t counter = decisionCounter;
+    ControllerStats counts = runStats;
+    ar.varint(counter);
+    ar.varint(counts.invocations);
+    ar.varint(counts.iboPredictions);
+    ar.varint(counts.degradedJobs);
+    ar.varint(counts.jobsCompleted);
+    util::RunningStats::State error = runStats.predictionError.exportState();
+    error.walk(ar);
+    // PID presence is configuration; the snapshot must match it.
+    bool hasPid = pid.has_value();
+    ar.flag(hasPid);
+    ar.check(hasPid == pid.has_value());
+    PidController::State loop = pid ? pid->exportState()
+                                    : PidController::State{};
+    if (pid)
+        loop.walk(ar);
     // Length-prefixed sub-blobs: a hook that reads short or long is
     // caught here rather than corrupting the following section.
-    std::string blob;
-    serviceEstimator->saveState(blob);
-    wire::putBytes(out, blob);
-    blob.clear();
-    schedPolicy->saveState(blob);
-    wire::putBytes(out, blob);
-}
+    ar.nested([this](util::wire::Archive &sub) {
+        serviceEstimator->state(sub);
+    });
+    ar.nested([this](util::wire::Archive &sub) { schedPolicy->state(sub); });
+    if (!ar.loaded())
+        return;
 
-bool
-Controller::loadCheckpoint(util::wire::Reader &in)
-{
-    namespace wire = util::wire;
-    std::uint64_t counter = 0;
-    ControllerStats restored;
-    if (!in.getVarint(counter) || !in.getVarint(restored.invocations) ||
-        !in.getVarint(restored.iboPredictions) ||
-        !in.getVarint(restored.degradedJobs) ||
-        !in.getVarint(restored.jobsCompleted))
-        return false;
-    std::uint64_t errorN = 0;
-    util::RunningStats::State error;
-    if (!in.getVarint(errorN) || !in.getDouble(error.runningMean) ||
-        !in.getDouble(error.m2) || !in.getDouble(error.minSample) ||
-        !in.getDouble(error.maxSample) || !in.getDouble(error.total))
-        return false;
-    error.n = static_cast<std::size_t>(errorN);
-    std::uint8_t hasPid = 0;
-    if (!in.getByte(hasPid) || hasPid > 1)
-        return false;
-    if ((hasPid != 0) != pid.has_value())
-        return false; // PID presence is configuration; must match
-    PidController::State loop;
-    if (hasPid != 0) {
-        std::uint64_t updates = 0;
-        if (!in.getDouble(loop.integrator) ||
-            !in.getDouble(loop.differentiator) ||
-            !in.getDouble(loop.previousError) ||
-            !in.getDouble(loop.lastOutput) || !in.getVarint(updates))
-            return false;
-        loop.updateCount = static_cast<unsigned long>(updates);
-    }
-    std::string estimatorBlob;
-    std::string policyBlob;
-    if (!in.getBytes(estimatorBlob) || !in.getBytes(policyBlob))
-        return false;
-    wire::Reader estimatorReader(estimatorBlob);
-    if (!serviceEstimator->loadState(estimatorReader) ||
-        !estimatorReader.atEnd())
-        return false;
-    wire::Reader policyReader(policyBlob);
-    if (!schedPolicy->loadState(policyReader) || !policyReader.atEnd())
-        return false;
     decisionCounter = counter;
-    runStats = restored;
+    runStats = counts;
     runStats.predictionError.importState(error);
     if (pid)
         pid->importState(loop);
-    return true;
 }
 
 } // namespace core

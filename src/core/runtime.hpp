@@ -28,7 +28,10 @@
 #include "core/system.hpp"
 #include "obs/trace_sink.hpp"
 #include "util/stats.hpp"
-#include "util/wire.hpp"
+
+namespace quetzal::util::wire {
+class Archive;
+}
 
 namespace quetzal {
 namespace core {
@@ -133,21 +136,20 @@ class Controller
 
     /** Collaborator access (tests and benches). */
     const SchedulingPolicy &policy() const { return *schedPolicy; }
+    SchedulingPolicy &policy() { return *schedPolicy; }
     ServiceTimeEstimator &estimator() { return *serviceEstimator; }
 
     /**
-     * @name Checkpoint
-     * Serialize / restore the controller's mutable runtime state:
-     * counters, the PID loop, and the estimator's / policy's
-     * histories (via their saveState hooks). Which policy and
-     * estimator run is configuration — the restoring controller must
-     * be built identically. loadCheckpoint() returns false on
-     * malformed bytes or a PID-presence mismatch.
+     * Checkpoint: one walk that saves or loads the controller's
+     * mutable runtime state, by the archive's mode — counters, the
+     * PID loop, and the estimator's and policy's state hooks, each in
+     * a length-prefixed blob of its own. Which policy and estimator
+     * run is configuration: the restoring controller must be built
+     * identically. A load that fails (malformed bytes, a PID-presence
+     * mismatch, a hook that reads short or long) leaves the counters
+     * and PID loop untouched and the archive failed.
      */
-    /// @{
-    void saveCheckpoint(std::string &out) const;
-    bool loadCheckpoint(util::wire::Reader &in);
-    /// @}
+    void checkpoint(util::wire::Archive &ar);
 
   private:
     std::string controllerName;

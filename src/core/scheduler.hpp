@@ -26,7 +26,10 @@
 
 #include "core/system.hpp"
 #include "queueing/input_buffer.hpp"
-#include "util/wire.hpp"
+
+namespace quetzal::util::wire {
+class Archive;
+}
 
 namespace quetzal {
 namespace core {
@@ -136,19 +139,11 @@ class SchedulingPolicy
     }
 
     /**
-     * @name Checkpoint hooks
-     * Serialize / restore the policy's mutable state (see
-     * ServiceTimeEstimator's hooks). Stateless policies keep the
-     * no-op defaults; loadState() returns false on malformed bytes.
+     * Checkpoint hook: walk the policy's mutable state (see
+     * ServiceTimeEstimator::state). Stateless policies keep the
+     * empty default.
      */
-    /// @{
-    virtual void saveState(std::string &out) const { (void)out; }
-    virtual bool loadState(util::wire::Reader &in)
-    {
-        (void)in;
-        return true;
-    }
-    /// @}
+    virtual void state(util::wire::Archive &ar) { (void)ar; }
 };
 
 /**

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "hw/ratio_engine.hpp"
+#include "util/wire.hpp"
 
 namespace quetzal {
 namespace core {
@@ -114,54 +115,33 @@ AverageServiceTimeEstimator::observationCount(
 }
 
 void
-AverageServiceTimeEstimator::saveState(std::string &out) const
+AverageServiceTimeEstimator::state(util::wire::Archive &ar)
 {
-    namespace wire = util::wire;
-    wire::putVarint(out, revision);
-    wire::putVarint(out, history.size());
-    for (const auto &[key, stats] : history) {
-        wire::putZigzag(out, static_cast<std::int64_t>(key.first));
-        wire::putZigzag(out, static_cast<std::int64_t>(key.second));
-        const util::RunningStats::State s = stats.exportState();
-        wire::putVarint(out, s.n);
-        wire::putDouble(out, s.runningMean);
-        wire::putDouble(out, s.m2);
-        wire::putDouble(out, s.minSample);
-        wire::putDouble(out, s.maxSample);
-        wire::putDouble(out, s.total);
+    std::uint64_t savedRevision = revision;
+    ar.varint(savedRevision);
+    std::vector<std::pair<Key, util::RunningStats::State>> entries;
+    for (const auto &[key, stats] : history)
+        entries.emplace_back(key, stats.exportState());
+    entries.resize(ar.count(entries.size()));
+    for (auto &[key, stats] : entries) {
+        std::int64_t tick = key.first;
+        std::int64_t power = key.second;
+        ar.zigzag(tick);
+        ar.zigzag(power);
+        key = Key{tick, power};
+        stats.walk(ar);
     }
-}
+    if (!ar.loaded())
+        return;
 
-bool
-AverageServiceTimeEstimator::loadState(util::wire::Reader &in)
-{
-    std::uint64_t savedRevision = 0;
-    std::uint64_t entries = 0;
-    if (!in.getVarint(savedRevision) || !in.getVarint(entries))
-        return false;
-    if (entries > in.remaining())
-        return false; // each entry costs well over one byte
     std::map<Key, util::RunningStats> restored;
-    for (std::uint64_t i = 0; i < entries; ++i) {
-        std::int64_t tick = 0;
-        std::int64_t power = 0;
-        std::uint64_t n = 0;
-        util::RunningStats::State s;
-        if (!in.getZigzag(tick) || !in.getZigzag(power) ||
-            !in.getVarint(n) || !in.getDouble(s.runningMean) ||
-            !in.getDouble(s.m2) || !in.getDouble(s.minSample) ||
-            !in.getDouble(s.maxSample) || !in.getDouble(s.total))
-            return false;
-        s.n = static_cast<std::size_t>(n);
-        const Key key{static_cast<Tick>(tick),
-                      static_cast<long long>(power)};
+    for (const auto &[key, s] : entries) {
         util::RunningStats stats;
         stats.importState(s);
         restored.emplace(key, stats);
     }
     history = std::move(restored);
     revision = savedRevision;
-    return true;
 }
 
 } // namespace core

@@ -24,7 +24,10 @@
 #include "core/task.hpp"
 #include "util/stats.hpp"
 #include "util/types.hpp"
-#include "util/wire.hpp"
+
+namespace quetzal::util::wire {
+class Archive;
+}
 
 namespace quetzal {
 namespace core {
@@ -97,21 +100,14 @@ class ServiceTimeEstimator
     virtual std::uint64_t powerKey(const PowerReading &power) const;
 
     /**
-     * @name Checkpoint hooks
-     * Serialize / restore the estimator's mutable history with the
-     * util::wire primitives, so a resumed run predicts exactly what
-     * the uninterrupted run would have. Stateless estimators (the
-     * energy-aware paths) keep the no-op defaults. loadState()
-     * returns false on malformed bytes.
+     * Checkpoint hook: one walk that saves or loads the estimator's
+     * mutable history, by the archive's mode, so a resumed run
+     * predicts exactly what the uninterrupted run would have. The
+     * hook owns a length-prefixed blob of its own and applies what it
+     * loaded only once the archive loaded(). Stateless estimators
+     * (the energy-aware paths) keep the empty default.
      */
-    /// @{
-    virtual void saveState(std::string &out) const { (void)out; }
-    virtual bool loadState(util::wire::Reader &in)
-    {
-        (void)in;
-        return true;
-    }
-    /// @}
+    virtual void state(util::wire::Archive &ar) { (void)ar; }
 
   private:
     std::uint64_t uniqueId;
@@ -175,9 +171,8 @@ class AverageServiceTimeEstimator : public ServiceTimeEstimator
         return 0;
     }
 
-    /** Serializes the per-option observation history. */
-    void saveState(std::string &out) const override;
-    bool loadState(util::wire::Reader &in) override;
+    /** Walks the per-option observation history. */
+    void state(util::wire::Archive &ar) override;
 
   private:
     /**

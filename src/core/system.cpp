@@ -2,6 +2,7 @@
 
 #include "hw/ratio_engine.hpp"
 #include "util/logging.hpp"
+#include "util/wire.hpp"
 
 namespace quetzal {
 namespace core {
@@ -188,107 +189,29 @@ TaskSystem::expectedJobService(const Job &job,
 }
 
 void
-TaskSystem::saveCheckpoint(std::string &out) const
+TaskSystem::checkpoint(util::wire::Archive &ar)
 {
-    namespace wire = util::wire;
-    const hw::PowerMonitorCircuit::State circuitState =
-        monitor.exportState();
-    wire::putDouble(out, circuitState.inputPower);
-    wire::putDouble(out, circuitState.executionPower);
-    wire::putDouble(out, circuitState.capVoltage);
-    wire::putDouble(out, circuitState.temperature);
-    out.push_back(static_cast<char>(circuitState.selected));
-
-    const queueing::ArrivalRateTracker::State arrivals =
+    // Walk snapshots exported from the live trackers, so the window
+    // sizes the bytes must match arrive pre-set.
+    hw::PowerMonitorCircuit::State circuit = monitor.exportState();
+    circuit.walk(ar);
+    queueing::ArrivalRateTracker::State arrivals =
         arrivalTracker.exportState();
-    wire::putVarint(out, arrivals.counts.size());
-    for (const auto count : arrivals.counts)
-        wire::putVarint(out, count);
-    wire::putVarint(out, arrivals.cursor);
-    wire::putVarint(out, arrivals.filledPeriods);
-    wire::putVarint(out, arrivals.runningSum);
-
-    wire::putVarint(out, probTrackers.size());
-    for (const auto &tracker : probTrackers) {
-        const queueing::BitVectorWindow::State window =
-            tracker.exportState();
-        wire::putVarint(out, window.filledBits);
-        wire::putVarint(out, window.onesCount);
-        wire::putVarint(out, window.cursor);
-        wire::putVarint(out, window.words.size());
-        for (const std::uint64_t word : window.words)
-            wire::putFixed64(out, word);
-    }
-    wire::putVarint(out, stateRevision);
-}
-
-bool
-TaskSystem::loadCheckpoint(util::wire::Reader &in)
-{
-    namespace wire = util::wire;
-    hw::PowerMonitorCircuit::State circuitState;
-    if (!in.getDouble(circuitState.inputPower) ||
-        !in.getDouble(circuitState.executionPower) ||
-        !in.getDouble(circuitState.capVoltage) ||
-        !in.getDouble(circuitState.temperature) ||
-        !in.getByte(circuitState.selected))
-        return false;
-
-    queueing::ArrivalRateTracker::State arrivals;
-    std::uint64_t periods = 0;
-    if (!in.getVarint(periods) || periods > in.remaining() ||
-        periods != arrivalTracker.exportState().counts.size())
-        return false; // window size is configuration; must match
-    arrivals.counts.reserve(static_cast<std::size_t>(periods));
-    for (std::uint64_t i = 0; i < periods; ++i) {
-        std::uint64_t count = 0;
-        if (!in.getVarint(count) || count > 0xFF)
-            return false;
-        arrivals.counts.push_back(static_cast<std::uint8_t>(count));
-    }
-    std::uint64_t cursor = 0;
-    std::uint64_t filled = 0;
-    std::uint64_t sum = 0;
-    if (!in.getVarint(cursor) || !in.getVarint(filled) ||
-        !in.getVarint(sum))
-        return false;
-    arrivals.cursor = static_cast<std::uint32_t>(cursor);
-    arrivals.filledPeriods = static_cast<std::uint32_t>(filled);
-    arrivals.runningSum = static_cast<std::uint32_t>(sum);
-
-    std::uint64_t trackerCount = 0;
-    if (!in.getVarint(trackerCount) ||
-        trackerCount != probTrackers.size())
-        return false; // tracker count is fixed by task registration
+    arrivals.walk(ar);
+    // The tracker count is fixed by task registration.
     std::vector<queueing::BitVectorWindow::State> windows;
-    windows.reserve(static_cast<std::size_t>(trackerCount));
-    for (std::uint64_t i = 0; i < trackerCount; ++i) {
-        queueing::BitVectorWindow::State window;
-        std::uint64_t bits = 0;
-        std::uint64_t ones = 0;
-        std::uint64_t windowCursor = 0;
-        std::uint64_t words = 0;
-        if (!in.getVarint(bits) || !in.getVarint(ones) ||
-            !in.getVarint(windowCursor) || !in.getVarint(words) ||
-            words > in.remaining() / 8)
-            return false;
-        window.filledBits = static_cast<std::uint32_t>(bits);
-        window.onesCount = static_cast<std::uint32_t>(ones);
-        window.cursor = static_cast<std::uint32_t>(windowCursor);
-        window.words.reserve(static_cast<std::size_t>(words));
-        for (std::uint64_t w = 0; w < words; ++w) {
-            std::uint64_t word = 0;
-            if (!in.getFixed64(word))
-                return false;
-            window.words.push_back(word);
-        }
-        windows.push_back(std::move(window));
-    }
-    std::uint64_t revision = 0;
-    if (!in.getVarint(revision))
-        return false;
+    windows.reserve(probTrackers.size());
+    for (const auto &tracker : probTrackers)
+        windows.push_back(tracker.exportState());
+    ar.check(ar.count(windows.size()) == windows.size());
+    for (queueing::BitVectorWindow::State &window : windows)
+        window.walk(ar);
+    std::uint64_t revision = stateRevision;
+    ar.varint(revision);
+    if (!ar.loaded())
+        return;
 
-    monitor.importState(circuitState);
+    monitor.importState(circuit);
     arrivalTracker.importState(arrivals);
     for (std::size_t i = 0; i < probTrackers.size(); ++i)
         probTrackers[i].importState(windows[i]);
@@ -297,7 +220,6 @@ TaskSystem::loadCheckpoint(util::wire::Reader &in)
     // would have replayed, so this cannot change any output byte.
     serviceMemo.clear();
     measureMemoValid = false;
-    return true;
 }
 
 } // namespace core

@@ -23,6 +23,10 @@
 #include "queueing/rate_tracker.hpp"
 #include "util/types.hpp"
 
+namespace quetzal::util::wire {
+class Archive;
+}
+
 namespace quetzal {
 namespace core {
 
@@ -156,19 +160,16 @@ class TaskSystem
     std::uint64_t revision() const { return stateRevision; }
 
     /**
-     * @name Checkpoint
-     * Serialize / restore the live trackers, circuit physical state
-     * and revision counter. The registry (tasks, jobs) and config are
-     * configuration: the restoring system must be built identically,
-     * and loadCheckpoint() returns false when the tracker count
-     * disagrees with the registered tasks (or on malformed bytes).
+     * Checkpoint: one walk that saves or loads the live trackers,
+     * circuit physical state and revision counter, by the archive's
+     * mode. The registry (tasks, jobs) and config are configuration:
+     * the restoring system must be built identically, and a load
+     * fails when the tracker count or a tracker's window disagrees
+     * with it (or on malformed bytes), leaving the system untouched.
      * Memo caches are dropped on restore — a miss recomputes the
      * exact double a hit would have replayed, so this is byte-inert.
      */
-    /// @{
-    void saveCheckpoint(std::string &out) const;
-    bool loadCheckpoint(util::wire::Reader &in);
-    /// @}
+    void checkpoint(util::wire::Archive &ar);
 
   private:
     /** Cold panic path kept out of line so the lookups inline. */

@@ -113,25 +113,12 @@ class EnergyStorage
     void reset(bool startFull = true);
 
     /**
-     * Overwrite the stored energy with a snapshot value (clamped to
-     * [0, capacity]) and zero the rejected-harvest accumulator. For
-     * external state snapshots: the fleet engine rehydrates scratch
-     * devices from struct-of-arrays state each slab and reads
+     * Restore from a snapshot: overwrites the stored energy (clamped
+     * to [0, capacity]) and the cumulative rejected-harvest
+     * accumulator. A resumed run passes the snapshot's total so its
+     * waste accounting continues; the fleet engine, which rehydrates
+     * scratch devices every slab, passes 0 and reads
      * rejectedHarvest() back as a per-slab delta.
-     */
-    void
-    restore(Joules amount)
-    {
-        stored = amount < 0.0 ? 0.0 : (amount > cap ? cap : amount);
-        rejected = 0.0;
-    }
-
-    /**
-     * Exact restore for checkpoint/resume: overwrites both the
-     * stored energy (unclamped beyond rounding — snapshots were
-     * taken from a valid store) and the cumulative rejected-harvest
-     * accumulator, so a resumed run's waste accounting continues
-     * from the snapshot instead of reading as a delta.
      */
     void
     restoreExact(Joules amount, Joules rejectedTotal)

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/logging.hpp"
+#include "util/wire.hpp"
 
 namespace quetzal {
 namespace fault {
@@ -273,110 +274,60 @@ FaultInjector::observePrediction(double predictedSeconds,
     calmStreak = 0;
 }
 
-namespace {
-
-namespace wire = util::wire;
+void
+FaultInjector::Window::walk(util::wire::Archive &ar)
+{
+    ar.varint(start);
+    ar.varint(end);
+    ar.enumeration(cls, kFaultClassCount);
+    ar.real(magnitude);
+}
 
 void
-putRng(std::string &out, const util::Rng &rng)
+FaultInjector::checkpoint(util::wire::Archive &ar)
 {
-    const util::Rng::State state = rng.exportState();
-    for (const std::uint64_t word : state.words)
-        wire::putFixed64(out, word);
-    wire::putDouble(out, state.cachedNormal);
-    out.push_back(state.hasCachedNormal ? '\1' : '\0');
-}
+    bool wasPrepared = prepared;
+    ar.flag(wasPrepared);
+    ar.check(wasPrepared == prepared);
+    util::Rng::State rngs[] = {
+        measurementRng.exportState(), executionRng.exportState(),
+        jitterRng.exportState(), windowRng.exportState()};
+    for (util::Rng::State &rng : rngs)
+        rng.walk(ar);
+    std::vector<Window> windows = windows_;
+    windows.resize(ar.count(windows.size()));
+    for (Window &window : windows)
+        window.walk(ar);
+    std::size_t pending = pendingWindow;
+    std::size_t burst = burstCursor;
+    ar.varint(pending);
+    ar.varint(burst);
+    ar.check(pending <= windows.size() && burst <= windows.size());
+    std::uint64_t counts[] = {injected_, detected_, mitigated_};
+    for (std::uint64_t &count : counts)
+        ar.varint(count);
+    bool episode = inEpisode;
+    std::uint32_t calm = calmStreak;
+    std::uint64_t seq = episodeSeq;
+    ar.flag(episode);
+    ar.varint(calm);
+    ar.varint(seq);
+    if (!ar.loaded())
+        return;
 
-bool
-getRng(wire::Reader &in, util::Rng &rng)
-{
-    util::Rng::State state;
-    for (std::uint64_t &word : state.words)
-        if (!in.getFixed64(word))
-            return false;
-    std::uint8_t hasCached = 0;
-    if (!in.getDouble(state.cachedNormal) || !in.getByte(hasCached) ||
-        hasCached > 1)
-        return false;
-    state.hasCachedNormal = hasCached != 0;
-    rng.importState(state);
-    return true;
-}
-
-} // namespace
-
-void
-FaultInjector::saveCheckpoint(std::string &out) const
-{
-    out.push_back(prepared ? '\1' : '\0');
-    putRng(out, measurementRng);
-    putRng(out, executionRng);
-    putRng(out, jitterRng);
-    putRng(out, windowRng);
-    wire::putVarint(out, windows_.size());
-    for (const Window &window : windows_) {
-        wire::putVarint(out, static_cast<std::uint64_t>(window.start));
-        wire::putVarint(out, static_cast<std::uint64_t>(window.end));
-        out.push_back(static_cast<char>(window.cls));
-        wire::putDouble(out, window.magnitude);
-    }
-    wire::putVarint(out, pendingWindow);
-    wire::putVarint(out, burstCursor);
-    wire::putVarint(out, injected_);
-    wire::putVarint(out, detected_);
-    wire::putVarint(out, mitigated_);
-    out.push_back(inEpisode ? '\1' : '\0');
-    wire::putVarint(out, calmStreak);
-    wire::putVarint(out, episodeSeq);
-}
-
-bool
-FaultInjector::loadCheckpoint(util::wire::Reader &in)
-{
-    std::uint8_t wasPrepared = 0;
-    if (!in.getByte(wasPrepared) || wasPrepared > 1 ||
-        (wasPrepared != 0) != prepared)
-        return false;
-    if (!getRng(in, measurementRng) || !getRng(in, executionRng) ||
-        !getRng(in, jitterRng) || !getRng(in, windowRng))
-        return false;
-    std::uint64_t windowCount = 0;
-    if (!in.getVarint(windowCount) || windowCount > in.remaining())
-        return false;
-    std::vector<Window> restored;
-    restored.reserve(static_cast<std::size_t>(windowCount));
-    for (std::uint64_t i = 0; i < windowCount; ++i) {
-        Window window;
-        std::uint64_t start = 0;
-        std::uint64_t end = 0;
-        std::uint8_t cls = 0;
-        if (!in.getVarint(start) || !in.getVarint(end) ||
-            !in.getByte(cls) || cls >= kFaultClassCount ||
-            !in.getDouble(window.magnitude))
-            return false;
-        window.start = static_cast<Tick>(start);
-        window.end = static_cast<Tick>(end);
-        window.cls = static_cast<FaultClass>(cls);
-        restored.push_back(window);
-    }
-    std::uint64_t pending = 0;
-    std::uint64_t burst = 0;
-    if (!in.getVarint(pending) || !in.getVarint(burst) ||
-        pending > windowCount || burst > windowCount ||
-        !in.getVarint(injected_) || !in.getVarint(detected_) ||
-        !in.getVarint(mitigated_))
-        return false;
-    std::uint8_t episode = 0;
-    std::uint64_t calm = 0;
-    if (!in.getByte(episode) || episode > 1 || !in.getVarint(calm) ||
-        !in.getVarint(episodeSeq))
-        return false;
-    windows_ = std::move(restored);
-    pendingWindow = static_cast<std::size_t>(pending);
-    burstCursor = static_cast<std::size_t>(burst);
-    inEpisode = episode != 0;
-    calmStreak = static_cast<std::uint32_t>(calm);
-    return true;
+    measurementRng.importState(rngs[0]);
+    executionRng.importState(rngs[1]);
+    jitterRng.importState(rngs[2]);
+    windowRng.importState(rngs[3]);
+    windows_ = std::move(windows);
+    pendingWindow = pending;
+    burstCursor = burst;
+    injected_ = counts[0];
+    detected_ = counts[1];
+    mitigated_ = counts[2];
+    inEpisode = episode;
+    calmStreak = calm;
+    episodeSeq = seq;
 }
 
 } // namespace fault

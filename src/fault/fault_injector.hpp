@@ -30,7 +30,10 @@
 #include "obs/trace_sink.hpp"
 #include "util/random.hpp"
 #include "util/types.hpp"
-#include "util/wire.hpp"
+
+namespace quetzal::util::wire {
+class Archive;
+}
 
 namespace quetzal {
 namespace fault {
@@ -49,6 +52,10 @@ class FaultInjector
         Tick end = 0; ///< right-open; == start for point faults
         FaultClass cls = FaultClass::PowerDropout;
         double magnitude = 0.0;
+
+        /** Checkpoint wire layout: varint start and end, class byte,
+         *  bit-exact magnitude. */
+        void walk(util::wire::Archive &ar);
     };
 
     /**
@@ -121,13 +128,12 @@ class FaultInjector
      * four RNG streams, the scheduled windows, the announcement and
      * burst cursors, the counters and the detection-episode state.
      * The restoring injector must be built from the same (spec,
-     * runSeed) and prepare()d with the same horizon; loadCheckpoint()
-     * returns false on malformed bytes or a preparedness mismatch.
+     * runSeed) and prepare()d with the same horizon. One walk saves
+     * or loads, by the archive's mode; a load that fails (malformed
+     * bytes, a preparedness mismatch, a cursor past the windows)
+     * leaves the injector untouched and the archive failed.
      */
-    /// @{
-    void saveCheckpoint(std::string &out) const;
-    bool loadCheckpoint(util::wire::Reader &in);
-    /// @}
+    void checkpoint(util::wire::Archive &ar);
 
   private:
     /** Append exponential-gap windows of one class to windows_. */

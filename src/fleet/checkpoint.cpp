@@ -17,6 +17,9 @@
  *                  per device: charge taskTicksLeft phaseTicksLeft
  *                              cursor phase occupancy level scratch
  *
+ * The fields ahead of the shard sections are one walk (walkHeader)
+ * shared by encode and decode; the device columns keep raw-store
+ * encoders, since the barrier snapshot is the fleet's checkpoint tax.
  * Decode validates structure against the resuming configuration —
  * cohort count, per-shard device ranges (re-derived from the stored
  * shard count), section fingerprints and CRCs — before anything is
@@ -34,72 +37,6 @@ namespace fleet {
 namespace wire = util::wire;
 
 namespace {
-
-void
-putCounters(std::string &out, const CohortCounters &c)
-{
-    wire::putVarint(out, c.captures);
-    wire::putVarint(out, c.missedCaptures);
-    wire::putVarint(out, c.storedInputs);
-    wire::putVarint(out, c.dropsInteresting);
-    wire::putVarint(out, c.dropsUninteresting);
-    wire::putVarint(out, c.jobsCompleted);
-    wire::putVarint(out, c.degradedJobs);
-    wire::putVarint(out, c.powerFailures);
-    wire::putVarint(out, c.checkpointSaves);
-    wire::putVarint(out, c.rechargeTicks);
-    wire::putVarint(out, c.activeTicks);
-    wire::putVarint(out, c.chargeNanojoules);
-    wire::putVarint(out, c.wastedNanojoules);
-    wire::putVarint(out, c.occupancySum);
-    wire::putVarint(out, c.devicesOff);
-}
-
-bool
-getCounters(wire::Reader &in, CohortCounters &c)
-{
-    return in.getVarint(c.captures) && in.getVarint(c.missedCaptures) &&
-        in.getVarint(c.storedInputs) &&
-        in.getVarint(c.dropsInteresting) &&
-        in.getVarint(c.dropsUninteresting) &&
-        in.getVarint(c.jobsCompleted) && in.getVarint(c.degradedJobs) &&
-        in.getVarint(c.powerFailures) &&
-        in.getVarint(c.checkpointSaves) &&
-        in.getVarint(c.rechargeTicks) && in.getVarint(c.activeTicks) &&
-        in.getVarint(c.chargeNanojoules) &&
-        in.getVarint(c.wastedNanojoules) &&
-        in.getVarint(c.occupancySum) && in.getVarint(c.devicesOff);
-}
-
-void
-putEvent(std::string &out, const obs::Event &event)
-{
-    out.push_back(static_cast<char>(event.kind));
-    wire::putVarint(out, static_cast<std::uint64_t>(event.tick));
-    wire::putVarint(out, event.id);
-    wire::putZigzag(out, event.value);
-    wire::putZigzag(out, event.extra);
-    wire::putDouble(out, event.a);
-    wire::putDouble(out, event.b);
-    wire::putFixed32(out, event.flags);
-    wire::putFixed32(out, event.options);
-}
-
-bool
-getEvent(wire::Reader &in, obs::Event &event)
-{
-    std::uint8_t kind = 0;
-    std::uint64_t tick = 0;
-    if (!in.getByte(kind) || kind >= obs::kEventKindCount ||
-        !in.getVarint(tick) || !in.getVarint(event.id) ||
-        !in.getZigzag(event.value) || !in.getZigzag(event.extra) ||
-        !in.getDouble(event.a) || !in.getDouble(event.b) ||
-        !in.getFixed32(event.flags) || !in.getFixed32(event.options))
-        return false;
-    event.kind = static_cast<obs::EventKind>(kind);
-    event.tick = static_cast<Tick>(tick);
-    return true;
-}
 
 void
 putBlock(std::string &out, const CohortBlock &block)
@@ -178,7 +115,90 @@ mix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
+/**
+ * The fields ahead of the shard sections, in wire order, for both
+ * directions. `cohortCount` is the snapshot's own on save and the
+ * resuming configuration's on decode, where the stored counts are
+ * checked against it with named diagnostics.
+ */
+bool
+walkHeader(wire::Archive &ar, FleetSnapshot &snap,
+           std::size_t cohortCount, std::string &error)
+{
+    ar.section("truncated fleet state (shard/cohort header)");
+    std::uint64_t storedShards = snap.shards;
+    std::uint64_t storedCohorts = cohortCount;
+    ar.varint(storedShards);
+    ar.varint(storedCohorts);
+    if (!ar.ok()) {
+        error = ar.failure();
+        return false;
+    }
+    if (storedShards == 0 || storedShards > 65536) {
+        error = util::msg("fleet state names an invalid shard count (",
+                          storedShards, ")");
+        return false;
+    }
+    if (storedCohorts != cohortCount) {
+        error = util::msg("fleet state cohort count mismatch (snapshot "
+                          "has ", storedCohorts,
+                          ", resuming configuration has ", cohortCount,
+                          ")");
+        return false;
+    }
+    snap.shards = static_cast<unsigned>(storedShards);
+
+    snap.coordinator.resize(cohortCount);
+    snap.cohortTotals.resize(cohortCount);
+    snap.rollupBase.resize(cohortCount);
+    snap.shardTotals.resize(snap.shards);
+    ar.section("truncated fleet state (coordinator directives)");
+    for (FleetCoordinator::CohortState &c : snap.coordinator)
+        c.walk(ar);
+    ar.section("truncated fleet state (cohort totals)");
+    for (CohortCounters &c : snap.cohortTotals)
+        c.walk(ar);
+    ar.section("truncated fleet state (rollup baseline)");
+    for (CohortCounters &c : snap.rollupBase)
+        c.walk(ar);
+    ar.section("truncated fleet state (shard totals)");
+    for (CohortCounters &s : snap.shardTotals)
+        s.walk(ar);
+    ar.section("truncated fleet state (event count)");
+    snap.events.resize(ar.count(snap.events.size()));
+    ar.section("malformed fleet state (replay event)");
+    for (obs::Event &event : snap.events)
+        event.walk(ar);
+    if (!ar.ok()) {
+        error = ar.failure();
+        return false;
+    }
+    return true;
+}
+
 } // namespace
+
+void
+CohortCounters::walk(wire::Archive &ar)
+{
+    for (std::uint64_t *counter :
+         {&captures, &missedCaptures, &storedInputs, &dropsInteresting,
+          &dropsUninteresting, &jobsCompleted, &degradedJobs,
+          &powerFailures, &checkpointSaves, &rechargeTicks,
+          &activeTicks, &chargeNanojoules, &wastedNanojoules,
+          &occupancySum, &devicesOff})
+        ar.varint(*counter);
+}
+
+void
+FleetCoordinator::CohortState::walk(wire::Archive &ar)
+{
+    ar.byte(directive.baseLevel);
+    ar.byte(directive.pressureLevel);
+    ar.fixed32(directive.occupancyHigh);
+    ar.fixed64(directive.chargeLowNano);
+    ar.byte(lastBase);
+}
 
 std::uint64_t
 fleetFingerprint(const FleetConfig &config)
@@ -231,28 +251,12 @@ validBarrierTick(const FleetConfig &config, Tick tick)
 }
 
 std::string
-encodeFleetState(const FleetSnapshot &snap,
-                 std::uint64_t fleetFingerprint_)
+encodeFleetState(FleetSnapshot &snap, std::uint64_t fleetFingerprint_)
 {
     std::string out;
-    wire::putVarint(out, snap.shards);
-    wire::putVarint(out, snap.coordinator.size());
-    for (const FleetCoordinator::CohortState &c : snap.coordinator) {
-        out.push_back(static_cast<char>(c.directive.baseLevel));
-        out.push_back(static_cast<char>(c.directive.pressureLevel));
-        wire::putFixed32(out, c.directive.occupancyHigh);
-        wire::putFixed64(out, c.directive.chargeLowNano);
-        out.push_back(static_cast<char>(c.lastBase));
-    }
-    for (const CohortCounters &c : snap.cohortTotals)
-        putCounters(out, c);
-    for (const CohortCounters &c : snap.rollupBase)
-        putCounters(out, c);
-    for (const CohortCounters &s : snap.shardTotals)
-        putCounters(out, s);
-    wire::putVarint(out, snap.events.size());
-    for (const obs::Event &event : snap.events)
-        putEvent(out, event);
+    wire::Archive ar(out);
+    std::string error;
+    (void)walkHeader(ar, snap, snap.coordinator.size(), error);
 
     std::string section;
     for (unsigned s = 0; s < snap.shards; ++s) {
@@ -261,8 +265,9 @@ encodeFleetState(const FleetSnapshot &snap,
                          shardFingerprint(fleetFingerprint_, s));
         for (const CohortBlock &block : snap.states[s].blocks)
             putBlock(section, block);
-        wire::putBytes(out, section);
-        wire::putFixed32(out, wire::crc32(section));
+        std::uint32_t crc = wire::crc32(section);
+        ar.bytes(section);
+        ar.fixed32(crc);
     }
     return out;
 }
@@ -274,85 +279,17 @@ decodeFleetState(const std::string &blob, const FleetConfig &config,
     snap = FleetSnapshot{};
     const std::uint64_t fp = fleetFingerprint(config);
     const std::size_t cohortCount = config.cohorts.size();
-    wire::Reader in(blob);
-
-    std::uint64_t storedShards = 0;
-    std::uint64_t storedCohorts = 0;
-    if (!in.getVarint(storedShards) || !in.getVarint(storedCohorts)) {
-        error = "truncated fleet state (shard/cohort header)";
+    wire::Archive ar{wire::Reader(blob)};
+    if (!walkHeader(ar, snap, cohortCount, error))
         return false;
-    }
-    if (storedShards == 0 || storedShards > 65536) {
-        error = util::msg("fleet state names an invalid shard count (",
-                          storedShards, ")");
-        return false;
-    }
-    if (storedCohorts != cohortCount) {
-        error = util::msg("fleet state cohort count mismatch (snapshot "
-                          "has ", storedCohorts,
-                          ", resuming configuration has ", cohortCount,
-                          ")");
-        return false;
-    }
-    snap.shards = static_cast<unsigned>(storedShards);
-
-    snap.coordinator.resize(cohortCount);
-    for (FleetCoordinator::CohortState &c : snap.coordinator) {
-        std::uint8_t base = 0;
-        std::uint8_t pressure = 0;
-        std::uint8_t lastBase = 0;
-        if (!in.getByte(base) || !in.getByte(pressure) ||
-            !in.getFixed32(c.directive.occupancyHigh) ||
-            !in.getFixed64(c.directive.chargeLowNano) ||
-            !in.getByte(lastBase)) {
-            error = "truncated fleet state (coordinator directives)";
-            return false;
-        }
-        c.directive.baseLevel = base;
-        c.directive.pressureLevel = pressure;
-        c.lastBase = lastBase;
-    }
-
-    snap.cohortTotals.resize(cohortCount);
-    snap.rollupBase.resize(cohortCount);
-    for (CohortCounters &c : snap.cohortTotals) {
-        if (!getCounters(in, c)) {
-            error = "truncated fleet state (cohort totals)";
-            return false;
-        }
-    }
-    for (CohortCounters &c : snap.rollupBase) {
-        if (!getCounters(in, c)) {
-            error = "truncated fleet state (rollup baseline)";
-            return false;
-        }
-    }
-    snap.shardTotals.resize(snap.shards);
-    for (CohortCounters &s : snap.shardTotals) {
-        if (!getCounters(in, s)) {
-            error = "truncated fleet state (shard totals)";
-            return false;
-        }
-    }
-
-    std::uint64_t eventCount = 0;
-    if (!in.getVarint(eventCount) || eventCount > in.remaining()) {
-        error = "truncated fleet state (event count)";
-        return false;
-    }
-    snap.events.resize(static_cast<std::size_t>(eventCount));
-    for (obs::Event &event : snap.events) {
-        if (!getEvent(in, event)) {
-            error = "malformed fleet state (replay event)";
-            return false;
-        }
-    }
 
     snap.states.resize(snap.shards);
     std::string section;
     for (unsigned s = 0; s < snap.shards; ++s) {
         std::uint32_t crc = 0;
-        if (!in.getBytes(section) || !in.getFixed32(crc)) {
+        ar.bytes(section);
+        ar.fixed32(crc);
+        if (!ar.ok()) {
             error = util::msg("truncated fleet state (shard section ",
                               s, ")");
             return false;
@@ -391,7 +328,7 @@ decodeFleetState(const std::string &blob, const FleetConfig &config,
             return false;
         }
     }
-    if (!in.atEnd()) {
+    if (!ar.atEnd()) {
         error = "trailing bytes after fleet state";
         return false;
     }

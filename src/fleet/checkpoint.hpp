@@ -74,8 +74,10 @@ std::uint64_t shardFingerprint(std::uint64_t fleetFingerprint,
  */
 bool validBarrierTick(const FleetConfig &config, Tick tick);
 
-/** Serialize a snapshot into a QZCK state payload. */
-std::string encodeFleetState(const FleetSnapshot &snap,
+/** Serialize a snapshot into a QZCK state payload. Takes the snapshot
+ *  by non-const reference because one walk both encodes and decodes
+ *  the header fields; encoding only reads it. */
+std::string encodeFleetState(FleetSnapshot &snap,
                              std::uint64_t fleetFingerprint);
 
 /**

@@ -26,6 +26,10 @@
 
 #include "fleet/fleet.hpp"
 
+namespace quetzal::util::wire {
+class Archive;
+}
+
 namespace quetzal {
 namespace fleet {
 
@@ -89,6 +93,10 @@ class FleetCoordinator
     {
         Directive directive;
         std::uint8_t lastBase = 0;
+
+        /** Checkpoint wire layout: base and pressure level bytes,
+         *  fixed32 occupancyHigh, fixed64 chargeLowNano, lastBase. */
+        void walk(util::wire::Archive &ar);
     };
 
     /** Snapshot the per-cohort rule state, in cohort order. */

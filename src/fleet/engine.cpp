@@ -130,10 +130,11 @@ advanceBlock(CohortBlock &block, const CohortConfig &cohort,
         state.energy = block.charge[i];
         state.phase =
             static_cast<sim::DevicePhase>(block.phase[i]);
+        state.taskPower = cohort.taskPower;
         state.remainingTaskTicks = block.taskTicksLeft[i];
         state.remainingPhaseTicks = block.phaseTicksLeft[i];
         state.cursorIndex = block.cursor[i];
-        scratch.importState(state, cohort.taskPower);
+        scratch.importState(state);
 
         std::uint32_t occupancy = block.occupancy[i];
         std::uint8_t lastLevel = block.level[i];

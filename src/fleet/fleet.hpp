@@ -36,6 +36,10 @@
 #include "trace/event_generator.hpp"
 #include "util/types.hpp"
 
+namespace quetzal::util::wire {
+class Archive;
+}
+
 namespace quetzal {
 namespace fleet {
 
@@ -122,6 +126,10 @@ struct CohortCounters
     /** Field-wise sum (counter fields; end-of-slab gauges add too,
      *  which is exactly right when summing across shards). */
     void add(const CohortCounters &other);
+
+    /** Checkpoint wire layout: every field as a varint, in
+     *  declaration order. */
+    void walk(util::wire::Archive &ar);
 };
 
 /** Final per-cohort outcome. */

@@ -1,6 +1,7 @@
 #include "hw/power_monitor_circuit.hpp"
 
 #include "util/logging.hpp"
+#include "util/wire.hpp"
 
 namespace quetzal {
 namespace hw {
@@ -68,6 +69,17 @@ PowerMonitorCircuit::measureCapCode()
 {
     select(Channel::Vcap);
     return read();
+}
+
+void
+PowerMonitorCircuit::State::walk(util::wire::Archive &ar)
+{
+    ar.real(inputPower);
+    ar.real(executionPower);
+    ar.real(capVoltage);
+    ar.real(temperature);
+    ar.byte(selected);
+    ar.check(selected <= static_cast<std::uint8_t>(Channel::Vexe));
 }
 
 } // namespace hw

@@ -22,6 +22,10 @@
 #include "hw/diode.hpp"
 #include "util/types.hpp"
 
+namespace quetzal::util::wire {
+class Archive;
+}
+
 namespace quetzal {
 namespace hw {
 
@@ -110,6 +114,10 @@ class PowerMonitorCircuit
         Volts capVoltage = 0.0;
         Kelvin temperature = 0.0;
         std::uint8_t selected = 0; ///< Channel as its underlying value
+
+        /** The wire layout: four doubles, then the channel byte
+         *  (load rejects a value that names no Channel). */
+        void walk(util::wire::Archive &ar);
     };
 
     /** Snapshot the physical side (see State). */

@@ -1,6 +1,7 @@
 #include "obs/event.hpp"
 
 #include "util/logging.hpp"
+#include "util/wire.hpp"
 
 namespace quetzal {
 namespace obs {
@@ -100,6 +101,20 @@ unpackOptions(std::uint32_t packed, std::size_t count)
     for (std::size_t i = 0; i < count && i < 8; ++i)
         options[i] = (packed >> (4 * i)) & 0xf;
     return options;
+}
+
+void
+Event::walk(util::wire::Archive &ar)
+{
+    ar.enumeration(kind, kEventKindCount);
+    ar.varint(tick);
+    ar.varint(id);
+    ar.zigzag(value);
+    ar.zigzag(extra);
+    ar.real(a);
+    ar.real(b);
+    ar.fixed32(flags);
+    ar.fixed32(options);
 }
 
 } // namespace obs

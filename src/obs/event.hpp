@@ -28,6 +28,10 @@
 
 #include "util/types.hpp"
 
+namespace quetzal::util::wire {
+class Archive;
+}
+
 namespace quetzal {
 namespace obs {
 
@@ -137,6 +141,11 @@ struct Event
     std::uint32_t flags = 0;
     /** Per-task degradation options, 4 bits per task position. */
     std::uint32_t options = 0;
+
+    /** Checkpoint wire layout (the fleet replays buffered events on
+     *  resume): kind byte, varint tick and id, zigzag value and
+     *  extra, bit-exact a and b, fixed32 flags and options. */
+    void walk(util::wire::Archive &ar);
 };
 
 /**

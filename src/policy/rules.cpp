@@ -133,16 +133,10 @@ RulePolicy::admit(const core::PolicyContext &ctx, const core::Job &job)
 }
 
 void
-RulePolicy::saveState(std::string &out) const
+RulePolicy::state(util::wire::Archive &ar)
 {
     if (admitRule.kind == AdmitRule::Kind::Ibo)
-        ibo.saveState(out);
-}
-
-bool
-RulePolicy::loadState(util::wire::Reader &in)
-{
-    return admitRule.kind != AdmitRule::Kind::Ibo || ibo.loadState(in);
+        ibo.state(ar);
 }
 
 } // namespace policy

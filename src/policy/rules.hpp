@@ -77,10 +77,9 @@ class RulePolicy : public core::SchedulingPolicy
     core::AdaptationDecision admit(const core::PolicyContext &ctx,
                                    const core::Job &job) override;
 
-    /** The Ibo rule serializes the engine's per-task options; every
+    /** The Ibo rule walks the engine's per-task options; every
      *  other rule is stateless. */
-    void saveState(std::string &out) const override;
-    bool loadState(util::wire::Reader &in) override;
+    void state(util::wire::Archive &ar) override;
 
   private:
     RankRule rankRule;

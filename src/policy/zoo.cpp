@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "util/wire.hpp"
+
 namespace quetzal {
 namespace policy {
 
@@ -166,15 +168,12 @@ ZygardePolicy::onBufferOverflow(const core::TaskSystem &system,
 }
 
 void
-ZygardePolicy::saveState(std::string &out) const
+ZygardePolicy::state(util::wire::Archive &ar)
 {
-    util::wire::putDouble(out, overflowPressure);
-}
-
-bool
-ZygardePolicy::loadState(util::wire::Reader &in)
-{
-    return in.getDouble(overflowPressure);
+    double pressure = overflowPressure;
+    ar.real(pressure);
+    if (ar.loaded())
+        overflowPressure = pressure;
 }
 
 std::optional<core::SchedulerDecision>

@@ -42,9 +42,8 @@ class ZygardePolicy : public core::SchedulingPolicy
                           const queueing::InputRecord &dropped,
                           Tick now) override;
 
-    /** Serializes the overflow pressure. */
-    void saveState(std::string &out) const override;
-    bool loadState(util::wire::Reader &in) override;
+    /** Walks the overflow pressure. */
+    void state(util::wire::Archive &ar) override;
 
   private:
     /**

@@ -1,6 +1,7 @@
 #include "queueing/bitvector_window.hpp"
 
 #include "util/logging.hpp"
+#include "util/wire.hpp"
 
 namespace quetzal {
 namespace queueing {
@@ -83,6 +84,18 @@ BitVectorWindow::clear()
     cursor = 0;
     for (auto &word : words)
         word = 0;
+}
+
+void
+BitVectorWindow::State::walk(util::wire::Archive &ar)
+{
+    ar.varint(filledBits);
+    ar.varint(onesCount);
+    ar.varint(cursor);
+    ar.check(ar.count(words.size()) == words.size());
+    for (std::uint64_t &word : words)
+        ar.fixed64(word);
+    ar.check(cursor < windowBits && filledBits <= windowBits);
 }
 
 } // namespace queueing

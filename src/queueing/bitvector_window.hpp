@@ -19,6 +19,10 @@
 
 #include "util/fixed_point.hpp"
 
+namespace quetzal::util::wire {
+class Archive;
+}
+
 namespace quetzal {
 namespace queueing {
 
@@ -67,8 +71,9 @@ class BitVectorWindow
 
     /**
      * Mutable internals for checkpoint/restore. The window size is
-     * construction-time configuration, not state, so it is asserted
-     * against rather than restored.
+     * construction-time configuration, not state: exportState() fills
+     * it so that a walk into an exported snapshot can check the bytes
+     * against it, and it is never written.
      */
     struct State
     {
@@ -76,12 +81,21 @@ class BitVectorWindow
         std::uint32_t onesCount = 0;
         std::uint32_t cursor = 0;
         std::vector<std::uint64_t> words;
+        std::uint32_t windowBits = 0;
+
+        /**
+         * The wire layout: varint filledBits, onesCount, cursor, word
+         * count, then the words as fixed64. Load rejects a word count
+         * other than the window's and a cursor or fill level outside
+         * it, either of which would index past the words.
+         */
+        void walk(util::wire::Archive &ar);
     };
 
     /** Snapshot the window contents (see State). */
     State exportState() const
     {
-        return State{filledBits, onesCount, cursor, words};
+        return State{filledBits, onesCount, cursor, words, windowBits};
     }
 
     /**

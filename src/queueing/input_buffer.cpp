@@ -1,6 +1,7 @@
 #include "queueing/input_buffer.hpp"
 
 #include "util/logging.hpp"
+#include "util/wire.hpp"
 
 namespace quetzal {
 namespace queueing {
@@ -390,6 +391,29 @@ InputBuffer::clear()
     captureStrictlyIncreasing = true;
     anyPush = false;
     lastPushCaptureTick = 0;
+}
+
+void
+InputBuffer::State::walk(util::wire::Archive &ar)
+{
+    ar.section("buffer record count");
+    records.resize(ar.count(records.size()));
+    ar.section("buffer record");
+    for (InputRecord &rec : records) {
+        ar.varint(rec.id);
+        ar.varint(rec.captureTick);
+        ar.varint(rec.enqueueTick);
+        ar.varint(rec.jobId);
+        ar.flag(rec.interesting);
+    }
+    ar.section("buffer counters");
+    ar.varint(overflows.total);
+    ar.varint(overflows.interesting);
+    ar.varint(maxPushedId);
+    ar.flag(anyIdPushed);
+    ar.flag(captureStrictlyIncreasing);
+    ar.flag(anyPush);
+    ar.zigzag(lastPushCaptureTick);
 }
 
 } // namespace queueing

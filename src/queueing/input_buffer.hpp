@@ -37,6 +37,10 @@
 
 #include "util/types.hpp"
 
+namespace quetzal::util::wire {
+class Archive;
+}
+
 namespace quetzal {
 namespace queueing {
 
@@ -190,6 +194,17 @@ class InputBuffer
         bool captureStrictlyIncreasing = true;
         bool anyPush = false;
         Tick lastPushCaptureTick = 0;
+
+        /**
+         * The wire layout, under the resume diagnostics' section
+         * names: the record count, each record (varint id, capture
+         * tick, enqueue tick, job id; interesting flag), then the
+         * overflow counters, the id/capture-order history and the
+         * zigzag last capture tick. The caller checks the count
+         * against the restoring buffer's capacity and job ids against
+         * its job table.
+         */
+        void walk(util::wire::Archive &ar);
     };
 
     /**

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/logging.hpp"
+#include "util/wire.hpp"
 
 namespace quetzal {
 namespace queueing {
@@ -109,6 +110,19 @@ double
 ExecutionProbabilityTracker::probability() const
 {
     return window.fraction(1.0);
+}
+
+void
+ArrivalRateTracker::State::walk(util::wire::Archive &ar)
+{
+    const std::size_t periods = counts.size();
+    ar.check(ar.count(periods) == periods);
+    for (std::uint8_t &count : counts)
+        ar.varint(count);
+    ar.varint(cursor);
+    ar.varint(filledPeriods);
+    ar.varint(runningSum);
+    ar.check(cursor < periods && filledPeriods <= periods);
 }
 
 } // namespace queueing

@@ -22,6 +22,10 @@
 
 #include "queueing/bitvector_window.hpp"
 
+namespace quetzal::util::wire {
+class Archive;
+}
+
 namespace quetzal {
 namespace queueing {
 
@@ -89,6 +93,15 @@ class ArrivalRateTracker
         std::uint32_t cursor = 0;
         std::uint32_t filledPeriods = 0;
         std::uint32_t runningSum = 0;
+
+        /**
+         * The wire layout: varint period count, one varint per
+         * period, varint cursor, filledPeriods, runningSum. The
+         * window size is configuration: load walks into a snapshot
+         * exported from the restoring tracker and rejects a count
+         * other than its own, and a cursor or fill level past it.
+         */
+        void walk(util::wire::Archive &ar);
     };
 
     /** Snapshot the tracker contents (see State). */

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/logging.hpp"
+#include "util/wire.hpp"
 
 namespace quetzal {
 namespace sim {
@@ -20,58 +21,56 @@ Device::exportState() const
 {
     State state;
     state.energy = storage.energy();
+    state.rejectedHarvest = storage.rejectedHarvest();
     state.phase = currentPhase;
+    state.taskPower = taskPower;
     state.remainingTaskTicks = remainingTaskTicks;
     state.remainingPhaseTicks = remainingPhaseTicks;
     state.progressSinceSave = progressSinceSave;
     state.periodicSaveInProgress = periodicSaveInProgress;
     state.cursorIndex = powerCursor.position();
+    state.stats = deviceStats;
     return state;
 }
 
 void
-Device::importState(const State &state, Watts power)
+Device::importState(const State &state)
 {
-    storage.restore(state.energy);
+    storage.restoreExact(state.energy, state.rejectedHarvest);
     currentPhase = state.phase;
-    taskPower = power;
+    taskPower = state.taskPower;
     remainingTaskTicks = state.remainingTaskTicks;
     remainingPhaseTicks = state.remainingPhaseTicks;
     progressSinceSave = state.progressSinceSave;
     periodicSaveInProgress = state.periodicSaveInProgress;
     powerCursor.restore(state.cursorIndex);
-    deviceStats = DeviceStats{};
-}
-
-Device::CheckpointState
-Device::exportCheckpoint() const
-{
-    CheckpointState snapshot;
-    snapshot.energy = storage.energy();
-    snapshot.rejectedHarvest = storage.rejectedHarvest();
-    snapshot.phase = currentPhase;
-    snapshot.taskPower = taskPower;
-    snapshot.remainingTaskTicks = remainingTaskTicks;
-    snapshot.remainingPhaseTicks = remainingPhaseTicks;
-    snapshot.progressSinceSave = progressSinceSave;
-    snapshot.periodicSaveInProgress = periodicSaveInProgress;
-    snapshot.cursorIndex = powerCursor.position();
-    snapshot.stats = deviceStats;
-    return snapshot;
+    deviceStats = state.stats;
 }
 
 void
-Device::importCheckpoint(const CheckpointState &snapshot)
+DeviceStats::walk(util::wire::Archive &ar)
 {
-    storage.restoreExact(snapshot.energy, snapshot.rejectedHarvest);
-    currentPhase = snapshot.phase;
-    taskPower = snapshot.taskPower;
-    remainingTaskTicks = snapshot.remainingTaskTicks;
-    remainingPhaseTicks = snapshot.remainingPhaseTicks;
-    progressSinceSave = snapshot.progressSinceSave;
-    periodicSaveInProgress = snapshot.periodicSaveInProgress;
-    powerCursor.restore(snapshot.cursorIndex);
-    deviceStats = snapshot.stats;
+    ar.varint(powerFailures);
+    ar.varint(checkpointSaves);
+    ar.varint(rechargeTicks);
+    ar.varint(activeTicks);
+    ar.varint(rolledBackTicks);
+}
+
+void
+Device::State::walk(util::wire::Archive &ar)
+{
+    ar.real(energy);
+    ar.real(rejectedHarvest);
+    ar.enumeration(phase,
+                   static_cast<std::size_t>(DevicePhase::Restoring) + 1);
+    ar.real(taskPower);
+    ar.varint(remainingTaskTicks);
+    ar.varint(remainingPhaseTicks);
+    ar.varint(progressSinceSave);
+    ar.flag(periodicSaveInProgress);
+    ar.varint(cursorIndex);
+    stats.walk(ar);
 }
 
 void

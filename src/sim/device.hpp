@@ -29,6 +29,10 @@
 #include "energy/power_trace.hpp"
 #include "util/types.hpp"
 
+namespace quetzal::util::wire {
+class Archive;
+}
+
 namespace quetzal {
 namespace sim {
 
@@ -49,6 +53,9 @@ struct DeviceStats
     Tick rechargeTicks = 0;          ///< time spent off, recharging
     Tick activeTicks = 0;            ///< time actually executing tasks
     Tick rolledBackTicks = 0;        ///< re-executed work (Periodic)
+
+    /** The wire layout: five varints in declaration order. */
+    void walk(util::wire::Archive &ar);
 };
 
 /**
@@ -97,66 +104,39 @@ class Device
     void drawInstantaneous(Joules amount);
 
     /**
-     * Compact snapshot of the mutable per-device state: plain
-     * scalars only, so a fleet shard can persist millions of devices
-     * in struct-of-arrays form between time slabs and rehydrate a
-     * single scratch Device per cohort. Cumulative stats are *not*
-     * part of the snapshot — importState() zeroes them, so the
-     * caller reads stats() as a per-slab delta.
+     * Everything mutable about the device. A simulator checkpoint
+     * carries all of it, so a resumed run reports the totals the
+     * uninterrupted run would have. A fleet shard persists millions
+     * of devices in struct-of-arrays form between time slabs and
+     * keeps only the energy, phase, timers and trace cursor: it
+     * rehydrates one scratch Device per cohort with the cohort's
+     * task power and zero rejected harvest and stats, so both read
+     * back as per-slab deltas.
      */
     struct State
     {
         Joules energy = 0.0;
+        Joules rejectedHarvest = 0.0; ///< cumulative, see EnergyStorage
         DevicePhase phase = DevicePhase::Idle;
+        Watts taskPower = 0.0; ///< execution power of the loaded task
         Tick remainingTaskTicks = 0;
         Tick remainingPhaseTicks = 0;
         Tick progressSinceSave = 0;
         bool periodicSaveInProgress = false;
         std::size_t cursorIndex = 0; ///< PowerTrace::Cursor position
+        DeviceStats stats;
+
+        /** The wire layout, in declaration order (the phase as one
+         *  byte; load rejects a value that names no phase). */
+        void walk(util::wire::Archive &ar);
     };
 
-    /** Snapshot the mutable state (see State). */
+    /** Snapshot everything mutable (see State). */
     State exportState() const;
 
-    /**
-     * Rehydrate from a snapshot taken against the same profile and
-     * power trace: restores energy/phase/task bookkeeping and the
-     * trace cursor, zeroes cumulative stats and the rejected-harvest
-     * accumulator so both read back as per-slab deltas.
-     * @param power execution power of the in-flight task (constant
-     *        per cohort, so not stored per device)
-     */
-    void importState(const State &state, Watts power);
-
-    /**
-     * Full mid-run snapshot for checkpoint/resume: unlike State (the
-     * fleet's per-slab delta snapshot), this preserves the cumulative
-     * stats, the in-flight task's execution power and the exact
-     * rejected-harvest accumulator, so a resumed run reports the
-     * totals the uninterrupted run would have.
-     */
-    struct CheckpointState
-    {
-        Joules energy = 0.0;
-        Joules rejectedHarvest = 0.0;
-        DevicePhase phase = DevicePhase::Idle;
-        Watts taskPower = 0.0;
-        Tick remainingTaskTicks = 0;
-        Tick remainingPhaseTicks = 0;
-        Tick progressSinceSave = 0;
-        bool periodicSaveInProgress = false;
-        std::size_t cursorIndex = 0;
-        DeviceStats stats;
-    };
-
-    /** Snapshot everything mutable (see CheckpointState). */
-    CheckpointState exportCheckpoint() const;
-
-    /**
-     * Rehydrate from a snapshot taken against the same profile and
-     * power trace, preserving cumulative stats exactly.
-     */
-    void importCheckpoint(const CheckpointState &snapshot);
+    /** Rehydrate from a snapshot taken against the same profile and
+     *  power trace. */
+    void importState(const State &state);
 
     /** Cumulative statistics. */
     const DeviceStats &stats() const { return deviceStats; }

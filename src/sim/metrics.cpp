@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <initializer_list>
 #include <ostream>
+
+#include "util/wire.hpp"
 
 namespace quetzal {
 namespace sim {
@@ -144,6 +147,36 @@ iboRatio(const Metrics &baseline, const Metrics &quetzal)
         quetzal.iboDropsInteresting + quetzal.unprocessedInteresting,
         1));
     return b / q;
+}
+
+void
+Metrics::walk(util::wire::Archive &ar)
+{
+    for (std::uint64_t *counter :
+         {&eventsTotal, &eventsInteresting, &interestingInputsNominal,
+          &captures, &interestingCaptured, &uninterestingCaptured,
+          &storedInputs, &iboDropsInteresting, &iboDropsUninteresting,
+          &fnDiscards, &fpPositives, &unprocessedInteresting,
+          &txInterestingHq, &txInterestingLq, &txUninterestingHq,
+          &txUninterestingLq, &jobsCompleted, &degradedJobs,
+          &iboPredictions, &powerFailures, &checkpointSaves})
+        ar.varint(*counter);
+    for (Tick *ticks :
+         {&rechargeTicks, &activeTicks, &rolledBackTicks, &simulatedTicks})
+        ar.varint(*ticks);
+    ar.varint(deadlineMisses);
+    for (double *value :
+         {&energyWastedJoules, &schedulerOverheadSeconds,
+          &schedulerOverheadEnergy, &telemetryOverheadSeconds,
+          &telemetryOverheadEnergy})
+        ar.real(*value);
+    for (util::RunningStats *stats :
+         {&jobServiceSeconds, &predictionErrorSeconds}) {
+        util::RunningStats::State state = stats->exportState();
+        state.walk(ar);
+        if (ar.loading())
+            stats->importState(state);
+    }
 }
 
 } // namespace sim

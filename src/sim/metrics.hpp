@@ -17,6 +17,10 @@
 #include "util/stats.hpp"
 #include "util/types.hpp"
 
+namespace quetzal::util::wire {
+class Archive;
+}
+
 namespace quetzal {
 namespace sim {
 
@@ -84,6 +88,10 @@ struct Metrics
     util::RunningStats jobServiceSeconds;
     util::RunningStats predictionErrorSeconds;
     /// @}
+
+    /** The checkpoint wire layout: every field above in declaration
+     *  order (counters and ticks as varints, doubles bit-exact). */
+    void walk(util::wire::Archive &ar);
 
     /** @name Derived quantities (the figures' axes) */
     /// @{

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "util/logging.hpp"
+#include "util/wire.hpp"
 
 namespace quetzal {
 namespace util {
@@ -143,6 +144,15 @@ Rng::fork()
 {
     const std::uint64_t childSeed = (*this)() ^ 0xa5a5a5a5a5a5a5a5ull;
     return Rng(childSeed);
+}
+
+void
+Rng::State::walk(wire::Archive &ar)
+{
+    for (std::uint64_t &word : words)
+        ar.fixed64(word);
+    ar.real(cachedNormal);
+    ar.flag(hasCachedNormal);
 }
 
 } // namespace util

@@ -20,6 +20,10 @@
 namespace quetzal {
 namespace util {
 
+namespace wire {
+class Archive;
+}
+
 /**
  * xoshiro256** pseudo-random generator with SplitMix64 seeding.
  *
@@ -86,6 +90,10 @@ class Rng
         std::array<std::uint64_t, 4> words = {};
         double cachedNormal = 0.0;
         bool hasCachedNormal = false;
+
+        /** The wire layout: four fixed64 words, the cached normal,
+         *  the cache flag. */
+        void walk(wire::Archive &ar);
     };
 
     /** Snapshot the generator state (see State). */

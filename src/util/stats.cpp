@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/logging.hpp"
+#include "util/wire.hpp"
 
 namespace quetzal {
 namespace util {
@@ -124,6 +125,17 @@ relativeError(double actual, double expected)
     if (expected == 0.0)
         panic("relativeError: expected value is zero");
     return std::abs(actual - expected) / std::abs(expected);
+}
+
+void
+RunningStats::State::walk(wire::Archive &ar)
+{
+    ar.varint(n);
+    ar.real(runningMean);
+    ar.real(m2);
+    ar.real(minSample);
+    ar.real(maxSample);
+    ar.real(total);
 }
 
 } // namespace util

@@ -13,6 +13,10 @@
 namespace quetzal {
 namespace util {
 
+namespace wire {
+class Archive;
+}
+
 /**
  * Welford-style running mean/variance with min/max tracking.
  * Numerically stable; O(1) per sample.
@@ -71,6 +75,9 @@ class RunningStats
         double minSample = 0.0;
         double maxSample = 0.0;
         double total = 0.0;
+
+        /** The wire layout: varint n, then the five doubles. */
+        void walk(wire::Archive &ar);
     };
 
     /** Snapshot the accumulator (see State). */

@@ -19,6 +19,7 @@
 
 #include "../core/core_test_fixtures.hpp"
 #include "policy/registry.hpp"
+#include "util/wire.hpp"
 
 namespace quetzal {
 namespace policy {
@@ -37,25 +38,28 @@ oneHertzSystem()
 }
 
 std::string
-checkpointOf(const core::Controller &controller)
+checkpointOf(core::Controller &controller)
 {
     std::string bytes;
-    controller.saveCheckpoint(bytes);
+    util::wire::Archive ar(bytes);
+    controller.checkpoint(ar);
     return bytes;
 }
 
 bool
 restore(core::Controller &controller, const std::string &bytes)
 {
-    util::wire::Reader in(bytes);
-    return controller.loadCheckpoint(in) && in.atEnd();
+    util::wire::Archive ar{util::wire::Reader(bytes)};
+    controller.checkpoint(ar);
+    return ar.loaded();
 }
 
 std::string
-policyBlob(const core::Controller &controller)
+policyBlob(core::Controller &controller)
 {
     std::string blob;
-    controller.policy().saveState(blob);
+    util::wire::Archive ar(blob);
+    controller.policy().state(ar);
     return blob;
 }
 
