@@ -1,6 +1,5 @@
 #include "energy/energy_storage.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/logging.hpp"
@@ -22,7 +21,7 @@ StorageConfig::restartEnergy() const
 
 EnergyStorage::EnergyStorage(const StorageConfig &config, bool startFull)
     : cfg(config), cap(config.capacity()),
-      stored(startFull ? cap : 0.0)
+      restart(config.restartEnergy()), stored(startFull ? cap : 0.0)
 {
     if (cfg.capacitance <= 0.0)
         util::fatal("storage capacitance must be positive");
@@ -44,12 +43,6 @@ void
 EnergyStorage::negativeAmount(const char *op)
 {
     util::panic(util::msg("EnergyStorage::", op, " of negative energy"));
-}
-
-Joules
-EnergyStorage::deficitToRestart() const
-{
-    return std::max(0.0, cfg.restartEnergy() - stored);
 }
 
 void

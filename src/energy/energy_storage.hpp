@@ -107,7 +107,12 @@ class EnergyStorage
      * Joules still needed to reach the turn-on threshold, or 0 when
      * already above it.
      */
-    Joules deficitToRestart() const;
+    Joules
+    deficitToRestart() const
+    {
+        const Joules deficit = restart - stored;
+        return deficit > 0.0 ? deficit : 0.0;
+    }
 
     /** Reset to full or empty. */
     void reset(bool startFull = true);
@@ -133,6 +138,7 @@ class EnergyStorage
 
     StorageConfig cfg;
     Joules cap;
+    Joules restart; ///< cfg.restartEnergy(), cached
     Joules stored;
     Joules rejected = 0.0;
 };

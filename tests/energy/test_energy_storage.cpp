@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "energy/energy_storage.hpp"
 
 namespace quetzal {
@@ -96,6 +98,21 @@ TEST(EnergyStorage, DeficitToRestart)
     EXPECT_NEAR(storage.deficitToRestart(), 0.0, 1e-12);
     storage.harvest(1e-3);
     EXPECT_EQ(storage.deficitToRestart(), 0.0);
+
+    // The restart energy is cached at construction; the deficit must
+    // still be exactly max(0, 0.5 C (vOn^2 - vOff^2) - E), bit for
+    // bit, because the device's recharge solve and every golden
+    // depend on it.
+    StorageConfig cfg = paperConfig();
+    cfg.capacitance = 4.7e-3;
+    cfg.vOn = 2.35;
+    EnergyStorage odd(cfg, false);
+    for (int i = 0; i <= 64; ++i) {
+        EXPECT_EQ(odd.deficitToRestart(),
+                  std::max(0.0, cfg.restartEnergy() - odd.energy()))
+            << "step " << i;
+        odd.harvest(cfg.restartEnergy() / 61.0);
+    }
 }
 
 TEST(EnergyStorage, ResetRestoresRails)
