@@ -1,13 +1,25 @@
 #include "sim/device.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/logging.hpp"
 #include "util/wire.hpp"
 
 namespace quetzal {
 namespace sim {
+
+namespace {
+
+/** ceil(ticks) as a tick count, for ticks > 0, without the libm
+ *  call: the same value std::ceil gives over the whole Tick range. */
+Tick
+ceilTicks(double ticks)
+{
+    const auto whole = static_cast<Tick>(ticks);
+    return static_cast<double>(whole) < ticks ? whole + 1 : whole;
+}
+
+} // namespace
 
 Device::Device(const app::DeviceProfile &profile_,
                const energy::PowerTrace &watts_)
@@ -116,7 +128,7 @@ Device::drawInstantaneous(Joules amount)
     }
 }
 
-void
+inline void
 Device::applyNet(Watts net, Tick span)
 {
     const Joules delta = energyOver(net, span);
@@ -126,16 +138,23 @@ Device::applyNet(Watts net, Tick span)
         storage.draw(-delta);
 }
 
-Device::StepPlan
-Device::planStep(Tick now, Tick limit)
+inline Tick
+Device::fundableTicks(Watts net) const
 {
-    // The span available inside the current power-trace segment.
-    const Tick segmentEnd =
-        std::min(limit, powerCursor.nextChangeAfter(now));
+    // Whole ticks the store can fund at a net draw of -net: the
+    // quotient is >= 0, so truncation is floor() without the libm
+    // call.
+    const Joules perTick = energyOver(-net, 1);
+    return static_cast<Tick>(storage.energy() / perTick);
+}
+
+Device::StepPlan
+Device::planStep(Tick now, Tick segmentEnd, Watts pin)
+{
     const Tick span = segmentEnd - now;
 
     StepPlan plan;
-    plan.pin = powerCursor.valueAt(now);
+    plan.pin = pin;
 
     switch (currentPhase) {
       case DevicePhase::Idle: {
@@ -160,13 +179,14 @@ Device::planStep(Tick now, Tick limit)
             if (toCheckpoint < run || (toCheckpoint == run && !completes))
                 run = toCheckpoint;
         }
-        const Watts net = plan.pin - taskPower;
+        const Watts net = pin - taskPower;
         if (net < 0.0) {
             // Ticks until the store can no longer fund a whole tick.
-            const Joules perTick = energyOver(-net, 1);
-            const auto fundable =
-                static_cast<Tick>(std::floor(storage.energy() / perTick));
-            run = std::min(run, fundable);
+            const Tick fundable = fundableTicks(net);
+            if (fundable < run) {
+                run = fundable;
+                plan.starved = true;
+            }
         }
         // run <= 0: cannot fund the next tick, a power failure (an
         // immediate transition; the commit consumes no time).
@@ -189,13 +209,12 @@ Device::planStep(Tick now, Tick limit)
             return plan;
         }
         Tick run = span;
-        if (plan.pin > 0.0) {
+        if (pin > 0.0) {
             // Closed-form threshold solve within this segment: the
             // first tick count whose harvested energy covers the
             // deficit.
-            const Joules perTick = energyOver(plan.pin, 1);
-            const auto needed = static_cast<Tick>(
-                std::ceil(deficit / perTick));
+            const Joules perTick = energyOver(pin, 1);
+            const Tick needed = ceilTicks(deficit / perTick);
             run = std::min(run, std::max<Tick>(needed, 1));
         }
         plan.run = run;
@@ -287,21 +306,117 @@ Device::commitStep(const StepPlan &plan)
 }
 
 Tick
+Device::runCycles(Tick now, Tick segmentEnd, Watts pin)
+{
+    const app::CheckpointCosts &cp = profile.checkpoint;
+    const Watts runNet = pin - taskPower;
+    // Each phase below is the generic span it replaces, entered only
+    // when that span ends strictly inside the segment; the first one
+    // that would not hands the device back to the generic step in
+    // that phase.
+    for (;;) {
+        // CheckpointSave: the just-in-time save, then power off.
+        if (remainingPhaseTicks >= segmentEnd - now)
+            return now;
+        ++spanCount; // one per cycle started
+        applyNet(pin - cp.savePower, remainingPhaseTicks);
+        now += remainingPhaseTicks;
+        remainingPhaseTicks = 0;
+        ++deviceStats.checkpointSaves;
+        ++deviceStats.powerFailures;
+        currentPhase = DevicePhase::Recharging;
+
+        // Recharging: harvest until the restart threshold.
+        const Joules deficit = storage.deficitToRestart();
+        if (deficit > 0.0) {
+            const Tick needed = std::max<Tick>(
+                ceilTicks(deficit / energyOver(pin, 1)), 1);
+            if (needed >= segmentEnd - now)
+                return now;
+            applyNet(pin, needed);
+            deviceStats.rechargeTicks += needed;
+            now += needed;
+            if (storage.deficitToRestart() > 0.0)
+                return now;
+        }
+
+        // Restoring.
+        currentPhase = DevicePhase::Restoring;
+        remainingPhaseTicks = cp.restoreTicks;
+        if (remainingPhaseTicks >= segmentEnd - now)
+            return now;
+        applyNet(pin - cp.restorePower, remainingPhaseTicks);
+        now += remainingPhaseTicks;
+        remainingPhaseTicks = 0;
+
+        // Running until the store runs dry, then the failure.
+        currentPhase = DevicePhase::Running;
+        if (runNet >= 0.0)
+            return now;
+        const Tick fundable = fundableTicks(runNet);
+        if (fundable >= remainingTaskTicks || fundable >= segmentEnd - now)
+            return now;
+        if (fundable > 0) {
+            applyNet(runNet, fundable);
+            remainingTaskTicks -= fundable;
+            deviceStats.activeTicks += fundable;
+            now += fundable;
+            if (fundableTicks(runNet) >= 1) // the fold's re-test
+                return now;
+        }
+        currentPhase = DevicePhase::CheckpointSave;
+        remainingPhaseTicks = cp.saveTicks;
+    }
+}
+
+Tick
 Device::advance(Tick now, Tick limit)
 {
+    if (now >= limit)
+        return now;
+    const bool cycleKernel =
+        profile.checkpoint.policy == app::CheckpointPolicy::JustInTime &&
+        profile.checkpoint.saveTicks > 0 &&
+        profile.checkpoint.restoreTicks > 0;
+
+    Tick segmentEnd = now;
+    Watts pin = 0.0;
+    Tick spanStart = now;
     int zeroProgressStreak = 0;
     while (now < limit) {
-        const bool wasActive = taskActive();
+        if (now >= segmentEnd) {
+            // Every span starting inside one power-trace segment sees
+            // the same harvest and the same segment end.
+            segmentEnd = std::min(limit, powerCursor.nextChangeAfter(now));
+            pin = powerCursor.valueAt(now);
+        }
 
-        const StepPlan plan = planStep(now, limit);
+        if (cycleKernel && pin > 0.0 &&
+            currentPhase == DevicePhase::CheckpointSave &&
+            !periodicSaveInProgress && remainingPhaseTicks > 0) {
+            // With both timers > 0, each zero-length span of a cycle
+            // (an immediate failure, a recharge that starts above the
+            // threshold) is followed by a save or restore of >= 1
+            // tick, so the guard below cannot fire on a cycle the
+            // kernel runs and restarts from zero after one.
+            const Tick reached = runCycles(now, segmentEnd, pin);
+            if (reached > now) {
+                now = reached;
+                zeroProgressStreak = 0;
+            }
+        }
+
+        spanStart = now;
+        ++spanCount;
+        const bool wasActive = taskActive();
+        const StepPlan plan = planStep(now, segmentEnd, pin);
         commitStep(plan);
-        const Tick consumed = plan.run;
-        now += consumed;
+        now += plan.run;
 
         // Stop exactly at task completion so the caller can observe
         // the completion tick.
         if (wasActive && !taskActive())
-            return now;
+            break;
 
         // A zero-consumption step is a pure phase transition
         // (Running -> CheckpointSave, Recharging -> Restoring); the
@@ -309,8 +424,15 @@ Device::advance(Tick now, Tick limit)
         // malformed profile (e.g. a restart threshold that cannot
         // fund a single tick of work) would cycle through phases
         // forever without advancing time — panic instead of spinning.
-        if (consumed > 0) {
+        if (plan.run > 0) {
             zeroProgressStreak = 0;
+            if (plan.starved && fundableTicks(pin - taskPower) < 1) {
+                // The fold: a Running span cut only by the store
+                // running dry ends inside the segment, where the next
+                // planStep would find exactly this power failure.
+                onPowerFailure();
+                zeroProgressStreak = 1;
+            }
         } else if (++zeroProgressStreak > 2) {
             util::panic(util::msg(
                 "Device::advance made no time progress for ",
@@ -322,6 +444,10 @@ Device::advance(Tick now, Tick limit)
                 "): malformed device/power profile"));
         }
     }
+    // Re-seat the cursor on the segment holding the last span's
+    // start: its position is persisted (QZCK blobs, the fleet's
+    // cursor column), so it must not depend on how spans batch.
+    powerCursor.valueAt(spanStart);
     return now;
 }
 
