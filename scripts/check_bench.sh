@@ -68,7 +68,8 @@ if [ ! -d "$BASELINE_DIR" ]; then
 fi
 
 for bin in micro_buffer micro_simulator micro_runtime \
-           micro_ratio_engine micro_policy micro_fleet micro_trace; do
+           micro_ratio_engine micro_policy micro_fleet micro_device \
+           micro_trace; do
     if [ ! -x "$BUILD_DIR/bench/$bin" ]; then
         echo "check_bench: $bin not found in $BUILD_DIR/bench;" \
              "build it first: cmake --build $BUILD_DIR --target $bin" >&2
