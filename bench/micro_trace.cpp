@@ -11,7 +11,10 @@
  * Phases, each reported as ns per event:
  *   - jsonl:  writeJsonl() of every repeat of the captured stream,
  *   - btrace: BtraceWriter over the identical repeats (one run per
- *             repeat, matching the JSONL run indexing).
+ *             repeat, matching the JSONL run indexing),
+ *   - jsonl_read / btrace_read: the same two streams read back
+ *             through openTraceCursor from memory, as trace_stat
+ *             and the golden-trace tests read a file.
  *
  * Emits one line of quetzal-bench-v1 JSON (see bench_json.hpp);
  * "ns_per_event" is the btrace figure (the format the billion-event
@@ -26,13 +29,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <istream>
 #include <ostream>
+#include <sstream>
 #include <streambuf>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_json.hpp"
 #include "obs/btrace.hpp"
+#include "obs/trace_cursor.hpp"
 #include "obs/trace_io.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/experiment.hpp"
@@ -61,6 +68,18 @@ class CountingBuf final : public std::streambuf
     {
         bytes += static_cast<std::size_t>(n);
         return n;
+    }
+};
+
+/** Read-only view of bytes already in memory, so each read pass
+ *  starts from the same buffer without copying it. */
+class ViewBuf final : public std::streambuf
+{
+  public:
+    explicit ViewBuf(const std::string &bytes)
+    {
+        char *begin = const_cast<char *>(bytes.data());
+        setg(begin, begin, begin + bytes.size());
     }
 };
 
@@ -165,6 +184,48 @@ main(int argc, char **argv)
             btraceNs = ns;
         btraceBytes = buf.bytes;
     }
+    // Read-back: serialize each format once, untimed, then time
+    // openTraceCursor draining it (best of three, as above).
+    auto serialized = [&](bool btrace) {
+        std::ostringstream out;
+        if (btrace) {
+            obs::BtraceWriter writer(out);
+            for (std::size_t run = 0; run < repeats; ++run)
+                writer.writeRun(events, run);
+            writer.finish();
+        } else {
+            obs::writeJsonlHeader(out);
+            for (std::size_t run = 0; run < repeats; ++run)
+                obs::writeJsonl(out, events, run);
+        }
+        return std::move(out).str();
+    };
+    auto readNs = [&](const std::string &bytes) {
+        double best = 0.0;
+        for (int pass = 0; pass < kPasses; ++pass) {
+            ViewBuf buf(bytes);
+            std::istream in(&buf);
+            std::size_t records = 0;
+            const auto start = std::chrono::steady_clock::now();
+            const auto cursor = obs::openTraceCursor(in, "<memory>");
+            obs::TraceRecord record;
+            while (cursor->next(record))
+                ++records;
+            const auto end = std::chrono::steady_clock::now();
+            if (records != total) {
+                std::fprintf(stderr, "micro_trace: read back %zu of "
+                             "%zu events\n", records, total);
+                std::exit(1);
+            }
+            const double ns = nsPerEvent(start, end, total);
+            if (pass == 0 || ns < best)
+                best = ns;
+        }
+        return best;
+    };
+    const double jsonlReadNs = readNs(serialized(false));
+    const double btraceReadNs = readNs(serialized(true));
+
     const double speedup = btraceNs > 0.0 ? jsonlNs / btraceNs : 0.0;
     const double ratio = btraceBytes > 0
         ? static_cast<double>(jsonlBytes) /
@@ -182,7 +243,9 @@ main(int argc, char **argv)
         .add("jsonl_bytes", jsonlBytes)
         .add("btrace_bytes", btraceBytes)
         .add("compression_x", ratio, 1)
-        .add("checksum", jsonlBytes + btraceBytes);
+        .add("checksum", jsonlBytes + btraceBytes)
+        .add("jsonl_read_ns_per_event", jsonlReadNs)
+        .add("btrace_read_ns_per_event", btraceReadNs);
     line.print();
 
     if (minSpeedup > 0.0 && speedup < minSpeedup) {

@@ -11,7 +11,7 @@ namespace {
 struct KindInfo
 {
     EventKind kind;
-    const char *name;
+    std::string_view name;
     ObsLevel level;
 };
 
@@ -75,11 +75,11 @@ parseObsLevel(const std::string &name)
 std::string
 eventKindName(EventKind kind)
 {
-    return info(kind).name;
+    return std::string(info(kind).name);
 }
 
 std::optional<EventKind>
-parseEventKind(const std::string &name)
+parseEventKind(std::string_view name)
 {
     for (const KindInfo &k : kKinds) {
         if (name == k.name)

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/types.hpp"
@@ -82,7 +83,7 @@ constexpr std::size_t kEventKindCount = 19;
 std::string eventKindName(EventKind kind);
 
 /** Parse a kind name; nullopt on unknown input. */
-std::optional<EventKind> parseEventKind(const std::string &name);
+std::optional<EventKind> parseEventKind(std::string_view name);
 
 /** Minimum ObsLevel at which a kind is recorded. */
 ObsLevel minLevel(EventKind kind);

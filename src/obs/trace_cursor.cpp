@@ -53,13 +53,12 @@ JsonlTraceCursor::JsonlTraceCursor(std::istream &stream,
 bool
 JsonlTraceCursor::next(TraceRecord &out)
 {
-    std::string line;
     while (true) {
         if (carryPending) {
             // Sniffed bytes are a raw prefix and may span lines.
             const std::size_t newline = carry.find('\n');
             if (newline != std::string::npos) {
-                line = carry.substr(0, newline);
+                line.assign(carry, 0, newline);
                 carry.erase(0, newline + 1);
                 carryPending = !carry.empty();
             } else if (std::getline(in, line)) {
@@ -76,8 +75,12 @@ JsonlTraceCursor::next(TraceRecord &out)
             return false;
         }
         ++lineNumber;
-        if (parseJsonlLine(line, lineNumber, out))
-            return true;
+        std::string error;
+        switch (decodeJsonlLine(line, lineNumber, out, error)) {
+          case JsonlLine::Record: return true;
+          case JsonlLine::Skip: break;
+          case JsonlLine::Malformed: util::fatal(error);
+        }
     }
 }
 

@@ -8,7 +8,9 @@
  * Memory bound: a JSONL cursor holds one line; a btrace cursor holds
  * one decoded chunk (~64 KiB of payload). Corruption — truncation,
  * CRC mismatch, unknown schema major — is a clean util::fatal()
- * naming the file and position, never a parser guess.
+ * naming the file and position, never a parser guess. For JSONL,
+ * JsonlTraceCursor::next() is the one place that exits: the line
+ * decoder (decodeJsonlLine) only reports the diagnostic.
  */
 
 #ifndef QUETZAL_OBS_TRACE_CURSOR_HPP
@@ -65,6 +67,9 @@ class JsonlTraceCursor final : public TraceCursor
     std::istream &in;
     std::string carry;
     bool carryPending;
+    /** The current line; reused so a steady-state read allocates
+     *  nothing once it has grown to the longest line. */
+    std::string line;
     std::size_t lineNumber = 0;
 };
 

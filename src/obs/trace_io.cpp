@@ -1,13 +1,14 @@
 #include "obs/trace_io.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
-#include <istream>
 #include <ostream>
 #include <string>
-#include <utility>
 
+#include "obs/trace_cursor.hpp"
 #include "util/logging.hpp"
+#include "util/small_vec.hpp"
 
 namespace quetzal {
 namespace obs {
@@ -19,13 +20,13 @@ enum class Field : std::uint8_t { Id, Value, Extra, A, B, Options };
 
 struct FieldDesc
 {
-    const char *key;
+    std::string_view key;
     Field field;
 };
 
 struct FlagDesc
 {
-    const char *key;
+    std::string_view key;
     std::uint32_t bit;
 };
 
@@ -165,27 +166,46 @@ appendField(std::string &out, const Event &event, Field field)
     util::panic("unknown trace field");
 }
 
-/** One raw "key":value pair scanned off a JSONL line. */
+/** One raw "key":value pair scanned off a JSONL line: two views
+ *  into the line being decoded. */
 struct RawPair
 {
-    std::string key;
-    std::string value;
+    std::string_view key;
+    std::string_view value;
+};
+
+/** Every line the writer emits has at most 12 pairs (job_done), so
+ *  the pairs of a well-formed line never leave the inline buffer. */
+using RawPairs = util::SmallVec<RawPair, 16>;
+
+/** Diagnostic sink for one line: fail() fills the caller's error
+ *  string with "trace line N: ..." and returns false. */
+struct Diag
+{
+    std::size_t lineNumber;
+    std::string &error;
+
+    template <typename... Args>
+    bool
+    fail(const Args &...args)
+    {
+        error = util::msg("trace line ", lineNumber, ": ", args...);
+        return false;
+    }
 };
 
 /**
  * Scan a flat JSON object into raw pairs. Only the value shapes the
  * writer emits are accepted: numbers, true/false, and one quoted
- * string (the kind).
+ * string (the kind). Bytes after the closing '}' are ignored.
  */
-std::vector<RawPair>
-scanObject(const std::string &line, std::size_t lineNumber)
+bool
+scanObject(std::string_view line, RawPairs &pairs, Diag &diag)
 {
-    auto malformed = [&](const char *what) -> void {
-        util::fatal(util::msg("trace line ", lineNumber, ": ", what,
-                              ": ", line));
+    auto malformed = [&](const char *what) {
+        return diag.fail(what, ": ", line);
     };
 
-    std::vector<RawPair> pairs;
     std::size_t pos = 0;
     auto skipWs = [&] {
         while (pos < line.size() &&
@@ -194,33 +214,31 @@ scanObject(const std::string &line, std::size_t lineNumber)
     };
     skipWs();
     if (pos >= line.size() || line[pos] != '{')
-        malformed("expected '{'");
+        return malformed("expected '{'");
     ++pos;
     while (true) {
         skipWs();
         if (pos < line.size() && line[pos] == '}')
-            break;
+            return true;
         if (pos >= line.size() || line[pos] != '"')
-            malformed("expected key");
+            return malformed("expected key");
         const std::size_t keyStart = ++pos;
-        while (pos < line.size() && line[pos] != '"')
-            ++pos;
-        if (pos >= line.size())
-            malformed("unterminated key");
+        pos = line.find('"', pos);
+        if (pos == std::string_view::npos)
+            return malformed("unterminated key");
         RawPair pair;
         pair.key = line.substr(keyStart, pos - keyStart);
         ++pos;
         skipWs();
         if (pos >= line.size() || line[pos] != ':')
-            malformed("expected ':'");
+            return malformed("expected ':'");
         ++pos;
         skipWs();
         if (pos < line.size() && line[pos] == '"') {
             const std::size_t valueStart = ++pos;
-            while (pos < line.size() && line[pos] != '"')
-                ++pos;
-            if (pos >= line.size())
-                malformed("unterminated string");
+            pos = line.find('"', pos);
+            if (pos == std::string_view::npos)
+                return malformed("unterminated string");
             pair.value = line.substr(valueStart, pos - valueStart);
             ++pos;
         } else {
@@ -229,119 +247,192 @@ scanObject(const std::string &line, std::size_t lineNumber)
                    line[pos] != '}')
                 ++pos;
             if (pos >= line.size())
-                malformed("unterminated value");
+                return malformed("unterminated value");
             pair.value = line.substr(valueStart, pos - valueStart);
             if (pair.value.empty())
-                malformed("empty value");
+                return malformed("empty value");
         }
-        pairs.push_back(std::move(pair));
+        pairs.push_back(pair);
         skipWs();
         if (pos < line.size() && line[pos] == ',') {
             ++pos;
             continue;
         }
         if (pos < line.size() && line[pos] == '}')
-            break;
-        malformed("expected ',' or '}'");
+            return true;
+        return malformed("expected ',' or '}'");
     }
-    return pairs;
 }
 
-double
-parseDoubleValue(const std::string &text, std::size_t lineNumber)
+/**
+ * Decode a double to exactly the bits strtod gives. std::from_chars
+ * is correctly rounded, as glibc's strtod is, so a finite result
+ * from a token it consumes whole is taken as is. Every other token
+ * goes to strtod on a NUL-terminated copy, which defines what the
+ * reader accepts: a leading '+' or whitespace, hex floats, inf and
+ * nan (strtod keeps a nan(...) payload that from_chars drops),
+ * out-of-range values and tokens with an embedded NUL.
+ */
+bool
+parseDouble(std::string_view text, double &value, Diag &diag)
 {
-    // strtod accepts the full to_chars output range (incl. exponent
-    // forms); from_chars<double> would too, but strtod keeps this
-    // TU's parsing dependency-light.
-    char *end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() || *end != '\0')
-        util::fatal(util::msg("trace line ", lineNumber,
-                              ": bad number: ", text));
-    return value;
-}
-
-long long
-parseIntValue(const std::string &text, std::size_t lineNumber)
-{
-    long long value = 0;
-    const auto result = std::from_chars(
-        text.data(), text.data() + text.size(), value);
-    if (result.ec != std::errc() ||
-        result.ptr != text.data() + text.size())
-        util::fatal(util::msg("trace line ", lineNumber,
-                              ": bad integer: ", text));
-    return value;
+    const char *const end = text.data() + text.size();
+    const auto result = std::from_chars(text.data(), end, value);
+    if (result.ec == std::errc() && result.ptr == end &&
+        std::isfinite(value))
+        return true;
+    const std::string copy(text);
+    char *stop = nullptr;
+    value = std::strtod(copy.c_str(), &stop);
+    if (stop == copy.c_str() || *stop != '\0')
+        return diag.fail("bad number: ", text);
+    return true;
 }
 
 bool
-parseBoolValue(const std::string &text, std::size_t lineNumber)
+parseInt(std::string_view text, long long &value, Diag &diag)
 {
-    if (text == "true")
-        return true;
-    if (text == "false")
-        return false;
-    util::fatal(util::msg("trace line ", lineNumber, ": bad bool: ",
-                          text));
+    const char *const end = text.data() + text.size();
+    const auto result = std::from_chars(text.data(), end, value);
+    if (result.ec != std::errc() || result.ptr != end)
+        return diag.fail("bad integer: ", text);
+    return true;
 }
 
-void
-assignField(Event &event, Field field, const std::string &text,
-            std::size_t lineNumber)
+bool
+parseBool(std::string_view text, bool &value, Diag &diag)
 {
+    if (text == "true")
+        value = true;
+    else if (text == "false")
+        value = false;
+    else
+        return diag.fail("bad bool: ", text);
+    return true;
+}
+
+bool
+assignField(Event &event, Field field, std::string_view text,
+            Diag &diag)
+{
+    if (field == Field::A)
+        return parseDouble(text, event.a, diag);
+    if (field == Field::B)
+        return parseDouble(text, event.b, diag);
+    long long integer = 0;
+    if (!parseInt(text, integer, diag))
+        return false;
     switch (field) {
       case Field::Id:
-        event.id = static_cast<std::uint64_t>(
-            parseIntValue(text, lineNumber));
-        return;
-      case Field::Value:
-        event.value = parseIntValue(text, lineNumber);
-        return;
-      case Field::Extra:
-        event.extra = parseIntValue(text, lineNumber);
-        return;
-      case Field::A:
-        event.a = parseDoubleValue(text, lineNumber);
-        return;
-      case Field::B:
-        event.b = parseDoubleValue(text, lineNumber);
-        return;
+        event.id = static_cast<std::uint64_t>(integer);
+        return true;
+      case Field::Value: event.value = integer; return true;
+      case Field::Extra: event.extra = integer; return true;
       case Field::Options:
-        event.options = static_cast<std::uint32_t>(
-            parseIntValue(text, lineNumber));
-        return;
+        event.options = static_cast<std::uint32_t>(integer);
+        return true;
+      case Field::A:
+      case Field::B:
+        break;
     }
     util::panic("unknown trace field");
 }
 
 /** Header-comment prefix carrying the trace schema version. */
-const char kSchemaPrefix[] = "# quetzal-trace schema_version=";
+constexpr std::string_view kSchemaPrefix =
+    "# quetzal-trace schema_version=";
 
 /**
  * Parse and check a schema_version header line. The major version
- * must match the reader's; an unknown major is a clean fatal (the
+ * must match the reader's; an unknown major is a clean error (the
  * file needs a newer/older tool, not a parser guess).
  */
-void
-checkSchemaHeader(const std::string &line, std::size_t lineNumber)
+bool
+checkSchemaHeader(std::string_view line, Diag &diag)
 {
-    const std::string version =
-        line.substr(sizeof(kSchemaPrefix) - 1);
+    const std::string_view version = line.substr(kSchemaPrefix.size());
+    const char *const end = version.data() + version.size();
     int major = 0;
-    const auto result = std::from_chars(
-        version.data(), version.data() + version.size(), major);
+    const auto result = std::from_chars(version.data(), end, major);
     if (result.ec != std::errc() || result.ptr == version.data() ||
-        (result.ptr != version.data() + version.size() &&
-         *result.ptr != '.'))
-        util::fatal(util::msg("trace line ", lineNumber,
-                              ": malformed schema_version header: ",
-                              line));
+        (result.ptr != end && *result.ptr != '.'))
+        return diag.fail("malformed schema_version header: ", line);
     if (major != kTraceSchemaMajor)
-        util::fatal(util::msg(
-            "trace line ", lineNumber, ": unsupported trace schema_",
-            "version ", version, " (this reader supports major ",
-            kTraceSchemaMajor, ".x); regenerate the trace or use a ",
-            "matching quetzal build"));
+        return diag.fail(
+            "unsupported trace schema_version ", version,
+            " (this reader supports major ", kTraceSchemaMajor,
+            ".x); regenerate the trace or use a matching quetzal ",
+            "build");
+    return true;
+}
+
+/** The entry of a schema table with this key, or null. */
+template <typename Desc>
+const Desc *
+findKey(const std::vector<Desc> &table, std::string_view key)
+{
+    for (const Desc &desc : table) {
+        if (desc.key == key)
+            return &desc;
+    }
+    return nullptr;
+}
+
+/**
+ * Decode the pairs of one object. The kind drives the schema, so
+ * it is found first (the last "kind" wins); the other pairs are
+ * then checked in line order, so the first bad pair names the
+ * diagnostic.
+ */
+bool
+decodePairs(const RawPairs &pairs, TraceRecord &record, Diag &diag)
+{
+    const Schema *schema = nullptr;
+    for (const RawPair &pair : pairs) {
+        if (pair.key != "kind")
+            continue;
+        const auto kind = parseEventKind(pair.value);
+        if (!kind)
+            return diag.fail("unknown kind: ", pair.value);
+        record.event.kind = *kind;
+        schema = &schemaFor(*kind);
+    }
+    if (schema == nullptr)
+        return diag.fail("missing kind");
+
+    long long integer = 0;
+    for (const RawPair &pair : pairs) {
+        if (pair.key == "kind")
+            continue;
+        if (pair.key == "run") {
+            if (!parseInt(pair.value, integer, diag))
+                return false;
+            record.run = static_cast<std::uint64_t>(integer);
+            continue;
+        }
+        if (pair.key == "t") {
+            if (!parseInt(pair.value, integer, diag))
+                return false;
+            record.event.tick = integer;
+            continue;
+        }
+        if (const FieldDesc *field = findKey(schema->fields, pair.key)) {
+            if (!assignField(record.event, field->field, pair.value,
+                             diag))
+                return false;
+            continue;
+        }
+        const FlagDesc *flag = findKey(schema->flags, pair.key);
+        if (flag == nullptr)
+            return diag.fail("unknown key '", pair.key, "' for kind ",
+                             eventKindName(record.event.kind));
+        bool on = false;
+        if (!parseBool(pair.value, on, diag))
+            return false;
+        if (on)
+            record.event.flags |= flag->bit;
+    }
+    return true;
 }
 
 } // namespace
@@ -385,88 +476,34 @@ writeJsonl(std::ostream &out, const std::vector<Event> &events,
     }
 }
 
-bool
-parseJsonlLine(const std::string &line, std::size_t lineNumber,
-               TraceRecord &out)
+JsonlLine
+decodeJsonlLine(std::string_view line, std::size_t lineNumber,
+                TraceRecord &out, std::string &error)
 {
-    if (line.rfind(kSchemaPrefix, 0) == 0) {
-        checkSchemaHeader(line, lineNumber);
-        return false;
-    }
+    Diag diag{lineNumber, error};
+    if (line.starts_with(kSchemaPrefix))
+        return checkSchemaHeader(line, diag) ? JsonlLine::Skip
+                                             : JsonlLine::Malformed;
     if (line.empty() || line[0] == '#')
-        return false;
+        return JsonlLine::Skip;
 
-    const std::vector<RawPair> pairs = scanObject(line, lineNumber);
+    RawPairs pairs;
     TraceRecord record;
-    // The kind drives the schema, so find it first.
-    const Schema *schema = nullptr;
-    for (const RawPair &pair : pairs) {
-        if (pair.key != "kind")
-            continue;
-        const auto kind = parseEventKind(pair.value);
-        if (!kind)
-            util::fatal(util::msg("trace line ", lineNumber,
-                                  ": unknown kind: ", pair.value));
-        record.event.kind = *kind;
-        schema = &schemaFor(*kind);
-    }
-    if (schema == nullptr)
-        util::fatal(util::msg("trace line ", lineNumber,
-                              ": missing kind"));
-
-    for (const RawPair &pair : pairs) {
-        if (pair.key == "kind")
-            continue;
-        if (pair.key == "run") {
-            record.run = static_cast<std::uint64_t>(
-                parseIntValue(pair.value, lineNumber));
-            continue;
-        }
-        if (pair.key == "t") {
-            record.event.tick = parseIntValue(pair.value, lineNumber);
-            continue;
-        }
-        bool known = false;
-        for (const FieldDesc &field : schema->fields) {
-            if (pair.key == field.key) {
-                assignField(record.event, field.field, pair.value,
-                            lineNumber);
-                known = true;
-                break;
-            }
-        }
-        if (known)
-            continue;
-        for (const FlagDesc &flag : schema->flags) {
-            if (pair.key == flag.key) {
-                if (parseBoolValue(pair.value, lineNumber))
-                    record.event.flags |= flag.bit;
-                known = true;
-                break;
-            }
-        }
-        if (!known)
-            util::fatal(util::msg("trace line ", lineNumber,
-                                  ": unknown key '", pair.key,
-                                  "' for kind ",
-                                  eventKindName(record.event.kind)));
-    }
-    out = std::move(record);
-    return true;
+    if (!scanObject(line, pairs, diag) ||
+        !decodePairs(pairs, record, diag))
+        return JsonlLine::Malformed;
+    out = record;
+    return JsonlLine::Record;
 }
 
 std::vector<TraceRecord>
 readJsonl(std::istream &in)
 {
     std::vector<TraceRecord> records;
-    std::string line;
-    std::size_t lineNumber = 0;
+    JsonlTraceCursor cursor(in);
     TraceRecord record;
-    while (std::getline(in, line)) {
-        ++lineNumber;
-        if (parseJsonlLine(line, lineNumber, record))
-            records.push_back(record);
-    }
+    while (cursor.next(record))
+        records.push_back(record);
     return records;
 }
 

@@ -12,6 +12,12 @@
  * for every --jobs value. The JSONL reader inverts writeJsonl()
  * exactly (same field table), which is what lets tools/trace_stat
  * and the tests/obs cross-check reconstruct metrics from a file.
+ *
+ * Reading: decodeJsonlLine() is the one JSONL parser. It scans a
+ * line once into string_views of the caller's buffer, allocates
+ * nothing on a well-formed line, and reports malformed input as a
+ * diagnostic instead of exiting; JsonlTraceCursor (and readJsonl()
+ * through it) turns that diagnostic into util::fatal().
  */
 
 #ifndef QUETZAL_OBS_TRACE_IO_HPP
@@ -19,6 +25,8 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/event.hpp"
@@ -60,22 +68,32 @@ void writeJsonl(std::ostream &out, const std::vector<Event> &events,
                 std::uint64_t runIndex);
 
 /**
- * Parse a JSONL trace (any number of runs). Lines must have been
- * produced by writeJsonl(); calls util::fatal() on malformed input.
- * Blank lines and `#` comment lines are skipped.
+ * Parse a JSONL trace (any number of runs) by draining a
+ * JsonlTraceCursor. Lines must have been produced by writeJsonl();
+ * calls util::fatal() on malformed input. Blank lines and `#`
+ * comment lines are skipped.
  */
 std::vector<TraceRecord> readJsonl(std::istream &in);
 
+/** What decodeJsonlLine() found on one line. */
+enum class JsonlLine
+{
+    Record,    ///< `out` holds the decoded record
+    Skip,      ///< blank line or `#` comment; no record
+    Malformed, ///< `error` holds the diagnostic
+};
+
 /**
- * Parse one line of a JSONL trace (the streaming unit behind
- * readJsonl() and JsonlTraceCursor). Returns false for lines that
- * carry no record — blank lines and `#` comments, including the
- * schema_version header, which is still version-checked (fatal on a
- * major mismatch). Calls util::fatal() on malformed input;
- * `lineNumber` is 1-based and only used in diagnostics.
+ * Decode one line of a JSONL trace: the single parser behind
+ * JsonlTraceCursor and readJsonl(). Blank lines and `#` comments
+ * are Skip, including the schema_version header, which is still
+ * version-checked (Malformed on a major mismatch). Never exits: on
+ * Malformed, `error` holds the full diagnostic ("trace line N: ...")
+ * and `out` is left unchanged. `lineNumber` is 1-based and only used
+ * in diagnostics.
  */
-bool parseJsonlLine(const std::string &line, std::size_t lineNumber,
-                    TraceRecord &out);
+JsonlLine decodeJsonlLine(std::string_view line, std::size_t lineNumber,
+                          TraceRecord &out, std::string &error);
 
 /**
  * Write one run's events in Chrome trace_event JSON array format.

@@ -71,6 +71,10 @@ shapeOf(EventKind kind)
         return {true, true, false, true, true, false, 0};
       case EventKind::FleetRollup:
         return {true, true, true, true, true, false, 0};
+      case EventKind::FleetCheckpoint:
+        return {true, true, true, false, false, false, 0};
+      case EventKind::FleetRestore:
+        return {true, true, true, false, false, false, kFlagTornTail};
     }
     return {};
 }
