@@ -105,7 +105,7 @@ struct PolicyContext
  * Decisions must be a pure function of the observable state (the
  * context plus any internal state that itself evolved only from
  * prior contexts/overflow notifications) — the invariant harness in
- * policy/verify.hpp enforces this by replaying identical walks.
+ * tests/support/verify.hpp enforces this by replaying identical walks.
  */
 class SchedulingPolicy
 {

@@ -32,16 +32,5 @@ Task::badOptionIndex(std::size_t index) const
                           index, " out of range"));
 }
 
-std::size_t
-Task::fastestOptionIndex() const
-{
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < opts.size(); ++i) {
-        if (opts[i].exeTicks < opts[best].exeTicks)
-            best = i;
-    }
-    return best;
-}
-
 } // namespace core
 } // namespace quetzal

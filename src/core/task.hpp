@@ -101,13 +101,6 @@ class Task
     /** All options, quality-ordered. */
     const std::vector<DegradationOption> &options() const { return opts; }
 
-    /** Index of the option with the smallest t_exe * P_exe / P sum
-     *  proxy — the fallback Alg. 2 uses when no option avoids the
-     *  predicted IBO. Computed against a specific estimate by the
-     *  IBO engine; this helper returns the option with minimum
-     *  latency at equal power scaling (smallest premult base). */
-    std::size_t fastestOptionIndex() const;
-
   private:
     /** Cold panic path kept out of line so option() inlines. */
     [[noreturn]] void badOptionIndex(std::size_t index) const;

@@ -45,12 +45,5 @@ EnergyStorage::negativeAmount(const char *op)
     util::panic(util::msg("EnergyStorage::", op, " of negative energy"));
 }
 
-void
-EnergyStorage::reset(bool startFull)
-{
-    stored = startFull ? cap : 0.0;
-    rejected = 0.0;
-}
-
 } // namespace energy
 } // namespace quetzal

@@ -114,9 +114,6 @@ class EnergyStorage
         return deficit > 0.0 ? deficit : 0.0;
     }
 
-    /** Reset to full or empty. */
-    void reset(bool startFull = true);
-
     /**
      * Restore from a snapshot: overwrites the stored energy (clamped
      * to [0, capacity]) and the cumulative rejected-harvest

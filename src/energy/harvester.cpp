@@ -1,7 +1,5 @@
 #include "energy/harvester.hpp"
 
-#include <algorithm>
-
 #include "util/logging.hpp"
 
 namespace quetzal {
@@ -24,12 +22,6 @@ Harvester::datasheetMaxPower() const
 {
     return static_cast<double>(cfg.cellCount) * cfg.cellRatedPower *
         cfg.converterEfficiency;
-}
-
-Watts
-Harvester::powerFromIrradiance(double irradiance) const
-{
-    return datasheetMaxPower() * std::max(0.0, irradiance);
 }
 
 PowerTrace

@@ -46,12 +46,9 @@ class Harvester
      */
     Watts datasheetMaxPower() const;
 
-    /** Electrical power for a given irradiance (clamped to >= 0). */
-    Watts powerFromIrradiance(double irradiance) const;
-
     /**
      * Convert an irradiance trace into an electrical power trace by
-     * applying powerFromIrradiance() segment-wise.
+     * scaling every segment by datasheetMaxPower().
      */
     PowerTrace powerTrace(const PowerTrace &irradiance) const;
 

@@ -12,8 +12,6 @@ Adc8::Adc8(const AdcConfig &config) : cfg(config)
 {
     if (cfg.vRef <= 0.0)
         util::fatal("ADC reference voltage must be positive");
-    if (cfg.noiseLsb < 0.0)
-        util::fatal("ADC noise must be non-negative");
 }
 
 Volts
@@ -39,13 +37,6 @@ Adc8::applyFaults(std::uint8_t code) const
         (code | cfg.stuckHighMask) & ~cfg.stuckLowMask);
     code = static_cast<std::uint8_t>(code ^ cfg.flipMask);
     return std::min(code, cfg.saturateMax);
-}
-
-std::uint8_t
-Adc8::sampleNoisy(Volts voltage, double noiseDraw) const
-{
-    const double noisy = voltage + noiseDraw * cfg.noiseLsb * lsbVolts();
-    return sample(noisy);
 }
 
 Volts

@@ -21,8 +21,7 @@ namespace hw {
 /** Configuration for an Adc8. */
 struct AdcConfig
 {
-    Volts vRef = 0.6;       ///< full-scale voltage (paper's V_ADCMax)
-    double noiseLsb = 0.0;  ///< std-dev of additive noise, in LSBs
+    Volts vRef = 0.6; ///< full-scale voltage (paper's V_ADCMax)
 
     /**
      * @name Hardware-fault masks (src/fault)
@@ -47,10 +46,7 @@ struct AdcConfig
     }
 };
 
-/**
- * An 8-bit ADC: quantizes [0, vRef] to codes 0..255 with optional
- * Gaussian code noise (used by robustness tests).
- */
+/** An 8-bit ADC: quantizes [0, vRef] to codes 0..255. */
 class Adc8
 {
   public:
@@ -64,14 +60,6 @@ class Adc8
 
     /** Quantize a voltage to a code (saturating at 0 and 255). */
     std::uint8_t sample(Volts voltage) const;
-
-    /**
-     * Quantize with additive Gaussian noise of cfg.noiseLsb LSBs;
-     * noise is drawn from the provided value in [-0.5, 0.5) scaled —
-     * caller supplies the noise draw so the ADC itself stays
-     * deterministic and easily testable.
-     */
-    std::uint8_t sampleNoisy(Volts voltage, double noiseDraw) const;
 
     /** Reconstruct the voltage a code represents (bin center). */
     Volts voltageForCode(std::uint8_t code) const;

@@ -3,16 +3,17 @@
  * MetricsRegistry: counters + streaming histograms accumulated from
  * a run's event stream.
  *
- * The registry subsumes sim::Metrics: every headline counter the
- * figures report is reconstructible from the Counters-level event
- * stream alone, and the registry is the single implementation of
- * that reconstruction — the simulator's live metrics, the
- * tools/trace_stat analyzer, and the tests/obs cross-check all agree
- * because they all run this code. On top of the counters it adds
- * what end-of-run totals cannot show: streaming histograms
- * (p50/p95/p99 service time, queue depth, prediction error) and
- * IBO-prediction accuracy (precision/recall against the observed
- * overflow outcome of every scheduling decision).
+ * Every headline counter the figures report is reconstructible from
+ * the Counters-level event stream alone, and the registry is the
+ * single implementation of that reconstruction: tools/trace_stat,
+ * the scenario and fleet rollups and perfbench's read-back all run
+ * this code. sim::Simulator keeps its own live sim::Metrics
+ * counters; the tests/obs cross-check replays a run's stream here
+ * and demands that the two agree field by field. On top of the
+ * counters it adds what end-of-run totals cannot show: streaming
+ * histograms (p50/p95/p99 service time, queue depth, prediction
+ * error) and IBO-prediction accuracy (precision/recall against the
+ * observed overflow outcome of every scheduling decision).
  *
  * A registry is a TraceSink, so it can aggregate live (as a run's
  * sink) or replay a stream read back from a JSONL trace file.

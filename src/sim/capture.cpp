@@ -8,8 +8,6 @@
 
 #include "sim/simulator.hpp"
 
-#include <ostream>
-
 #include "fault/fault_injector.hpp"
 
 namespace quetzal {
@@ -78,10 +76,6 @@ Simulator::processCapture(Tick now)
             ++metrics.iboDropsInteresting;
         else
             ++metrics.iboDropsUninteresting;
-        if (cfg.debugLog) {
-            *cfg.debugLog << "t=" << ticksToSeconds(now)
-                << " DROP interesting=" << interesting << "\n";
-        }
         // Reactive policies treat drops as overflow pressure; the
         // incumbent's hook is a no-op, so this is byte-inert.
         controller.onInputDropped(system, buffer, record, now);

@@ -193,7 +193,7 @@ experimentFingerprint(const ExperimentConfig &config)
 {
     // Serialize every evolution-shaping knob into a canonical byte
     // string, then FNV-1a it. Derived and output-only fields
-    // (obsSink, debugLog, shared traces) are deliberately absent —
+    // (obsSink, shared traces) are deliberately absent —
     // callers own keeping those consistent with the parameters.
     std::string bytes;
     wire::putVarint(bytes, static_cast<std::uint64_t>(config.device));

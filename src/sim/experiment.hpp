@@ -72,7 +72,7 @@ struct ExperimentConfig
     /**
      * Run-level simulation knobs. Respected fields: capturePeriod,
      * bufferCapacity, drainTicks,
-     * executionJitterSigma, debugLog, the checkpoint/resume block
+     * executionJitterSigma, the checkpoint/resume block
      * (checkpointEveryCaptures, checkpointStop, checkpointSink,
      * resumeState) and the telemetry self-cost rates
      * (telemetrySecondsPerEvent, telemetryEnergyPerEvent).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
 
 #include "fault/fault_injector.hpp"
 #include "util/logging.hpp"
@@ -337,19 +336,6 @@ Simulator::tryBeginJob(Tick now)
         controller.selectJob(system, buffer, measuredPower, runtime);
     if (!selection)
         return;
-
-    if (cfg.debugLog) {
-        *cfg.debugLog << "t=" << ticksToSeconds(now) << " select job="
-            << system.job(selection->jobId).name << " occ="
-            << buffer.size() << " lam=" << system.arrivalsPerSecond()
-            << " P=" << measuredPower * 1e3 << "mW E[S]="
-            << selection->predictedServiceSeconds << " ibo="
-            << selection->iboPredicted << " deg="
-            << selection->degraded << " opts=";
-        for (auto o : selection->optionPerTask)
-            *cfg.debugLog << o;
-        *cfg.debugLog << "\n";
-    }
 
     ActiveJob job;
     job.selection = *selection;

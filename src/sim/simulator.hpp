@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <optional>
 #include <string>
 
@@ -73,8 +72,6 @@ struct SimulationConfig
      * future-work regime), which the PID loop compensates for.
      */
     double executionJitterSigma = 0.0;
-    /** Optional diagnostic stream: one line per capture/selection. */
-    std::ostream *debugLog = nullptr;
     /**
      * Optional telemetry recorder (must outlive the run). The
      * simulator drives the recorder's run clock and emits lifecycle

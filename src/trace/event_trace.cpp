@@ -85,13 +85,6 @@ EventTrace::Cursor::eventAt(Tick tick)
     return candidate.activeAt(tick) ? &candidate : nullptr;
 }
 
-bool
-EventTrace::interestingAt(Tick tick) const
-{
-    const SensingEvent *event = eventAt(tick);
-    return event != nullptr && event->interesting;
-}
-
 void
 EventTrace::writeCsv(std::ostream &out) const
 {

@@ -102,11 +102,6 @@ class EventTrace
     /** True when any event is active at the given tick. */
     bool activeAt(Tick tick) const { return eventAt(tick) != nullptr; }
 
-    /**
-     * True when an interesting event is active at the given tick.
-     */
-    bool interestingAt(Tick tick) const;
-
     /** Serialize as CSV rows "start_s,duration_s,interesting". */
     void writeCsv(std::ostream &out) const;
 

@@ -6,24 +6,6 @@
 namespace quetzal {
 namespace util {
 
-namespace {
-
-LogLevel globalLevel = LogLevel::Normal;
-
-} // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    globalLevel = level;
-}
-
-LogLevel
-logLevel()
-{
-    return globalLevel;
-}
-
 void
 panic(const std::string &message)
 {
@@ -41,22 +23,7 @@ fatal(const std::string &message)
 void
 warn(const std::string &message)
 {
-    if (globalLevel != LogLevel::Silent)
-        std::cerr << "warn: " << message << std::endl;
-}
-
-void
-inform(const std::string &message)
-{
-    if (globalLevel != LogLevel::Silent)
-        std::cout << "info: " << message << std::endl;
-}
-
-void
-debug(const std::string &message)
-{
-    if (globalLevel == LogLevel::Verbose)
-        std::cout << "debug: " << message << std::endl;
+    std::cerr << "warn: " << message << std::endl;
 }
 
 } // namespace util

@@ -5,7 +5,7 @@
  * Follows the gem5 convention: panic() is for internal invariant
  * violations (a Quetzal bug; aborts), fatal() is for unrecoverable
  * user/configuration errors (clean exit with an error code), warn()
- * and inform() are non-terminating status channels.
+ * is the non-terminating status channel.
  */
 
 #ifndef QUETZAL_UTIL_LOGGING_HPP
@@ -16,19 +16,6 @@
 
 namespace quetzal {
 namespace util {
-
-/** Verbosity levels for the global logger. */
-enum class LogLevel {
-    Silent,  ///< suppress warn/inform output (fatal/panic still print)
-    Normal,  ///< print warnings and informational messages
-    Verbose, ///< additionally print debug traces
-};
-
-/** Set the process-wide log level. */
-void setLogLevel(LogLevel level);
-
-/** Current process-wide log level. */
-LogLevel logLevel();
 
 /**
  * Terminate with an internal-error diagnostic. Call when an invariant
@@ -45,12 +32,6 @@ LogLevel logLevel();
 
 /** Print a warning about suspicious but survivable conditions. */
 void warn(const std::string &message);
-
-/** Print an informational status message. */
-void inform(const std::string &message);
-
-/** Print a debug trace (only at LogLevel::Verbose). */
-void debug(const std::string &message);
 
 /**
  * Build a message from stream-insertable pieces, e.g.

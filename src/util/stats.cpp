@@ -76,13 +76,6 @@ Histogram::binCount(std::size_t bin) const
 }
 
 double
-Histogram::binCenter(std::size_t bin) const
-{
-    const double width = (hi - lo) / static_cast<double>(counts.size());
-    return lo + (static_cast<double>(bin) + 0.5) * width;
-}
-
-double
 Histogram::quantile(double q) const
 {
     if (n == 0)
@@ -117,14 +110,6 @@ geometricMean(const std::vector<double> &values)
         logSum += std::log(value);
     }
     return std::exp(logSum / static_cast<double>(values.size()));
-}
-
-double
-relativeError(double actual, double expected)
-{
-    if (expected == 0.0)
-        panic("relativeError: expected value is zero");
-    return std::abs(actual - expected) / std::abs(expected);
 }
 
 void

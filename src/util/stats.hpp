@@ -132,9 +132,6 @@ class Histogram
     /** Total samples added. */
     std::size_t total() const { return n; }
 
-    /** Center value of a bin. */
-    double binCenter(std::size_t bin) const;
-
     /**
      * Linear-interpolated quantile estimate, q in [0, 1].
      * Returns lo when empty.
@@ -150,9 +147,6 @@ class Histogram
 
 /** Geometric mean of a set of strictly positive values (1 if empty). */
 double geometricMean(const std::vector<double> &values);
-
-/** Relative error |actual - expected| / |expected| (expected != 0). */
-double relativeError(double actual, double expected);
 
 } // namespace util
 } // namespace quetzal

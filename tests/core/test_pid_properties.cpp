@@ -1,8 +1,8 @@
 /**
  * @file
  * Property suite for the prediction-error PID loop (paper section
- * 4.3), driven by the fault layer's seeded disturbance signals
- * (fault::disturbanceSamples) instead of hand-written literals: each
+ * 4.3), driven by seeded disturbance signals (tests/support,
+ * fault::disturbanceSamples) instead of hand-written literals: each
  * property is checked over a family of step / ramp / noise inputs.
  *
  * The closed loop under test is the estimator's: the controller's
@@ -18,7 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pid.hpp"
-#include "fault/disturbance.hpp"
+#include "support/disturbance.hpp"
 
 namespace quetzal {
 namespace core {

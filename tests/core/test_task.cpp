@@ -52,12 +52,6 @@ TEST(Task, OptionEnergyAndSeconds)
     EXPECT_DOUBLE_EQ(task.option(0).exeSeconds(), 1.0);
 }
 
-TEST(Task, FastestOptionIndex)
-{
-    Task task(0, "ml", twoOptions());
-    EXPECT_EQ(task.fastestOptionIndex(), 1u);
-}
-
 TEST(TaskDeathTest, EmptyOptionsFatal)
 {
     EXPECT_EXIT(Task(0, "bad", {}), ::testing::ExitedWithCode(1),

@@ -115,16 +115,6 @@ TEST(EnergyStorage, DeficitToRestart)
     }
 }
 
-TEST(EnergyStorage, ResetRestoresRails)
-{
-    EnergyStorage storage(paperConfig());
-    storage.draw(storage.capacity());
-    storage.reset(true);
-    EXPECT_TRUE(storage.full());
-    storage.reset(false);
-    EXPECT_TRUE(storage.depleted());
-}
-
 TEST(EnergyStorageDeathTest, InvalidConfigIsFatal)
 {
     StorageConfig bad = paperConfig();

@@ -25,17 +25,6 @@ TEST(Harvester, DatasheetMaxScalesWithCells)
     EXPECT_NEAR(six.datasheetMaxPower(), 6 * 30e-3 * 0.8, 1e-12);
 }
 
-TEST(Harvester, PowerFromIrradiance)
-{
-    const Harvester harvester{HarvesterConfig{}};
-    EXPECT_DOUBLE_EQ(harvester.powerFromIrradiance(0.0), 0.0);
-    EXPECT_DOUBLE_EQ(harvester.powerFromIrradiance(-1.0), 0.0);
-    EXPECT_NEAR(harvester.powerFromIrradiance(1.0),
-                harvester.datasheetMaxPower(), 1e-12);
-    EXPECT_NEAR(harvester.powerFromIrradiance(0.5),
-                0.5 * harvester.datasheetMaxPower(), 1e-12);
-}
-
 TEST(Harvester, TraceScaling)
 {
     const Harvester harvester{HarvesterConfig{}};

@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "fault/disturbance.hpp"
+#include "support/disturbance.hpp"
 
 namespace quetzal {
 namespace fault {

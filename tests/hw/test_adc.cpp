@@ -55,20 +55,6 @@ TEST(Adc8, MonotoneInVoltage)
     }
 }
 
-TEST(Adc8, NoiseDrawShiftsCode)
-{
-    AdcConfig cfg;
-    cfg.noiseLsb = 2.0;
-    Adc8 adc(cfg);
-    const Volts v = 0.3;
-    const auto clean = adc.sampleNoisy(v, 0.0);
-    const auto up = adc.sampleNoisy(v, 1.0);
-    const auto down = adc.sampleNoisy(v, -1.0);
-    EXPECT_EQ(clean, adc.sample(v));
-    EXPECT_EQ(up, clean + 2);
-    EXPECT_EQ(down, clean - 2);
-}
-
 TEST(Adc8DeathTest, InvalidConfigIsFatal)
 {
     AdcConfig bad;

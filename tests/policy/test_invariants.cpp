@@ -21,8 +21,8 @@
 #include <vector>
 
 #include "policy/registry.hpp"
-#include "policy/verify.hpp"
 #include "policy/zoo.hpp"
+#include "support/verify.hpp"
 
 namespace quetzal {
 namespace policy {

@@ -13,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "queueing/oracle.hpp"
+#include "support/oracle.hpp"
 
 namespace quetzal {
 namespace queueing {

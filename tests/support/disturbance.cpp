@@ -1,4 +1,4 @@
-#include "fault/disturbance.hpp"
+#include "support/disturbance.hpp"
 
 #include <algorithm>
 

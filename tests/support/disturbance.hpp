@@ -11,8 +11,8 @@
  * repo-wide determinism contract.
  */
 
-#ifndef QUETZAL_FAULT_DISTURBANCE_HPP
-#define QUETZAL_FAULT_DISTURBANCE_HPP
+#ifndef QUETZAL_TESTS_SUPPORT_DISTURBANCE_HPP
+#define QUETZAL_TESTS_SUPPORT_DISTURBANCE_HPP
 
 #include <cstddef>
 #include <cstdint>
@@ -51,4 +51,4 @@ std::vector<double> disturbanceSamples(const Disturbance &signal,
 } // namespace fault
 } // namespace quetzal
 
-#endif // QUETZAL_FAULT_DISTURBANCE_HPP
+#endif // QUETZAL_TESTS_SUPPORT_DISTURBANCE_HPP

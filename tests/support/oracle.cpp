@@ -1,4 +1,4 @@
-#include "queueing/oracle.hpp"
+#include "support/oracle.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -5,8 +5,8 @@
  * The paper's runtime *predicts* overflows one job ahead with
  * Little's Law (littles_law.hpp); this module predicts the
  * *steady-state* behavior of the whole capture pipeline from first
- * principles, so experiments and tests have an analytical
- * ground truth to check the simulator against.
+ * principles, so tests have an analytical ground truth to check
+ * the simulator against.
  *
  * Model: Poisson arrivals at rate lambda (captured frames surviving
  * the diff filter), deterministic service time E[S] (classification
@@ -40,8 +40,8 @@
  * the buffer's accounting.
  */
 
-#ifndef QUETZAL_QUEUEING_ORACLE_HPP
-#define QUETZAL_QUEUEING_ORACLE_HPP
+#ifndef QUETZAL_TESTS_SUPPORT_ORACLE_HPP
+#define QUETZAL_TESTS_SUPPORT_ORACLE_HPP
 
 #include <cstddef>
 #include <cstdint>
@@ -122,4 +122,4 @@ QueueSimResult simulateQueue(const QueueSimConfig &config);
 } // namespace queueing
 } // namespace quetzal
 
-#endif // QUETZAL_QUEUEING_ORACLE_HPP
+#endif // QUETZAL_TESTS_SUPPORT_ORACLE_HPP

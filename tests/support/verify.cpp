@@ -1,4 +1,4 @@
-#include "policy/verify.hpp"
+#include "support/verify.hpp"
 
 #include <cstring>
 #include <deque>

@@ -22,8 +22,8 @@
  * policy produce identical streams for the same seed).
  */
 
-#ifndef QUETZAL_POLICY_VERIFY_HPP
-#define QUETZAL_POLICY_VERIFY_HPP
+#ifndef QUETZAL_TESTS_SUPPORT_VERIFY_HPP
+#define QUETZAL_TESTS_SUPPORT_VERIFY_HPP
 
 #include <cstdint>
 #include <string>
@@ -69,4 +69,4 @@ std::vector<std::string> decisionStream(core::SchedulingPolicy &policy,
 } // namespace policy
 } // namespace quetzal
 
-#endif // QUETZAL_POLICY_VERIFY_HPP
+#endif // QUETZAL_TESTS_SUPPORT_VERIFY_HPP

@@ -7,11 +7,45 @@
 #include <gtest/gtest.h>
 
 #include "trace/event_generator.hpp"
-#include "trace/trace_stats.hpp"
 
 namespace quetzal {
 namespace trace {
 namespace {
+
+/** Summary of a generated trace that the generator's knobs shape. */
+struct TraceStats
+{
+    double meanDurationSeconds = 0.0;
+    double meanGapSeconds = 0.0;
+    double activityDutyCycle = 0.0; ///< active time / total span
+};
+
+TraceStats
+computeStats(const EventTrace &trace)
+{
+    TraceStats stats;
+    if (trace.empty())
+        return stats;
+
+    Tick activeTicks = 0;
+    Tick gapTicks = 0;
+    const auto &events = trace.data();
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        activeTicks += events[i].duration;
+        if (i > 0)
+            gapTicks += events[i].start - events[i - 1].end();
+    }
+
+    const Tick span = trace.endTime() - events.front().start;
+    stats.meanDurationSeconds = ticksToSeconds(activeTicks) /
+        static_cast<double>(events.size());
+    stats.meanGapSeconds = events.size() > 1 ?
+        ticksToSeconds(gapTicks) / static_cast<double>(events.size() - 1) :
+        0.0;
+    stats.activityDutyCycle = span > 0 ?
+        static_cast<double>(activeTicks) / static_cast<double>(span) : 0.0;
+    return stats;
+}
 
 TEST(EventGenerator, Deterministic)
 {
@@ -52,16 +86,6 @@ TEST(EventGenerator, MoreCrowdedHasLongerEvents)
             .generate());
     EXPECT_GT(more.meanDurationSeconds, less.meanDurationSeconds);
     EXPECT_GT(more.activityDutyCycle, less.activityDutyCycle);
-}
-
-TEST(TraceStats, ExpectedStoredInputsScalesWithRate)
-{
-    const auto stats = computeStats(
-        EventGenerator(EventGeneratorConfig::forPreset(
-                           EnvironmentPreset::Crowded, 200, 5))
-            .generate());
-    EXPECT_NEAR(stats.expectedStoredInputs(2.0),
-                2.0 * stats.expectedStoredInputs(1.0), 1e-9);
 }
 
 /** Parameterized sweep: invariants hold for every preset. */

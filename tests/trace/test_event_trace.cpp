@@ -46,15 +46,12 @@ TEST(EventTrace, EventAtQueries)
     EXPECT_EQ(trace.eventAt(99'999), nullptr);
 }
 
-TEST(EventTrace, ActiveAndInterestingAt)
+TEST(EventTrace, ActiveAt)
 {
     const EventTrace trace = sample();
     EXPECT_TRUE(trace.activeAt(1200));
-    EXPECT_TRUE(trace.interestingAt(1200));
     EXPECT_TRUE(trace.activeAt(3500));
-    EXPECT_FALSE(trace.interestingAt(3500));
     EXPECT_FALSE(trace.activeAt(5000));
-    EXPECT_FALSE(trace.interestingAt(5000));
 }
 
 TEST(EventTrace, EmptyTrace)

@@ -12,16 +12,6 @@ namespace quetzal {
 namespace util {
 namespace {
 
-TEST(Logging, LevelRoundTrip)
-{
-    const LogLevel before = logLevel();
-    setLogLevel(LogLevel::Verbose);
-    EXPECT_EQ(logLevel(), LogLevel::Verbose);
-    setLogLevel(LogLevel::Silent);
-    EXPECT_EQ(logLevel(), LogLevel::Silent);
-    setLogLevel(before);
-}
-
 TEST(Logging, MsgConcatenates)
 {
     EXPECT_EQ(msg("a", 1, "b", 2.5), "a1b2.5");

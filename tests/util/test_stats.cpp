@@ -78,13 +78,6 @@ TEST(Histogram, BinningAndEdges)
     EXPECT_EQ(h.total(), 4u);
 }
 
-TEST(Histogram, BinCenter)
-{
-    Histogram h(0.0, 10.0, 10);
-    EXPECT_DOUBLE_EQ(h.binCenter(0), 0.5);
-    EXPECT_DOUBLE_EQ(h.binCenter(9), 9.5);
-}
-
 TEST(Histogram, QuantileUniform)
 {
     Histogram h(0.0, 100.0, 100);
@@ -99,13 +92,6 @@ TEST(GeometricMean, Basics)
     EXPECT_DOUBLE_EQ(geometricMean({}), 1.0);
     EXPECT_NEAR(geometricMean({2.0, 8.0}), 4.0, 1e-12);
     EXPECT_NEAR(geometricMean({1.0, 10.0, 100.0}), 10.0, 1e-9);
-}
-
-TEST(RelativeError, Basics)
-{
-    EXPECT_DOUBLE_EQ(relativeError(110.0, 100.0), 0.1);
-    EXPECT_DOUBLE_EQ(relativeError(90.0, 100.0), 0.1);
-    EXPECT_DOUBLE_EQ(relativeError(-90.0, -100.0), 0.1);
 }
 
 } // namespace
