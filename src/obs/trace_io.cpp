@@ -3,9 +3,11 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <ostream>
+#include <fstream>
+#include <iostream>
 #include <string>
 
+#include "obs/btrace.hpp"
 #include "obs/trace_cursor.hpp"
 #include "util/logging.hpp"
 #include "util/small_vec.hpp"
@@ -612,6 +614,42 @@ void
 writeChromeTraceFooter(std::ostream &out)
 {
     out << "\n]\n";
+}
+
+void
+writeTraceFile(const std::string &path, const std::string &format,
+               const std::vector<VectorSink> &sinks)
+{
+    std::ofstream file;
+    std::ostream *out = &std::cout;
+    if (path != "-") {
+        file.open(path, std::ios::binary);
+        if (!file)
+            util::fatal(util::msg("cannot open trace output: ", path));
+        out = &file;
+    }
+    if (format == "chrome") {
+        writeChromeTraceHeader(*out);
+        bool first = true;
+        for (std::size_t i = 0; i < sinks.size(); ++i)
+            first = writeChromeTrace(*out, sinks[i].events(), i, first);
+        writeChromeTraceFooter(*out);
+    } else if (format == "btrace") {
+        // Runs record in parallel into per-run sinks, so the batch
+        // writer serializes them in run order after the joins —
+        // byte-identical to a StreamingBtraceSink over the same
+        // streams (obs/btrace.hpp).
+        BtraceWriter writer(*out);
+        for (std::size_t i = 0; i < sinks.size(); ++i)
+            writer.writeRun(sinks[i].events(), i);
+        writer.finish();
+    } else {
+        writeJsonlHeader(*out);
+        for (std::size_t i = 0; i < sinks.size(); ++i)
+            writeJsonl(*out, sinks[i].events(), i);
+    }
+    if (out == &file && !file)
+        util::fatal(util::msg("error writing trace output: ", path));
 }
 
 } // namespace obs

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "obs/event.hpp"
+#include "obs/trace_sink.hpp"
 
 namespace quetzal {
 namespace obs {
@@ -116,6 +117,15 @@ void writeChromeTraceHeader(std::ostream &out);
 
 /** Close the JSON array opened by writeChromeTraceHeader(). */
 void writeChromeTraceFooter(std::ostream &out);
+
+/**
+ * Serialize per-run sinks, in run-index order, as one trace file in
+ * `format` ("chrome", "btrace", anything else JSONL) to `path`, or
+ * to stdout when `path` is "-". Fatal when the file cannot be opened
+ * or written.
+ */
+void writeTraceFile(const std::string &path, const std::string &format,
+                    const std::vector<VectorSink> &sinks);
 
 } // namespace obs
 } // namespace quetzal

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "fleet/checkpoint.hpp"
-#include "obs/btrace.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace_io.hpp"
 #include "obs/trace_sink.hpp"
@@ -286,45 +285,6 @@ writeCsv(const ScenarioPlan &plan,
 }
 
 void
-writeTrace(const ScenarioSpec &spec,
-           const std::vector<obs::VectorSink> &sinks)
-{
-    const TraceOutputSpec &trace = *spec.output.trace;
-    std::ofstream file;
-    std::ostream *out = &std::cout;
-    if (trace.path != "-") {
-        file.open(trace.path, std::ios::binary);
-        if (!file)
-            util::fatal(
-                util::msg("cannot open trace output: ", trace.path));
-        out = &file;
-    }
-    if (trace.format == "chrome") {
-        obs::writeChromeTraceHeader(*out);
-        bool first = true;
-        for (std::size_t i = 0; i < sinks.size(); ++i)
-            first = obs::writeChromeTrace(*out, sinks[i].events(), i,
-                                          first);
-        obs::writeChromeTraceFooter(*out);
-    } else if (trace.format == "btrace") {
-        // Byte-identical to a StreamingBtraceSink over the same
-        // streams: chunk boundaries are a pure function of the
-        // events (obs/btrace.hpp).
-        obs::BtraceWriter writer(*out);
-        for (std::size_t i = 0; i < sinks.size(); ++i)
-            writer.writeRun(sinks[i].events(), i);
-        writer.finish();
-    } else {
-        obs::writeJsonlHeader(*out);
-        for (std::size_t i = 0; i < sinks.size(); ++i)
-            obs::writeJsonl(*out, sinks[i].events(), i);
-    }
-    if (out == &file && !file)
-        util::fatal(
-            util::msg("error writing trace output: ", trace.path));
-}
-
-void
 printRollup(const ScenarioPlan &plan,
             const std::vector<sim::Metrics> &results,
             const std::vector<obs::VectorSink> &sinks)
@@ -401,8 +361,10 @@ runPlan(const ScenarioPlan &plan, const EngineOptions &options)
         printLeague(plan, results);
     if (!output.csvPath.empty())
         writeCsv(plan, results);
-    if (tracing)
-        writeTrace(plan.spec, sinks);
+    if (tracing) {
+        const TraceOutputSpec &trace = *plan.spec.output.trace;
+        obs::writeTraceFile(trace.path, trace.format, sinks);
+    }
     if (output.rollup)
         printRollup(plan, results, sinks);
     return results;
@@ -499,8 +461,10 @@ runFleetSpec(const ScenarioSpec &spec, const EngineOptions &options)
     // its stdout stays a strict prefix of the straight run's, and
     // the resumed run writes the complete trace and summary.
     const bool halted = result.haltedAtTick > 0;
-    if (tracing && !halted)
-        writeTrace(spec, sinks);
+    if (tracing && !halted) {
+        const TraceOutputSpec &trace = *spec.output.trace;
+        obs::writeTraceFile(trace.path, trace.format, sinks);
+    }
     if (spec.output.rollup && !halted) {
         obs::MetricsRegistry registry;
         for (const obs::Event &event : sinks.front().events())

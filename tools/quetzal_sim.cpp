@@ -58,7 +58,6 @@
 #include <vector>
 
 #include "cli_flags.hpp"
-#include "obs/btrace.hpp"
 #include "obs/stream_sink.hpp"
 #include "obs/trace_io.hpp"
 #include "scenario/engine.hpp"
@@ -232,43 +231,6 @@ csvRow(const sim::ExperimentConfig &cfg, const std::string &environment,
         static_cast<unsigned long long>(m.degradedJobs),
         static_cast<unsigned long long>(m.powerFailures),
         ticksToSeconds(m.rechargeTicks));
-}
-
-/** Serialize per-run sinks (in run-index order) to path or stdout. */
-void
-writeTraceOutput(const std::string &path, const std::string &format,
-                 const std::vector<obs::VectorSink> &sinks)
-{
-    std::ofstream file;
-    std::ostream *out = &std::cout;
-    if (path != "-") {
-        file.open(path, std::ios::binary);
-        if (!file)
-            util::fatal(util::msg("cannot open trace output: ", path));
-        out = &file;
-    }
-    if (format == "chrome") {
-        obs::writeChromeTraceHeader(*out);
-        bool first = true;
-        for (std::size_t i = 0; i < sinks.size(); ++i)
-            first = obs::writeChromeTrace(*out, sinks[i].events(), i,
-                                          first);
-        obs::writeChromeTraceFooter(*out);
-    } else if (format == "btrace") {
-        // Ensemble runs record in parallel into per-run sinks, so the
-        // batch writer serializes them in run order after the joins —
-        // byte-identical to the streaming sink over the same stream.
-        obs::BtraceWriter writer(*out);
-        for (std::size_t i = 0; i < sinks.size(); ++i)
-            writer.writeRun(sinks[i].events(), i);
-        writer.finish();
-    } else {
-        obs::writeJsonlHeader(*out);
-        for (std::size_t i = 0; i < sinks.size(); ++i)
-            obs::writeJsonl(*out, sinks[i].events(), i);
-    }
-    if (out == &file && !file)
-        util::fatal(util::msg("error writing trace output: ", path));
 }
 
 } // namespace
@@ -512,7 +474,7 @@ main(int argc, char **argv)
                 .printSummary(std::cout, sim::experimentLabel(cfg));
         }
         if (tracing)
-            writeTraceOutput(traceOut, traceFormat, sinks);
+            obs::writeTraceFile(traceOut, traceFormat, sinks);
         return 0;
     }
 
@@ -581,7 +543,7 @@ main(int argc, char **argv)
                                       traceOut));
         }
     } else if (tracing) {
-        writeTraceOutput(traceOut, traceFormat, sinks);
+        obs::writeTraceFile(traceOut, traceFormat, sinks);
     }
     return 0;
 }
