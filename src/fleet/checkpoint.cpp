@@ -181,13 +181,8 @@ walkHeader(wire::Archive &ar, FleetSnapshot &snap,
 void
 CohortCounters::walk(wire::Archive &ar)
 {
-    for (std::uint64_t *counter :
-         {&captures, &missedCaptures, &storedInputs, &dropsInteresting,
-          &dropsUninteresting, &jobsCompleted, &degradedJobs,
-          &powerFailures, &checkpointSaves, &rechargeTicks,
-          &activeTicks, &chargeNanojoules, &wastedNanojoules,
-          &occupancySum, &devicesOff})
-        ar.varint(*counter);
+    for (const CohortCounterField &field : kCohortCounterFields)
+        ar.varint(this->*field.member);
 }
 
 void

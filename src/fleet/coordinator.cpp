@@ -1,7 +1,5 @@
 #include "fleet/coordinator.hpp"
 
-#include <cmath>
-
 #include "policy/registry.hpp"
 #include "util/logging.hpp"
 
@@ -9,13 +7,6 @@ namespace quetzal {
 namespace fleet {
 
 namespace {
-
-/** Nanojoules of a joule quantity, rounded to nearest. */
-std::uint64_t
-toNano(Joules joules)
-{
-    return static_cast<std::uint64_t>(std::llround(joules * 1e9));
-}
 
 /**
  * Smallest degradation level whose per-device service rate keeps up

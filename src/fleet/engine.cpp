@@ -1,7 +1,6 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <ostream>
 
@@ -36,13 +35,6 @@ mix64(std::uint64_t x)
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
     return x ^ (x >> 31);
-}
-
-/** Nanojoules of a joule quantity, rounded to nearest. */
-std::uint64_t
-toNano(Joules joules)
-{
-    return static_cast<std::uint64_t>(std::llround(joules * 1e9));
 }
 
 /** P(interesting) of a capture, by crowdedness preset. */
@@ -245,26 +237,16 @@ advanceBlock(CohortBlock &block, const CohortConfig &cohort,
     }
 }
 
-/** Counter fields that accumulate across slabs (not the gauges). */
+/** Fold one slab into a running total: counters accumulate, while
+ *  gauges describe the slab end, so the latest slab wins. */
 void
 addCounters(CohortCounters &total, const CohortCounters &slab)
 {
-    total.captures += slab.captures;
-    total.missedCaptures += slab.missedCaptures;
-    total.storedInputs += slab.storedInputs;
-    total.dropsInteresting += slab.dropsInteresting;
-    total.dropsUninteresting += slab.dropsUninteresting;
-    total.jobsCompleted += slab.jobsCompleted;
-    total.degradedJobs += slab.degradedJobs;
-    total.powerFailures += slab.powerFailures;
-    total.checkpointSaves += slab.checkpointSaves;
-    total.rechargeTicks += slab.rechargeTicks;
-    total.activeTicks += slab.activeTicks;
-    total.wastedNanojoules += slab.wastedNanojoules;
-    // Gauges describe the slab end; the latest slab wins.
-    total.chargeNanojoules = slab.chargeNanojoules;
-    total.occupancySum = slab.occupancySum;
-    total.devicesOff = slab.devicesOff;
+    for (const CohortCounterField &field : kCohortCounterFields) {
+        total.*field.member = field.gauge
+            ? slab.*field.member
+            : total.*field.member + slab.*field.member;
+    }
 }
 
 /**
@@ -423,21 +405,8 @@ toMetrics(const CohortCounters &t, Tick horizonTicks)
 void
 CohortCounters::add(const CohortCounters &other)
 {
-    captures += other.captures;
-    missedCaptures += other.missedCaptures;
-    storedInputs += other.storedInputs;
-    dropsInteresting += other.dropsInteresting;
-    dropsUninteresting += other.dropsUninteresting;
-    jobsCompleted += other.jobsCompleted;
-    degradedJobs += other.degradedJobs;
-    powerFailures += other.powerFailures;
-    checkpointSaves += other.checkpointSaves;
-    rechargeTicks += other.rechargeTicks;
-    activeTicks += other.activeTicks;
-    chargeNanojoules += other.chargeNanojoules;
-    wastedNanojoules += other.wastedNanojoules;
-    occupancySum += other.occupancySum;
-    devicesOff += other.devicesOff;
+    for (const CohortCounterField &field : kCohortCounterFields)
+        this->*field.member += other.*field.member;
 }
 
 FleetResult
@@ -614,20 +583,13 @@ runFleet(const FleetConfig &config, const FleetOptions &options)
             slabEnd == config.horizonTicks;
         if (atRollup) {
             for (std::size_t c = 0; c < cohortCount; ++c) {
+                // Counters since the last rollup; gauges as of now.
                 CohortCounters delta = cohortTotals[c];
-                const CohortCounters &base = rollupBase[c];
-                delta.captures -= base.captures;
-                delta.missedCaptures -= base.missedCaptures;
-                delta.storedInputs -= base.storedInputs;
-                delta.dropsInteresting -= base.dropsInteresting;
-                delta.dropsUninteresting -= base.dropsUninteresting;
-                delta.jobsCompleted -= base.jobsCompleted;
-                delta.degradedJobs -= base.degradedJobs;
-                delta.powerFailures -= base.powerFailures;
-                delta.checkpointSaves -= base.checkpointSaves;
-                delta.rechargeTicks -= base.rechargeTicks;
-                delta.activeTicks -= base.activeTicks;
-                delta.wastedNanojoules -= base.wastedNanojoules;
+                for (const CohortCounterField &field :
+                     kCohortCounterFields) {
+                    if (!field.gauge)
+                        delta.*field.member -= rollupBase[c].*field.member;
+                }
                 if (options.sink != nullptr || checkpointing)
                     emitRollup(rollupSink, slabEnd, c, delta,
                                cohortTotals[c],

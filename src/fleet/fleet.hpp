@@ -24,9 +24,11 @@
 #ifndef QUETZAL_FLEET_FLEET_HPP
 #define QUETZAL_FLEET_FLEET_HPP
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -131,6 +133,46 @@ struct CohortCounters
      *  declaration order. */
     void walk(util::wire::Archive &ar);
 };
+
+/** One CohortCounters field and whether it is an end-of-slab gauge. */
+struct CohortCounterField
+{
+    std::uint64_t CohortCounters::*member;
+    /** Describes the devices at a slab end (replaced across slabs)
+     *  rather than counting events (accumulated across slabs). */
+    bool gauge;
+};
+
+/** Every CohortCounters field, in declaration (= wire) order. The
+ *  sums, the rollup delta and the checkpoint walk all iterate this
+ *  table, so a new field is added here and nowhere else. */
+inline constexpr CohortCounterField kCohortCounterFields[] = {
+    {&CohortCounters::captures, false},
+    {&CohortCounters::missedCaptures, false},
+    {&CohortCounters::storedInputs, false},
+    {&CohortCounters::dropsInteresting, false},
+    {&CohortCounters::dropsUninteresting, false},
+    {&CohortCounters::jobsCompleted, false},
+    {&CohortCounters::degradedJobs, false},
+    {&CohortCounters::powerFailures, false},
+    {&CohortCounters::checkpointSaves, false},
+    {&CohortCounters::rechargeTicks, false},
+    {&CohortCounters::activeTicks, false},
+    {&CohortCounters::chargeNanojoules, true},
+    {&CohortCounters::wastedNanojoules, false},
+    {&CohortCounters::occupancySum, true},
+    {&CohortCounters::devicesOff, true},
+};
+static_assert(sizeof(CohortCounters) ==
+                  std::size(kCohortCounterFields) * sizeof(std::uint64_t),
+              "every CohortCounters field needs a kCohortCounterFields row");
+
+/** Nanojoules of a joule quantity, rounded to nearest. */
+inline std::uint64_t
+toNano(Joules joules)
+{
+    return static_cast<std::uint64_t>(std::llround(joules * 1e9));
+}
 
 /** Final per-cohort outcome. */
 struct CohortResult
