@@ -1,9 +1,9 @@
 /**
  * @file
- * Shared helpers for the figure-reproduction benchmarks: consistent
- * row formatting (forwarding to the sim/metrics table printers the
- * scenario engine also uses), the ratio arithmetic the paper
- * reports, and the parallel fan-out every driver uses. Each driver
+ * Shared helpers for the figure-reproduction benchmarks: section
+ * banners and the parallel fan-out every benchmark uses; rows and
+ * the paper's ratios come straight from the sim/metrics printers
+ * the scenario engine also uses. Each benchmark
  * builds its full batch of experiment configurations up front, runs
  * it on the shared ParallelRunner (worker count from QUETZAL_JOBS,
  * default hardware concurrency), then prints from the in-order
@@ -29,34 +29,6 @@ inline void
 banner(const std::string &title)
 {
     std::printf("\n=== %s ===\n", title.c_str());
-}
-
-/** Header for the standard discard/report table. */
-inline void
-discardHeader()
-{
-    sim::printDiscardTableHeader();
-}
-
-/** One row of the standard discard/report table. */
-inline void
-discardRow(const std::string &label, const sim::Metrics &m)
-{
-    sim::printDiscardTableRow(label, m);
-}
-
-/** "A discards Nx fewer than B" ratio with zero protection. */
-inline double
-discardRatio(const sim::Metrics &baseline, const sim::Metrics &quetzal)
-{
-    return sim::discardRatio(baseline, quetzal);
-}
-
-/** IBO-only discard ratio. */
-inline double
-iboRatio(const sim::Metrics &baseline, const sim::Metrics &quetzal)
-{
-    return sim::iboRatio(baseline, quetzal);
 }
 
 /** The process-wide experiment runner used by the figure drivers.

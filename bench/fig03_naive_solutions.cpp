@@ -21,7 +21,7 @@ main()
 
     bench::banner("Figure 3: naive solutions (Crowded, Apollo 4, "
                   "buffer=10)");
-    bench::discardHeader();
+    sim::printDiscardTableHeader();
 
     const std::pair<ControllerKind, const char *> systems[] = {
         {ControllerKind::Ideal, "Ideal"},
@@ -43,7 +43,7 @@ main()
     std::size_t next = 0;
     for (const auto &[kind, label] : systems) {
         const sim::Metrics &m = results[next++];
-        bench::discardRow(label, m);
+        sim::printDiscardTableRow(label, m);
         if (kind == ControllerKind::NoAdapt)
             na = m;
         if (kind == ControllerKind::Quetzal)
@@ -52,7 +52,7 @@ main()
 
     std::printf("\nQZ vs NA: %.1fx fewer interesting inputs discarded "
                 "(paper section 2.3: up to 4.2x)\n",
-                bench::discardRatio(na, qz));
+                sim::discardRatio(na, qz));
     std::printf("paper shape: NA/CN lose to IBOs; AD/PZO lose to "
                 "misclassifications and report\nonly low quality; QZ "
                 "minimizes both (Fig. 3a/3b).\n");

@@ -36,11 +36,11 @@ main()
     for (const auto env : environments) {
         std::printf("\n-- environment: %s --\n",
                     trace::environmentName(env).c_str());
-        bench::discardHeader();
+        sim::printDiscardTableHeader();
         const sim::Metrics &na = results[next++];
         const sim::Metrics &qz = results[next++];
-        bench::discardRow("NA", na);
-        bench::discardRow("QZ", qz);
+        sim::printDiscardTableRow("NA", na);
+        sim::printDiscardTableRow("QZ", qz);
 
         const double moreReported =
             100.0 *
@@ -51,7 +51,7 @@ main()
              1.0);
         std::printf("QZ vs NA: %.1fx fewer discarded (paper: 6.4x / "
                     "5x), %+.0f%% reported (paper: +74%% / +27%%)\n",
-                    bench::discardRatio(na, qz), moreReported);
+                    sim::discardRatio(na, qz), moreReported);
     }
     return 0;
 }

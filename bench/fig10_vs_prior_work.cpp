@@ -39,23 +39,23 @@ main()
     for (const auto env : environments) {
         std::printf("\n-- environment: %s --\n",
                     trace::environmentName(env).c_str());
-        bench::discardHeader();
+        sim::printDiscardTableHeader();
         const sim::Metrics &cn = results[next++];
         const sim::Metrics &zgo = results[next++];
         const sim::Metrics &zgi = results[next++];
         const sim::Metrics &qz = results[next++];
-        bench::discardRow("CN", cn);
-        bench::discardRow("PZO", zgo);
-        bench::discardRow("PZI", zgi);
-        bench::discardRow("QZ", qz);
+        sim::printDiscardTableRow("CN", cn);
+        sim::printDiscardTableRow("PZO", zgo);
+        sim::printDiscardTableRow("PZI", zgi);
+        sim::printDiscardTableRow("QZ", qz);
 
         std::printf("QZ vs CN:  %.1fx total, %.1fx IBO-only (paper: "
                     "2.2-4.3x / 4.1-17.2x)\n",
-                    bench::discardRatio(cn, qz),
-                    bench::iboRatio(cn, qz));
+                    sim::discardRatio(cn, qz),
+                    sim::iboRatio(cn, qz));
         std::printf("QZ vs PZI: %.1fx total (paper: 1.9-3.1x), HQ "
                     "inputs %.1fx (paper: 1.7-2.1x)\n",
-                    bench::discardRatio(zgi, qz),
+                    sim::discardRatio(zgi, qz),
                     static_cast<double>(qz.txInterestingHq) /
                         static_cast<double>(std::max<std::uint64_t>(
                             zgi.txInterestingHq, 1)));

@@ -56,7 +56,7 @@ main()
     for (const auto env : environments) {
         std::printf("\n-- environment: %s --\n",
                     trace::environmentName(env).c_str());
-        bench::discardHeader();
+        sim::printDiscardTableHeader();
         const sim::Metrics &qz = results[next++];
         if (env == trace::EnvironmentPreset::Crowded)
             crowdedQz = qz;
@@ -65,16 +65,16 @@ main()
         std::vector<double> hqGains;
         for (double threshold : {0.25, 0.5, 0.75}) {
             const sim::Metrics &thr = results[next++];
-            bench::discardRow(
+            sim::printDiscardTableRow(
                 sim::experimentLabel(thresholdConfig(env, threshold)),
                 thr);
-            ratios.push_back(bench::discardRatio(thr, qz));
+            ratios.push_back(sim::discardRatio(thr, qz));
             hqGains.push_back(
                 static_cast<double>(qz.txInterestingHq) /
                 static_cast<double>(
                     std::max<std::uint64_t>(thr.txInterestingHq, 1)));
         }
-        bench::discardRow("QZ", qz);
+        sim::printDiscardTableRow("QZ", qz);
         std::printf("QZ vs thresholds: geomean %.2fx fewer discards "
                     "(paper: 1.15-2.2x), geomean %.2fx HQ inputs "
                     "(paper: +48-64%%)\n",

@@ -17,7 +17,7 @@ main()
 
     bench::banner("Figure 13: MSP430FR5994 (1000 events, "
                   "Msp430Short environment)");
-    bench::discardHeader();
+    sim::printDiscardTableHeader();
 
     auto mspConfig = [](ControllerKind kind, double threshold = 0.5) {
         sim::ExperimentConfig cfg;
@@ -48,17 +48,17 @@ main()
     const sim::Metrics &zgi = results[6];
     const sim::Metrics &qz = results[7];
 
-    bench::discardRow("Ideal", ideal);
-    bench::discardRow("NA", na);
-    bench::discardRow("AD", ad);
-    bench::discardRow("CN", cn);
-    bench::discardRow("THR-75%", t75);
-    bench::discardRow("PZO", zgo);
-    bench::discardRow("PZI", zgi);
-    bench::discardRow("QZ", qz);
+    sim::printDiscardTableRow("Ideal", ideal);
+    sim::printDiscardTableRow("NA", na);
+    sim::printDiscardTableRow("AD", ad);
+    sim::printDiscardTableRow("CN", cn);
+    sim::printDiscardTableRow("THR-75%", t75);
+    sim::printDiscardTableRow("PZO", zgo);
+    sim::printDiscardTableRow("PZI", zgi);
+    sim::printDiscardTableRow("QZ", qz);
 
     std::printf("\nQZ vs NA: %.1fx fewer discarded (paper: 2.8x)\n",
-                bench::discardRatio(na, qz));
+                sim::discardRatio(na, qz));
     std::printf("QZ HQ interesting inputs vs THR-75%%: %+.0f%% "
                 "(paper: +40%%)\n",
                 100.0 * (static_cast<double>(qz.txInterestingHq) /
