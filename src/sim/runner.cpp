@@ -1,7 +1,10 @@
 #include "sim/runner.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <thread>
 
 #include "util/logging.hpp"
@@ -31,11 +34,16 @@ unsigned
 defaultJobs()
 {
     if (const char *env = std::getenv("QUETZAL_JOBS")) {
-        const long parsed = std::strtol(env, nullptr, 10);
-        if (parsed > 0)
-            return static_cast<unsigned>(parsed);
-        util::warn(util::msg("ignoring non-positive QUETZAL_JOBS: ",
-                             env));
+        // The whole string must be a decimal in [1, UINT_MAX]: no
+        // sign, no suffix, no wrap-around into the unsigned range.
+        const char *end = env + std::strlen(env);
+        unsigned parsed = 0;
+        const auto [stop, ec] = std::from_chars(env, end, parsed);
+        if (ec == std::errc() && stop == end && parsed > 0)
+            return parsed;
+        util::warn(util::msg("ignoring QUETZAL_JOBS '", env,
+                             "': not an integer in [1, ",
+                             std::numeric_limits<unsigned>::max(), "]"));
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;

@@ -42,8 +42,10 @@ namespace sim {
 
 /**
  * Worker count to use when the caller does not specify one: the
- * QUETZAL_JOBS environment variable when set to a positive integer,
- * otherwise std::thread::hardware_concurrency() (at least 1).
+ * QUETZAL_JOBS environment variable when it is exactly a decimal
+ * integer in [1, UINT_MAX], otherwise
+ * std::thread::hardware_concurrency() (at least 1). A set but
+ * invalid QUETZAL_JOBS warns. Starts no threads.
  */
 unsigned defaultJobs();
 

@@ -6,6 +6,10 @@
  */
 
 #include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -149,6 +153,43 @@ TEST(ParallelRunner, DefaultJobsIsPositive)
     EXPECT_GE(defaultJobs(), 1u);
     EXPECT_GE(ParallelRunner().jobs(), 1u);
     EXPECT_EQ(ParallelRunner(3).jobs(), 3u);
+}
+
+TEST(ParallelRunner, DefaultJobsParsesWholeQuetzalJobs)
+{
+    const char *saved = std::getenv("QUETZAL_JOBS");
+    const std::optional<std::string> before =
+        saved ? std::optional<std::string>(saved) : std::nullopt;
+    ::unsetenv("QUETZAL_JOBS");
+    const unsigned fallback = defaultJobs();
+
+    // defaultJobs() only parses; it starts no threads, so even the
+    // largest accepted value is safe to ask for here.
+    const auto jobsFor = [](const std::string &value, bool warns) {
+        ::setenv("QUETZAL_JOBS", value.c_str(), 1);
+        ::testing::internal::CaptureStderr();
+        const unsigned jobs = defaultJobs();
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(err.find("QUETZAL_JOBS") != std::string::npos, warns)
+            << "QUETZAL_JOBS='" << value << "': " << err;
+        return jobs;
+    };
+    EXPECT_EQ(jobsFor("3", false), 3u);
+    const unsigned most = std::numeric_limits<unsigned>::max();
+    EXPECT_EQ(jobsFor(std::to_string(most), false), most);
+    EXPECT_EQ(jobsFor("4x", true), fallback);
+    EXPECT_EQ(jobsFor("4294967297", true), fallback);
+    EXPECT_EQ(jobsFor("0", true), fallback);
+    EXPECT_EQ(jobsFor("-2", true), fallback);
+    EXPECT_EQ(jobsFor("", true), fallback);
+    // A suffixed count other than the fallback, so a prefix parse
+    // cannot pass by coincidence on a host with that many cores.
+    EXPECT_EQ(jobsFor(std::to_string(fallback + 1) + "x", true), fallback);
+
+    if (before)
+        ::setenv("QUETZAL_JOBS", before->c_str(), 1);
+    else
+        ::unsetenv("QUETZAL_JOBS");
 }
 
 } // namespace
