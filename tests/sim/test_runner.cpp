@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <limits>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -155,42 +156,96 @@ TEST(ParallelRunner, DefaultJobsIsPositive)
     EXPECT_EQ(ParallelRunner(3).jobs(), 3u);
 }
 
-TEST(ParallelRunner, DefaultJobsParsesWholeQuetzalJobs)
+// One QUETZAL_JOBS value per case. `value` gets the hardware
+// fallback so a case can build a count that differs from it;
+// `accepted` is the expected job count, or 0 when the value must be
+// rejected with a warning and defaultJobs() must fall back.
+struct JobsEnvCase
 {
-    const char *saved = std::getenv("QUETZAL_JOBS");
-    const std::optional<std::string> before =
-        saved ? std::optional<std::string>(saved) : std::nullopt;
-    ::unsetenv("QUETZAL_JOBS");
-    const unsigned fallback = defaultJobs();
+    const char *name;
+    std::string (*value)(unsigned fallback);
+    unsigned accepted;
+};
 
-    // defaultJobs() only parses; it starts no threads, so even the
-    // largest accepted value is safe to ask for here.
-    const auto jobsFor = [](const std::string &value, bool warns) {
-        ::setenv("QUETZAL_JOBS", value.c_str(), 1);
-        ::testing::internal::CaptureStderr();
-        const unsigned jobs = defaultJobs();
-        const std::string err = ::testing::internal::GetCapturedStderr();
-        EXPECT_EQ(err.find("QUETZAL_JOBS") != std::string::npos, warns)
-            << "QUETZAL_JOBS='" << value << "': " << err;
-        return jobs;
-    };
-    EXPECT_EQ(jobsFor("3", false), 3u);
-    const unsigned most = std::numeric_limits<unsigned>::max();
-    EXPECT_EQ(jobsFor(std::to_string(most), false), most);
-    EXPECT_EQ(jobsFor("4x", true), fallback);
-    EXPECT_EQ(jobsFor("4294967297", true), fallback);
-    EXPECT_EQ(jobsFor("0", true), fallback);
-    EXPECT_EQ(jobsFor("-2", true), fallback);
-    EXPECT_EQ(jobsFor("", true), fallback);
-    // A suffixed count other than the fallback, so a prefix parse
-    // cannot pass by coincidence on a host with that many cores.
-    EXPECT_EQ(jobsFor(std::to_string(fallback + 1) + "x", true), fallback);
-
-    if (before)
-        ::setenv("QUETZAL_JOBS", before->c_str(), 1);
-    else
-        ::unsetenv("QUETZAL_JOBS");
+// Print the case by name, so the discovered test names carry no
+// function-pointer bytes.
+void
+PrintTo(const JobsEnvCase &c, std::ostream *os)
+{
+    *os << c.name;
 }
+
+class DefaultJobsEnv : public ::testing::TestWithParam<JobsEnvCase>
+{
+  protected:
+    void SetUp() override
+    {
+        if (const char *saved = std::getenv("QUETZAL_JOBS"))
+            before = saved;
+        ::unsetenv("QUETZAL_JOBS");
+        fallback = defaultJobs();
+    }
+
+    void TearDown() override
+    {
+        if (before)
+            ::setenv("QUETZAL_JOBS", before->c_str(), 1);
+        else
+            ::unsetenv("QUETZAL_JOBS");
+    }
+
+    std::optional<std::string> before;
+    unsigned fallback = 0;
+};
+
+// defaultJobs() only parses; it starts no threads, so even the
+// largest accepted value is safe to ask for here.
+TEST_P(DefaultJobsEnv, ParsesWholeValue)
+{
+    const JobsEnvCase &c = GetParam();
+    const std::string value = c.value(fallback);
+    ::setenv("QUETZAL_JOBS", value.c_str(), 1);
+    ::testing::internal::CaptureStderr();
+    const unsigned jobs = defaultJobs();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+
+    const bool rejected = c.accepted == 0;
+    EXPECT_EQ(jobs, rejected ? fallback : c.accepted)
+        << "QUETZAL_JOBS='" << value << "'";
+    EXPECT_EQ(err.find("QUETZAL_JOBS") != std::string::npos, rejected)
+        << "QUETZAL_JOBS='" << value << "': " << err;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    QuetzalJobs, DefaultJobsEnv,
+    ::testing::Values(
+        JobsEnvCase{"Three", [](unsigned) { return std::string("3"); },
+                    3u},
+        JobsEnvCase{"UintMax",
+                    [](unsigned) {
+                        return std::to_string(
+                            std::numeric_limits<unsigned>::max());
+                    },
+                    std::numeric_limits<unsigned>::max()},
+        JobsEnvCase{"TrailingSuffix",
+                    [](unsigned) { return std::string("4x"); }, 0u},
+        JobsEnvCase{"WrapsPastUintMax",
+                    [](unsigned) { return std::string("4294967297"); },
+                    0u},
+        JobsEnvCase{"Zero", [](unsigned) { return std::string("0"); },
+                    0u},
+        JobsEnvCase{"Negative",
+                    [](unsigned) { return std::string("-2"); }, 0u},
+        JobsEnvCase{"Empty", [](unsigned) { return std::string(); },
+                    0u},
+        // A suffixed count other than the fallback, so a prefix parse
+        // cannot pass by coincidence on a host with that many cores.
+        JobsEnvCase{"SuffixedNonFallback",
+                    [](unsigned fallback) {
+                        return std::to_string(fallback + 1) + "x";
+                    },
+                    0u}),
+    [](const auto &info) { return std::string(info.param.name); });
 
 } // namespace
 } // namespace sim
