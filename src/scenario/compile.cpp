@@ -5,121 +5,52 @@
 namespace quetzal {
 namespace scenario {
 
-namespace {
-
-/** Axis-value index combination -> CellInfo + per-field values. */
-struct Cell
+ScenarioPlan
+compileScenario(const ScenarioSpec &spec)
 {
-    CellInfo info;
-    /** One (field, value) pair per axis, in axis order. */
-    std::vector<std::pair<std::string, const json::Value *>> values;
-};
-
-std::vector<Cell>
-expandCells(const ScenarioSpec &spec)
-{
-    std::vector<Cell> cells;
-    if (spec.axes.empty()) {
-        cells.emplace_back();
-        return cells;
-    }
-
-    if (spec.mode == SweepMode::Zip) {
-        const std::size_t length = spec.axes.front().values.size();
-        for (std::size_t k = 0; k < length; ++k) {
-            Cell cell;
-            for (const SweepAxis &axis : spec.axes) {
-                cell.values.emplace_back(axis.field,
-                                         &axis.values[k]);
-                cell.info.axisLabels.push_back(
-                    axis.field + ": " +
-                    fields::fieldLabel(axis.field, axis.values[k]));
-            }
-            cells.push_back(std::move(cell));
-        }
-    } else {
-        // Cross product, first axis outermost: odometer over the
-        // per-axis indices with the last axis spinning fastest.
-        std::vector<std::size_t> index(spec.axes.size(), 0);
-        while (true) {
-            Cell cell;
-            for (std::size_t a = 0; a < spec.axes.size(); ++a) {
-                const SweepAxis &axis = spec.axes[a];
-                const json::Value &value = axis.values[index[a]];
-                cell.values.emplace_back(axis.field, &value);
-                cell.info.axisLabels.push_back(
-                    axis.field + ": " +
-                    fields::fieldLabel(axis.field, value));
-            }
-            cells.push_back(std::move(cell));
-
-            std::size_t a = spec.axes.size();
-            while (a > 0) {
-                --a;
-                if (++index[a] < spec.axes[a].values.size())
-                    break;
-                index[a] = 0;
-                if (a == 0)
-                    return cells;
-            }
-        }
-    }
-    return cells;
-}
-
-} // namespace
-
-Expected<ScenarioPlan>
-compileScenario(const ScenarioSpec &spec, const CompileOptions &options)
-{
-    Expected<ScenarioPlan> result;
-    result.errors = validateSpec(spec);
-    if (!result.errors.empty())
-        return result;
-
     ScenarioPlan plan;
     plan.spec = spec;
     plan.populationCount = spec.populations.size();
 
-    std::vector<Cell> cells = expandCells(spec);
-    plan.cells.reserve(cells.size());
-    plan.runs.reserve(cells.size() * plan.populationCount);
+    // Zip mode sets every axis to the cell's index; cross mode counts
+    // the cells like an odometer, first axis outermost.
+    const bool zip = spec.mode == SweepMode::Zip;
+    std::size_t cellCount = 1;
+    for (const SweepAxis &axis : spec.axes)
+        cellCount = zip ? axis.values.size()
+                        : cellCount * axis.values.size();
+    plan.cells.reserve(cellCount);
+    plan.runs.reserve(cellCount * plan.populationCount);
 
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-        Cell &cell = cells[c];
-        std::string label;
-        for (const std::string &fragment : cell.info.axisLabels) {
-            if (!label.empty())
-                label += ", ";
-            label += fragment;
+    for (std::size_t c = 0; c < cellCount; ++c) {
+        CellInfo cell;
+        sim::ExperimentConfig config;
+        for (const Override &override : spec.defaults)
+            fields::applyField(override.field, override.value, config);
+        std::size_t stride = cellCount;
+        for (const SweepAxis &axis : spec.axes) {
+            const std::size_t n = axis.values.size();
+            stride /= zip ? 1 : n;
+            const json::Value &value =
+                axis.values[zip ? c : c / stride % n];
+            fields::applyField(axis.field, value, config);
+            if (!cell.label.empty())
+                cell.label += ", ";
+            cell.label +=
+                axis.field + ": " + fields::fieldLabel(axis.field, value);
         }
-        cell.info.label = std::move(label);
-        plan.cells.push_back(cell.info);
+        plan.cells.push_back(std::move(cell));
 
         for (std::size_t p = 0; p < spec.populations.size(); ++p) {
             const PopulationSpec &population = spec.populations[p];
-            RunSpec run;
-            run.cellIndex = c;
-            run.populationIndex = p;
-            run.population = population.name;
-
-            for (const Override &override : spec.defaults)
-                fields::applyField(override.field, override.value,
-                                   run.config);
-            for (const auto &[field, value] : cell.values)
-                fields::applyField(field, *value, run.config);
+            RunSpec run{c, p, population.name, config};
             for (const Override &override : population.overrides)
                 fields::applyField(override.field, override.value,
                                    run.config);
-            if (options.eventCountOverride != 0)
-                run.config.eventCount = options.eventCountOverride;
-
             plan.runs.push_back(std::move(run));
         }
     }
-
-    result.value = std::move(plan);
-    return result;
+    return plan;
 }
 
 } // namespace scenario

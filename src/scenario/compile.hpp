@@ -12,8 +12,8 @@
  *
  * Field application order per run: spec defaults, then the cell's
  * axis values, then the population's overrides. Populations cannot
- * override a swept field (validateSpec rejects the shadowing), so
- * the order is unambiguous.
+ * override a swept field (the loader rejects the shadowing), so the
+ * order is unambiguous.
  */
 
 #ifndef QUETZAL_SCENARIO_COMPILE_HPP
@@ -32,10 +32,8 @@ namespace scenario {
 /** One sweep cell (a combination of axis values). */
 struct CellInfo
 {
-    /** Per-axis "field: Label" fragments, in axis order. */
-    std::vector<std::string> axisLabels;
-    /** Section header text: the fragments joined with ", ". Empty
-     *  when the scenario has no sweep axes. */
+    /** Section header text: one "field: Label" per axis, in axis
+     *  order, joined with ", ". Empty without sweep axes. */
     std::string label;
 };
 
@@ -59,22 +57,12 @@ struct ScenarioPlan
     std::vector<RunSpec> runs;
 };
 
-/** Compile-time knobs (CLI overrides). */
-struct CompileOptions
-{
-    /** Override every run's eventCount; 0 = use the scenario's
-     *  values (scripts/check_scenarios.sh runs reduced counts). */
-    std::size_t eventCountOverride = 0;
-};
-
 /**
- * Expand the spec into its run matrix. The spec is expected to have
- * passed validateSpec(); compile re-runs it and reports the errors
- * instead of crashing when handed an invalid spec.
+ * Expand a loaded spec (parseScenario*, loadScenarioFile) into its
+ * run matrix. The loader has checked everything compilation relies
+ * on, so compilation cannot fail.
  */
-Expected<ScenarioPlan> compileScenario(const ScenarioSpec &spec,
-                                       const CompileOptions &options =
-                                           {});
+ScenarioPlan compileScenario(const ScenarioSpec &spec);
 
 } // namespace scenario
 } // namespace quetzal

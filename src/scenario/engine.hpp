@@ -86,7 +86,7 @@ int runScenarioFile(const std::string &path,
  * defaults) are applied through the same fields:: table as the run
  * matrix, for the subset the fleet honors: policy, device,
  * environment, seed, cells, buffer, capture_period_ms.
- * Precondition: validateSpec(spec) passed and spec.fleet is present.
+ * Precondition: the loader produced spec and spec.fleet is present.
  */
 fleet::FleetConfig buildFleetConfig(const ScenarioSpec &spec);
 

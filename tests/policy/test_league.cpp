@@ -38,16 +38,13 @@ runTournament(unsigned jobs)
     EXPECT_TRUE(spec.ok());
     if (!spec.ok())
         return {};
-    const Expected<ScenarioPlan> plan = compileScenario(*spec.value);
-    EXPECT_TRUE(plan.ok());
-    if (!plan.ok())
-        return {};
+    const ScenarioPlan plan = compileScenario(*spec.value);
 
     EngineOptions options;
     options.jobs = jobs;
     options.eventCountOverride = kEvents;
     testing::internal::CaptureStdout();
-    (void)runPlan(*plan.value, options);
+    (void)runPlan(plan, options);
     return testing::internal::GetCapturedStdout();
 }
 

@@ -41,9 +41,7 @@ compileSmall(const std::string &text = kSmall)
 {
     const Expected<ScenarioSpec> spec = parseScenarioText(text);
     EXPECT_TRUE(spec.ok());
-    const Expected<ScenarioPlan> plan = compileScenario(*spec.value);
-    EXPECT_TRUE(plan.ok());
-    return *plan.value;
+    return compileScenario(*spec.value);
 }
 
 void

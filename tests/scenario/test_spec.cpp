@@ -341,9 +341,7 @@ TEST(ScenarioCompile, AppliesDefaultsAxisThenPopulation)
          "values": ["crowded", "less-crowded"]},
         {"field": "cells", "values": [4, 8]}]}
     })");
-    const Expected<ScenarioPlan> compiled = compileScenario(spec);
-    ASSERT_TRUE(compiled.ok());
-    const ScenarioPlan &plan = *compiled.value;
+    const ScenarioPlan plan = compileScenario(spec);
 
     // Cross product, first axis outermost, populations inner.
     ASSERT_EQ(plan.cells.size(), 4u);
@@ -380,24 +378,12 @@ TEST(ScenarioCompile, ZipAdvancesAxesTogether)
         {"field": "environment", "values": ["crowded", "msp430"]},
         {"field": "cells", "values": [4, 8]}]}
     })");
-    const Expected<ScenarioPlan> compiled = compileScenario(spec);
-    ASSERT_TRUE(compiled.ok());
-    ASSERT_EQ(compiled.value->runs.size(), 2u);
-    EXPECT_EQ(compiled.value->runs[0].config.harvesterCells, 4);
-    EXPECT_EQ(compiled.value->runs[1].config.harvesterCells, 8);
-    EXPECT_EQ(compiled.value->runs[1].config.environment,
+    const ScenarioPlan plan = compileScenario(spec);
+    ASSERT_EQ(plan.runs.size(), 2u);
+    EXPECT_EQ(plan.runs[0].config.harvesterCells, 4);
+    EXPECT_EQ(plan.runs[1].config.harvesterCells, 8);
+    EXPECT_EQ(plan.runs[1].config.environment,
               trace::EnvironmentPreset::Msp430Short);
-}
-
-TEST(ScenarioCompile, EventCountOverrideAppliesToEveryRun)
-{
-    const ScenarioSpec spec = parseOk(kMinimal);
-    CompileOptions options;
-    options.eventCountOverride = 17;
-    const Expected<ScenarioPlan> compiled =
-        compileScenario(spec, options);
-    ASSERT_TRUE(compiled.ok());
-    EXPECT_EQ(compiled.value->runs[0].config.eventCount, 17u);
 }
 
 TEST(ScenarioCompile, PidGainsReachTheConfig)
@@ -407,20 +393,11 @@ TEST(ScenarioCompile, PidGainsReachTheConfig)
       "populations": [{"name": "A", "controller": "QZ",
                        "pid": {"kp": 1e-5, "kd": 2.0}}]
     })");
-    const Expected<ScenarioPlan> compiled = compileScenario(spec);
-    ASSERT_TRUE(compiled.ok());
-    const core::PidConfig &pid = compiled.value->runs[0].config.pid;
+    const ScenarioPlan plan = compileScenario(spec);
+    const core::PidConfig &pid = plan.runs[0].config.pid;
     EXPECT_DOUBLE_EQ(pid.kp, 1e-5);
     EXPECT_DOUBLE_EQ(pid.kd, 2.0);
     EXPECT_DOUBLE_EQ(pid.ki, core::PidConfig{}.ki); // untouched
-}
-
-TEST(ScenarioCompile, InvalidSpecReportsInsteadOfCrashing)
-{
-    ScenarioSpec spec; // no populations
-    const Expected<ScenarioPlan> compiled = compileScenario(spec);
-    EXPECT_FALSE(compiled.ok());
-    EXPECT_FALSE(compiled.errors.empty());
 }
 
 } // namespace

@@ -93,15 +93,13 @@ scenarioConfig(const std::string &field, const std::string &json)
         ADD_FAILURE() << error.describe();
     if (!spec.ok())
         return {};
-    const scenario::Expected<scenario::ScenarioPlan> plan =
+    const scenario::ScenarioPlan plan =
         scenario::compileScenario(*spec.value);
-    for (const scenario::SpecError &error : plan.errors)
-        ADD_FAILURE() << error.describe();
-    if (!plan.ok() || plan.value->runs.size() != 1) {
+    if (plan.runs.size() != 1) {
         ADD_FAILURE() << "expected a one-run plan";
         return {};
     }
-    return plan.value->runs.front().config;
+    return plan.runs.front().config;
 }
 
 std::string
