@@ -42,7 +42,7 @@ std::string
 msg(Args &&...args)
 {
     std::ostringstream out;
-    (out << ... << args);
+    ((out << args), ...);
     return out.str();
 }
 
