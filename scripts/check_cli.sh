@@ -1,38 +1,45 @@
 #!/usr/bin/env bash
-# Command-line contract of quetzal-sim: every bad flag value is
-# rejected through a named diagnostic (exit 1, the flag on stderr),
-# never a panic, an abort or a silent fallback; mode conflicts exit 2
-# naming both flags; --fleet requires a "fleet" block; and a small
-# valid experiment runs.
+# Command-line contract of quetzal-sim and quetzal-trace-gen: every
+# bad flag value is rejected through a named diagnostic (exit 1, the
+# flag on stderr), never a panic, an abort, a wrap-around or a silent
+# fallback; mode conflicts exit 2 naming both flags; --fleet requires
+# a "fleet" block; and small valid runs succeed.
 #
-# Usage: scripts/check_cli.sh [quetzal-sim] [scenario-dir]
+# Usage: scripts/check_cli.sh [quetzal-sim] [scenario-dir] [trace-gen]
 #   quetzal-sim   path to the CLI (default build/tools/quetzal-sim)
 #   scenario-dir  directory holding fig09.json and fleet_day.json
 #                 (default scenarios/)
+#   trace-gen     path to quetzal-trace-gen
+#                 (default build/tools/quetzal-trace-gen)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SIM="${1:-build/tools/quetzal-sim}"
 DIR="${2:-scenarios}"
+GEN="${3:-build/tools/quetzal-trace-gen}"
 
-if [ ! -x "$SIM" ]; then
-    echo "check_cli: simulator not found at $SIM" >&2
-    echo "  build it first: cmake --build build --target quetzal_sim_cli" >&2
-    exit 1
-fi
+for bin in "$SIM" "$GEN"; do
+    if [ ! -x "$bin" ]; then
+        echo "check_cli: $bin not found" >&2
+        echo "  build it first: cmake --build build --target" \
+            "quetzal_sim_cli quetzal_trace_gen" >&2
+        exit 1
+    fi
+done
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 status=0
 
-# expect WANT_EXIT "NAMED..." ARGS...: run the CLI on ARGS, demand exit
-# status WANT_EXIT and every space-separated word of NAMED on stderr.
+# expect WANT_EXIT "NAMED..." ARGS...: run quetzal-sim on ARGS, demand
+# exit status WANT_EXIT and every space-separated word of NAMED on
+# stderr. BIN=path overrides the binary.
 expect() {
     local want="$1" named="$2"
     shift 2
     local code=0
-    "$SIM" "$@" >"$tmp/out" 2>"$tmp/err" || code=$?
+    "${BIN:-$SIM}" "$@" >"$tmp/out" 2>"$tmp/err" || code=$?
     if [ "$code" -ne "$want" ]; then
         echo "check_cli: FAIL '$*' exited $code, want $want" >&2
         sed 's/^/  /' "$tmp/err" >&2
@@ -79,6 +86,21 @@ expect 0 "" --fleet "$DIR/fleet_day.json" --validate
 
 # A small valid experiment runs.
 expect 0 "" --events 30 --buffer 10 --cells 4
+
+# quetzal-trace-gen: --seed/--events/--cells/--env go through the same
+# field table; --days/--peak/--floor through the checked parser.
+BIN="$GEN" expect 1 --events events --events -1
+BIN="$GEN" expect 1 --events events --events 0
+BIN="$GEN" expect 1 --cells power --cells 4294967297
+BIN="$GEN" expect 1 --seed power --seed 4x
+BIN="$GEN" expect 1 --env events --env nowhere
+BIN="$GEN" expect 1 --days power --days nan
+BIN="$GEN" expect 1 --days power --days 1e300
+BIN="$GEN" expect 1 --days power --days 0
+BIN="$GEN" expect 1 --peak power --peak -1
+BIN="$GEN" expect 1 --floor power --floor inf
+BIN="$GEN" expect 0 "" power --days 0.01 --seed 3 --cells 2
+BIN="$GEN" expect 0 "" events --events 10 --env msp430
 
 if [ $status -ne 0 ]; then
     echo "check_cli: FAILED" >&2

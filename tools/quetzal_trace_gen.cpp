@@ -10,18 +10,21 @@
  *                            [--peak IRR] [--floor IRR] > power.csv
  *   quetzal_trace_gen events [--seed N] [--events N]
  *                            [--env crowded|...] > events.csv
+ *
+ * A bad flag value exits 1 naming the flag: --seed, --events,
+ * --cells and --env take what quetzal-sim takes, --days a number in
+ * [0.001, 366], --peak and --floor a number in [0, 2].
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 
+#include "cli_flags.hpp"
 #include "energy/harvester.hpp"
 #include "energy/solar_model.hpp"
 #include "trace/event_generator.hpp"
-#include "util/logging.hpp"
 
 namespace {
 
@@ -38,6 +41,20 @@ usage(const char *argv0)
     std::exit(2);
 }
 
+/** The quetzal-sim flag row for `arg`, if this tool takes it. */
+const cli::ConfigFlag *
+configFlag(const std::string &arg)
+{
+    if (arg != "--seed" && arg != "--events" && arg != "--cells" &&
+        arg != "--env")
+        return nullptr;
+    for (const cli::ConfigFlag &row : cli::kConfigFlags) {
+        if (arg == row.flag)
+            return &row;
+    }
+    return nullptr;
+}
+
 } // namespace
 
 int
@@ -47,12 +64,15 @@ main(int argc, char **argv)
         usage(argv[0]);
     const std::string mode = argv[1];
 
-    std::uint64_t seed = 1;
+    // --seed, --events, --cells and --env accept exactly what
+    // quetzal-sim (and a scenario file) accepts for the same field.
+    sim::ExperimentConfig cfg;
+    cfg.seed = 1;
+    cfg.eventCount = 1000;
+    cfg.harvesterCells = 6;
+    cfg.environment = trace::EnvironmentPreset::Crowded;
     double days = 2.0;
-    int cells = 6;
-    std::size_t events = 1000;
     energy::SolarConfig solarCfg;
-    auto preset = trace::EnvironmentPreset::Crowded;
 
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -61,42 +81,24 @@ main(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
-        if (arg == "--seed")
-            seed = std::strtoull(value().c_str(), nullptr, 10);
+        if (const cli::ConfigFlag *row = configFlag(arg))
+            cli::applyConfigFlag(*row, value(), cfg);
         else if (arg == "--days")
-            days = std::strtod(value().c_str(), nullptr);
-        else if (arg == "--cells")
-            cells = static_cast<int>(
-                std::strtol(value().c_str(), nullptr, 10));
+            days = cli::checkedNumber(arg, value(), 0.001, 366.0);
         else if (arg == "--peak")
-            solarCfg.peakIrradiance = std::strtod(value().c_str(),
-                                                  nullptr);
+            solarCfg.peakIrradiance =
+                cli::checkedNumber(arg, value(), 0.0, 2.0);
         else if (arg == "--floor")
-            solarCfg.ambientFloor = std::strtod(value().c_str(),
-                                                nullptr);
-        else if (arg == "--events")
-            events = std::strtoull(value().c_str(), nullptr, 10);
-        else if (arg == "--env") {
-            const std::string env = value();
-            if (env == "more-crowded")
-                preset = trace::EnvironmentPreset::MoreCrowded;
-            else if (env == "crowded")
-                preset = trace::EnvironmentPreset::Crowded;
-            else if (env == "less-crowded")
-                preset = trace::EnvironmentPreset::LessCrowded;
-            else if (env == "msp430")
-                preset = trace::EnvironmentPreset::Msp430Short;
-            else
-                util::fatal(util::msg("unknown environment: ", env));
-        } else {
+            solarCfg.ambientFloor =
+                cli::checkedNumber(arg, value(), 0.0, 2.0);
+        else
             usage(argv[0]);
-        }
     }
 
     if (mode == "power") {
-        solarCfg.seed = seed;
+        solarCfg.seed = cfg.seed;
         energy::HarvesterConfig harvesterCfg;
-        harvesterCfg.cellCount = cells;
+        harvesterCfg.cellCount = cfg.harvesterCells;
         const energy::Harvester harvester(harvesterCfg);
         const auto irradiance = energy::SolarModel(solarCfg).generate(
             secondsToTicks(days * 86400.0));
@@ -104,9 +106,9 @@ main(int argc, char **argv)
         return 0;
     }
     if (mode == "events") {
-        const auto cfg =
-            trace::EventGeneratorConfig::forPreset(preset, events, seed);
-        trace::EventGenerator(cfg).generate().writeCsv(std::cout);
+        const auto eventCfg = trace::EventGeneratorConfig::forPreset(
+            cfg.environment, cfg.eventCount, cfg.seed);
+        trace::EventGenerator(eventCfg).generate().writeCsv(std::cout);
         return 0;
     }
     usage(argv[0]);
