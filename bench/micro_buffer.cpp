@@ -13,8 +13,9 @@
  *             scheduler's per-job queries),
  *   - select: oldestSchedulable / newestSchedulable at steady
  *             occupancy (the FCFS / LCFS choice),
- *   - churn:  markInFlight(oldest) -> retag or release -> refill,
- *             the runtime's per-job lifecycle.
+ *   - churn:  markInFlight(oldest) -> retagSlot or releaseSlot ->
+ *             refill, the simulator's per-job lifecycle on the slot
+ *             handle it already holds.
  *
  * Emits one line of quetzal-bench-v1 JSON (see bench_json.hpp);
  * "ns_per_op" is the churn figure, the closest proxy for simulator
@@ -132,10 +133,8 @@ main(int argc, char **argv)
     const auto churnStart = clock::now();
     for (std::size_t i = 0; i < ops; ++i) {
         if (const auto spawned = buffer.oldestSlotForJob(spawnLane)) {
-            const queueing::InputRecord taken =
-                buffer.markInFlight(*spawned);
-            checksum += taken.id;
-            buffer.release(taken.id);
+            checksum += buffer.markInFlight(*spawned).id;
+            buffer.releaseSlot(*spawned);
             push(static_cast<queueing::JobId>(
                 captureRound++ % jobClasses));
             continue;
@@ -150,9 +149,9 @@ main(int argc, char **argv)
         const queueing::InputRecord taken = buffer.markInFlight(*slot);
         checksum += taken.id;
         if (i % 4 == 0) {
-            buffer.retag(taken.id, spawnLane, nextCapture);
+            buffer.retagSlot(*slot, spawnLane, nextCapture);
         } else {
-            buffer.release(taken.id);
+            buffer.releaseSlot(*slot);
             push(taken.jobId);
         }
     }

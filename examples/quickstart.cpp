@@ -77,12 +77,12 @@ main()
 
         // Pretend the job ran: consume the input, spawn the report
         // stage for every detection, close the loop.
-        const auto input2 = buffer.markInFlight(selection->slot);
+        buffer.markInFlight(selection->slot);
         if (job.id == detectJob) {
-            buffer.retag(input2.id, reportJob, now);
+            buffer.retagSlot(selection->slot, reportJob, now);
             system.recordSpawn();
         } else {
-            buffer.release(input2.id);
+            buffer.releaseSlot(selection->slot);
         }
         quetzal->onJobComplete(
             system, *selection,

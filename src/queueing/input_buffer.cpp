@@ -274,16 +274,6 @@ InputBuffer::markInFlight(SlotId slot)
     return s.rec;
 }
 
-SlotId
-InputBuffer::slotForId(std::uint64_t id, const char *op) const
-{
-    for (SlotId s = fifoHead; s != kNoSlot; s = slots[s].nextFifo) {
-        if (slots[s].rec.id == id)
-            return s;
-    }
-    util::panic(util::msg(op, " of unknown input id ", id));
-}
-
 void
 InputBuffer::releaseSlot(SlotId slot)
 {
@@ -319,18 +309,6 @@ InputBuffer::retagSlot(SlotId slot, JobId nextJob, Tick enqueueTick)
     s.rec.jobId = nextJob;
     s.rec.enqueueTick = enqueueTick;
     laneInsertOrdered(nextJob, slot);
-}
-
-void
-InputBuffer::release(std::uint64_t id)
-{
-    releaseSlot(slotForId(id, "release"));
-}
-
-void
-InputBuffer::retag(std::uint64_t id, JobId nextJob, Tick enqueueTick)
-{
-    retagSlot(slotForId(id, "retag"), nextJob, enqueueTick);
 }
 
 InputBuffer::State

@@ -139,7 +139,8 @@ class InputBuffer
 
     /**
      * Mark the input in the given slot in-flight and return a copy.
-     * The slot stays occupied until release() or retag(). O(1).
+     * The slot stays occupied until releaseSlot() or retagSlot().
+     * O(1).
      */
     InputRecord markInFlight(SlotId slot);
 
@@ -159,16 +160,6 @@ class InputBuffer
      * orders).
      */
     void retagSlot(SlotId slot, JobId nextJob, Tick enqueueTick);
-
-    /**
-     * Id-based release for callers that did not keep the slot
-     * handle: scans for the resident record (O(occupancy)), then
-     * behaves exactly like releaseSlot().
-     */
-    void release(std::uint64_t id);
-
-    /** Id-based retag (see release()); scans, then retagSlot(). */
-    void retag(std::uint64_t id, JobId nextJob, Tick enqueueTick);
 
     /** Cumulative overflow counts since construction. */
     const OverflowCounts &overflows() const { return overflowCounts; }
@@ -257,7 +248,6 @@ class InputBuffer
     void laneAppend(JobId job, SlotId slot);
     void laneInsertOrdered(JobId job, SlotId slot);
     void laneRemove(JobId job, SlotId slot);
-    SlotId slotForId(std::uint64_t id, const char *op) const;
 
     std::size_t cap;
     std::size_t occupiedCount = 0;

@@ -85,8 +85,9 @@ TEST(InputBuffer, ReleaseFreesSlot)
     InputBuffer buffer(2);
     buffer.tryPush(record(1, 0));
     buffer.tryPush(record(2, 0));
-    buffer.markInFlight(*buffer.oldestSlotForJob(0));
-    buffer.release(1);
+    const SlotId slot = *buffer.oldestSlotForJob(0);
+    buffer.markInFlight(slot);
+    buffer.releaseSlot(slot);
     EXPECT_EQ(buffer.size(), 1u);
     EXPECT_TRUE(buffer.tryPush(record(3, 0)));
 }
@@ -96,9 +97,10 @@ TEST(InputBuffer, RetagNeverOverflows)
     InputBuffer buffer(2);
     buffer.tryPush(record(1, 0));
     buffer.tryPush(record(2, 0));
-    buffer.markInFlight(*buffer.oldestSlotForJob(0));
+    const SlotId slot = *buffer.oldestSlotForJob(0);
+    buffer.markInFlight(slot);
     // Spawn: retag for job 1 even though the buffer is full.
-    buffer.retag(1, 1, 555);
+    buffer.retagSlot(slot, 1, 555);
     EXPECT_TRUE(buffer.full());
     EXPECT_EQ(buffer.overflows().total, 0u);
     ASSERT_TRUE(buffer.oldestSlotForJob(1).has_value());
@@ -130,15 +132,16 @@ TEST(InputBufferDeathTest, ReleaseNotInFlightPanics)
 {
     InputBuffer buffer(2);
     buffer.tryPush(record(1, 0));
-    EXPECT_DEATH(buffer.release(1), "not in flight");
+    EXPECT_DEATH(buffer.releaseSlot(*buffer.oldestSlotForJob(0)),
+                 "not in flight");
 }
 
-TEST(InputBufferDeathTest, RetagUnknownIdPanics)
+TEST(InputBufferDeathTest, RetagUnknownSlotPanics)
 {
     InputBuffer buffer(2);
     buffer.tryPush(record(1, 0));
     buffer.markInFlight(*buffer.oldestSlotForJob(0));
-    EXPECT_DEATH(buffer.retag(99, 1, 0), "unknown");
+    EXPECT_DEATH(buffer.retagSlot(99, 1, 0), "unknown slot");
 }
 
 } // namespace

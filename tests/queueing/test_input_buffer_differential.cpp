@@ -246,6 +246,19 @@ expectEquivalent(const InputBuffer &indexed, const NaiveBuffer &naive)
  * One randomized episode. strictCaptures drives the capture-ordered
  * fast path; duplicated ticks drive the exact fallback scan.
  */
+/** The slot holding input `id`, found by a FIFO walk. */
+SlotId
+slotOf(const InputBuffer &buffer, std::uint64_t id)
+{
+    std::optional<SlotId> slot;
+    buffer.forEachFifo([&](SlotId s, const InputRecord &rec) {
+        if (rec.id == id)
+            slot = s;
+    });
+    EXPECT_TRUE(slot.has_value()) << "no resident input " << id;
+    return slot.value_or(0);
+}
+
 void
 runEpisode(std::uint64_t seed, bool strictCaptures)
 {
@@ -284,14 +297,14 @@ runEpisode(std::uint64_t seed, bool strictCaptures)
         } else if (op < 85) {
             // Release a random in-flight input.
             if (const auto id = naive.anyInFlight(rng)) {
-                indexed.release(*id);
+                indexed.releaseSlot(slotOf(indexed, *id));
                 naive.release(*id);
             }
         } else if (op < 97) {
             // Retag (spawn) a random in-flight input.
             if (const auto id = naive.anyInFlight(rng)) {
                 const auto job = static_cast<JobId>(rng() % kJobs);
-                indexed.retag(*id, job, tick);
+                indexed.retagSlot(slotOf(indexed, *id), job, tick);
                 naive.retag(*id, job, tick);
             }
         } else {
@@ -359,7 +372,7 @@ TEST(InputBufferDifferentialDirected, RetagKeepsArrivalOrder)
         ASSERT_TRUE(slot.has_value());
         indexed.markInFlight(*slot);
         naive.markInFlight(id);
-        indexed.retag(id, 1, 1000 + id);
+        indexed.retagSlot(*slot, 1, 1000 + id);
         naive.retag(id, 1, 1000 + id);
         expectEquivalent(indexed, naive);
     }

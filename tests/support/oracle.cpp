@@ -171,6 +171,7 @@ simulateQueue(const QueueSimConfig &config)
     double nextDeparture = kNever;
     bool serverBusy = false;
     std::uint64_t servingId = 0;
+    queueing::SlotId servingSlot = 0;
     std::uint64_t nextId = 1;
 
     const auto beginService = [&]() {
@@ -179,7 +180,8 @@ simulateQueue(const QueueSimConfig &config)
         const auto slot = config.discipline == QueueDiscipline::Lcfs
             ? buffer.newestSchedulable()
             : buffer.oldestSchedulable();
-        servingId = buffer.markInFlight(*slot).id;
+        servingSlot = *slot;
+        servingId = buffer.markInFlight(servingSlot).id;
         serverBusy = true;
         nextDeparture = now + service;
     };
@@ -200,7 +202,7 @@ simulateQueue(const QueueSimConfig &config)
 
         if (nextDeparture <= nextArrival) {
             // Departure first: a simultaneous arrival sees the slot.
-            buffer.release(servingId);
+            buffer.releaseSlot(servingSlot);
             serverBusy = false;
             nextDeparture = kNever;
             if (now >= begin) {
