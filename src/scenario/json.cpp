@@ -43,20 +43,6 @@ Value::asUint64() const
     return parsed;
 }
 
-std::optional<std::int64_t>
-Value::asInt64() const
-{
-    if (kind != Kind::Number || text.empty())
-        return std::nullopt;
-    std::int64_t parsed = 0;
-    const char *end = text.data() + text.size();
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), end, parsed);
-    if (ec != std::errc() || ptr != end)
-        return std::nullopt;
-    return parsed;
-}
-
 std::optional<double>
 Value::asDouble() const
 {

@@ -57,13 +57,12 @@ struct Value
 
     /** @name Checked scalar accessors
      *  Empty optional when the value's kind or range doesn't fit.
-     *  Numbers parse from the raw text: asUint64/asInt64 reject
+     *  Numbers parse from the raw text: asUint64 rejects
      *  fractions and exponents, asDouble accepts any JSON number.
      */
     /// @{
     std::optional<bool> asBool() const;
     std::optional<std::uint64_t> asUint64() const;
-    std::optional<std::int64_t> asInt64() const;
     std::optional<double> asDouble() const;
     std::optional<std::string> asString() const;
     /// @}

@@ -39,7 +39,8 @@ TEST(Json, ParsesScalars)
     EXPECT_EQ(parseOk("false").asBool(), false);
     EXPECT_EQ(parseOk("\"hi\"").asString(), "hi");
     EXPECT_EQ(parseOk("42").asUint64(), 42u);
-    EXPECT_EQ(parseOk("-7").asInt64(), -7);
+    EXPECT_DOUBLE_EQ(parseOk("-7").asDouble().value(), -7.0);
+    EXPECT_FALSE(parseOk("-7").asUint64().has_value());
     EXPECT_DOUBLE_EQ(parseOk("2.5e3").asDouble().value(), 2500.0);
 }
 
