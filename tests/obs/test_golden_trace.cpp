@@ -9,6 +9,11 @@
  *
  *   QUETZAL_REGEN_GOLDEN=1 ./test_obs --gtest_filter='GoldenTrace.*'
  *
+ * The Chrome trace_event export of the NoAdapt scenario (two runs:
+ * job slices, recharge slices, the occupancy counter and instants
+ * of every other kind) is pinned the same way, in
+ * noadapt_short.chrome.json.
+ *
  * The same serialization is also asserted identical between
  * --jobs 1 and --jobs 4 executions of the ensemble, which is the
  * determinism contract the parallel runner must keep for traces (not
@@ -65,9 +70,9 @@ scenarioConfig(const GoldenScenario &scenario, std::size_t runIndex)
     return config;
 }
 
-/** Run the scenario's ensemble on `jobs` workers; serialize to JSONL. */
-std::string
-traceScenario(const GoldenScenario &scenario, unsigned jobs)
+/** Run the scenario's ensemble on `jobs` workers; one sink per run. */
+std::vector<VectorSink>
+recordScenario(const GoldenScenario &scenario, unsigned jobs)
 {
     std::vector<VectorSink> sinks(scenario.runs);
     std::vector<sim::ExperimentConfig> configs;
@@ -81,7 +86,14 @@ traceScenario(const GoldenScenario &scenario, unsigned jobs)
 
     sim::ParallelRunner runner(jobs);
     (void)runner.runBatch(configs);
+    return sinks;
+}
 
+/** Run the scenario's ensemble on `jobs` workers; serialize to JSONL. */
+std::string
+traceScenario(const GoldenScenario &scenario, unsigned jobs)
+{
+    const std::vector<VectorSink> sinks = recordScenario(scenario, jobs);
     std::ostringstream out;
     writeJsonlHeader(out);
     for (std::size_t i = 0; i < sinks.size(); ++i)
@@ -89,38 +101,67 @@ traceScenario(const GoldenScenario &scenario, unsigned jobs)
     return out.str();
 }
 
+/** Run the scenario's ensemble serially; serialize to Chrome JSON. */
 std::string
-goldenPath(const GoldenScenario &scenario)
+chromeTraceScenario(const GoldenScenario &scenario)
+{
+    const std::vector<VectorSink> sinks = recordScenario(scenario, 1);
+    std::ostringstream out;
+    writeChromeTraceHeader(out);
+    bool first = true;
+    for (std::size_t i = 0; i < sinks.size(); ++i)
+        first = writeChromeTrace(out, sinks[i].events(), i, first);
+    writeChromeTraceFooter(out);
+    return out.str();
+}
+
+std::string
+goldenPath(const GoldenScenario &scenario, const char *suffix = ".jsonl")
 {
     return std::string(QUETZAL_OBS_GOLDEN_DIR) + "/" + scenario.name +
-        ".jsonl";
+        suffix;
+}
+
+/** Compare `trace` with the reference at `path` byte for byte, or
+ *  rewrite the reference under QUETZAL_REGEN_GOLDEN. */
+void
+expectMatchesReference(const std::string &trace, const std::string &path)
+{
+    ASSERT_FALSE(trace.empty());
+    if (std::getenv("QUETZAL_REGEN_GOLDEN") != nullptr) {
+        std::ofstream out(path, std::ios::binary);
+        ASSERT_TRUE(out.is_open()) << path;
+        out << trace;
+        return;
+    }
+
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.is_open())
+        << path << " missing — regenerate with QUETZAL_REGEN_GOLDEN=1";
+    std::ostringstream expected;
+    expected << in.rdbuf();
+    EXPECT_EQ(trace, expected.str())
+        << "trace drifted from " << path
+        << " — if intentional, regenerate with QUETZAL_REGEN_GOLDEN=1";
 }
 
 TEST(GoldenTrace, ScenariosMatchCheckedInReferences)
 {
-    const bool regen = std::getenv("QUETZAL_REGEN_GOLDEN") != nullptr;
     for (const GoldenScenario &scenario : kScenarios) {
         SCOPED_TRACE(scenario.name);
-        const std::string trace = traceScenario(scenario, 1);
-        ASSERT_FALSE(trace.empty());
-
-        const std::string path = goldenPath(scenario);
-        if (regen) {
-            std::ofstream out(path, std::ios::binary);
-            ASSERT_TRUE(out.is_open()) << path;
-            out << trace;
-            continue;
-        }
-
-        std::ifstream in(path, std::ios::binary);
-        ASSERT_TRUE(in.is_open())
-            << path << " missing — regenerate with QUETZAL_REGEN_GOLDEN=1";
-        std::ostringstream expected;
-        expected << in.rdbuf();
-        EXPECT_EQ(trace, expected.str())
-            << "trace drifted from " << path
-            << " — if intentional, regenerate with QUETZAL_REGEN_GOLDEN=1";
+        expectMatchesReference(traceScenario(scenario, 1),
+                               goldenPath(scenario));
     }
+}
+
+TEST(GoldenTrace, ChromeExportMatchesCheckedInReference)
+{
+    // NoAdapt browns out, so its two runs reach every branch of the
+    // exporter: job and recharge slices, the occupancy counter and
+    // the instant every other kind becomes.
+    const GoldenScenario &scenario = kScenarios[1];
+    expectMatchesReference(chromeTraceScenario(scenario),
+                           goldenPath(scenario, ".chrome.json"));
 }
 
 TEST(GoldenTrace, TracesAreIdenticalAcrossJobCounts)
