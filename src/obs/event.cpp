@@ -72,10 +72,10 @@ parseObsLevel(const std::string &name)
     return std::nullopt;
 }
 
-std::string
+std::string_view
 eventKindName(EventKind kind)
 {
-    return std::string(info(kind).name);
+    return info(kind).name;
 }
 
 std::optional<EventKind>

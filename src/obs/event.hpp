@@ -79,8 +79,9 @@ enum class EventKind : std::uint8_t {
 /** Number of distinct event kinds. */
 constexpr std::size_t kEventKindCount = 19;
 
-/** Kind display name ("capture", "schedule", ...). */
-std::string eventKindName(EventKind kind);
+/** Kind display name ("capture", "schedule", ...); a view of a
+ *  static table, valid for the life of the program. */
+std::string_view eventKindName(EventKind kind);
 
 /** Parse a kind name; nullopt on unknown input. */
 std::optional<EventKind> parseEventKind(std::string_view name);

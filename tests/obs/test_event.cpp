@@ -18,7 +18,7 @@ TEST(ObsEvent, KindNamesRoundTrip)
 {
     for (std::size_t i = 0; i < kEventKindCount; ++i) {
         const auto kind = static_cast<EventKind>(i);
-        const std::string name = eventKindName(kind);
+        const std::string_view name = eventKindName(kind);
         EXPECT_FALSE(name.empty());
         const auto parsed = parseEventKind(name);
         ASSERT_TRUE(parsed.has_value()) << name;
