@@ -114,11 +114,11 @@ printReport(const ScenarioPlan &plan,
     for (std::size_t c = 0; c < plan.cells.size(); ++c) {
         printCellHeader(plan.cells[c]);
         sim::printDiscardTableHeader();
-        for (const std::string &row : report.rows)
+        for (const ReportRow &row : report.rows)
             sim::printDiscardTableRow(
-                row,
+                row.population,
                 metricsFor(plan, results, c,
-                           populationIndex(plan, row)));
+                           populationIndex(plan, row.population)));
         for (const ReportLine &line : report.lines) {
             std::vector<double> values;
             values.reserve(line.terms.size());

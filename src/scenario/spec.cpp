@@ -1077,7 +1077,7 @@ readReport(const Member &member, ReportSpec &report)
         m.items([&](const Member &item) {
             std::string name;
             if (item.text(name))
-                report.rows.push_back(std::move(name));
+                report.rows.push_back({std::move(name), item.path});
         });
     };
     const auto lines = [&](const Member &m) {
@@ -1221,11 +1221,10 @@ checkReferences(const ScenarioSpec &spec, Errors &errors)
                      std::to_string(spec.maxRuns) +
                      ") runs; raise max_runs or shrink the sweep");
 
-    for (std::size_t i = 0; i < spec.report.rows.size(); ++i) {
-        if (populations.count(spec.report.rows[i]) == 0)
-            addError("report.table[" + std::to_string(i) + "]",
-                     "unknown population \"" + spec.report.rows[i] +
-                         "\"");
+    for (const ReportRow &row : spec.report.rows) {
+        if (populations.count(row.population) == 0)
+            addError(row.path,
+                     "unknown population \"" + row.population + "\"");
     }
     for (const ReportLine &line : spec.report.lines) {
         for (const ReportTerm &term : line.terms) {

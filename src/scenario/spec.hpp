@@ -158,13 +158,20 @@ struct ReportLine
     std::vector<ReportTerm> terms;
 };
 
+/** One row of the report table. */
+struct ReportRow
+{
+    std::string population; ///< population name
+    std::string path;       ///< "report.table[i]", i the array index
+};
+
 /** Figure-style report: banner, per-cell table + comparison lines. */
 struct ReportSpec
 {
     bool enabled = false;
     std::string banner;
-    /** Population names, in table-row order. */
-    std::vector<std::string> rows;
+    /** Table rows, in table-row order. */
+    std::vector<ReportRow> rows;
     std::vector<ReportLine> lines;
 };
 

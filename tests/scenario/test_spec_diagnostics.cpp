@@ -514,7 +514,7 @@ const std::vector<DiagnosticCase> kCases = {
        "unknown key (allowed: metric, subject, baseline)"},
       {"report.lines[2].values[3].weight", "expected string, got number"},
       {"report.table[0]", "expected string, got number"},
-      {"report.table[0]", "unknown population \"C\""}}},
+      {"report.table[1]", "unknown population \"C\""}}},
 
     {"ReportTerms", R"({
        "populations": [{"name": "A"}, {"name": "B"}],
