@@ -25,11 +25,11 @@
  * byte-identical or panic (the determinism contract the fleet test
  * suite enforces per commit; here it guards the bench numbers too).
  *
- * --checkpoint measures the barrier-checkpoint tax: fifteen back-to-back
+ * --checkpoint measures the barrier-checkpoint tax: sixty back-to-back
  * pairs of one clean and one checkpointing run (an in-memory sink
  * swallows the blobs so disk speed stays out of the number), and the
- * line gains "checkpoint_overhead_pct" — the median over the pairs
- * of the extra slab-advance cost of snapshotting every barrier,
+ * line gains "checkpoint_overhead_pct" — the interquartile mean over
+ * the pairs of the extra wall-clock cost of snapshotting every barrier,
  * which scripts/check_bench.sh gates below 5%. In this mode
  * ns_per_device_day comes from the clean minimum, so the primary
  * metric stays comparable to non-checkpoint baselines.
@@ -58,9 +58,9 @@ namespace {
 
 using namespace quetzal;
 
-/** Clean/checkpointing run pairs behind --checkpoint (odd, so the
- *  median is one pair's ratio). */
-constexpr int kCheckpointPairs = 15;
+/** Clean/checkpointing run pairs behind --checkpoint (a multiple of
+ *  four, so the middle half is whole). */
+constexpr int kCheckpointPairs = 60;
 
 /** Peak resident set (VmHWM) in bytes; 0 when unavailable. */
 std::size_t
@@ -194,13 +194,16 @@ main(int argc, char **argv)
 
     // The checkpoint tax: run clean and checkpointing runs in
     // back-to-back pairs so both see the same thermal/cache and host
-    // load conditions, and report the median over the pairs of the
-    // relative slab-advance overhead of snapshotting every barrier.
-    // Host noise on a smoke-sized run is several percent, the order
-    // of the tax itself, so a minimum per phase would compare the
-    // luckiest run of one phase against the luckiest of the other;
-    // pairing cancels load that drifts over seconds and the median
-    // discards the pairs a burst hit. The pairs alternate which run
+    // load conditions, and report the interquartile mean over the
+    // pairs of the relative wall-clock overhead of snapshotting every
+    // barrier. Host noise on a smoke-sized run is several percent,
+    // the order of the tax itself, so a minimum per phase would
+    // compare the luckiest run of one phase against the luckiest of
+    // the other; pairing cancels load that drifts over seconds, and
+    // the interquartile mean drops the quarter of pairs at either
+    // end, which the bursts hit, and averages the middle half: it
+    // centres where the median does, with less than half the spread
+    // of a median of fifteen pairs. The pairs alternate which run
     // goes first, so a trend in host speed favours neither phase.
     // An in-memory sink swallows the blobs; encoding cost is the
     // measurement, disk speed is not.
@@ -239,9 +242,12 @@ main(int argc, char **argv)
             cleanNs = std::min(cleanNs, clean);
             ratios.push_back((cleanFirst ? second : first) / clean);
         }
-        const auto median = ratios.begin() + kCheckpointPairs / 2;
-        std::nth_element(ratios.begin(), median, ratios.end());
-        overheadPct = std::max(0.0, (*median - 1.0) * 100.0);
+        std::sort(ratios.begin(), ratios.end());
+        double middle = 0.0;
+        for (int i = kCheckpointPairs / 4; i < 3 * kCheckpointPairs / 4; ++i)
+            middle += ratios[i];
+        const double iqm = middle / (kCheckpointPairs / 2);
+        overheadPct = std::max(0.0, (iqm - 1.0) * 100.0);
         wallNs = cleanNs;
     }
 
@@ -267,7 +273,7 @@ main(int argc, char **argv)
         .add("shards", shards)
         .add("jobs", jobs)
         .add("verified", verify ? "jobs-1-vs-N" : "off")
-        .add("checkpointed", checkpoint ? "paired-median15" : "off")
+        .add("checkpointed", checkpoint ? "paired-iqm60" : "off")
         .add("ns_per_device_day", wallNs / deviceDays)
         .add("device_days_per_sec", deviceDays / (wallNs * 1e-9))
         .add("bytes_per_device",
