@@ -13,6 +13,10 @@
  * exactly (same field table), which is what lets tools/trace_stat
  * and the tests/obs cross-check reconstruct metrics from a file.
  *
+ * Writing: writeJsonl() and writeChromeTrace() format each line
+ * straight into a bounded chunk buffer from literals built once off
+ * that field table, and hand the stream whole chunks.
+ *
  * Reading: decodeJsonlLine() is the one JSONL parser. It scans a
  * line once into string_views of the caller's buffer, allocates
  * nothing on a well-formed line, and reports malformed input as a
