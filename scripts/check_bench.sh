@@ -28,13 +28,13 @@
 #   --smoke      reduced workloads (the ctest wiring uses this)
 #   --update     append the measurements to the trajectory files
 #                (label from QUETZAL_BENCH_LABEL, default git HEAD)
-#   --self-test  verify the gate trips on a synthetic regression
+#   --self-test  verify the verdict passes each trajectory's newest
+#                entry and fails it under an injected 100x regression
+#                (runs no bench)
 #   build-dir    defaults to build/
 #
 # Environment:
 #   QUETZAL_BENCH_THRESHOLD  allowed current/baseline ratio (default 4.0)
-#   QUETZAL_BENCH_INJECT     multiply measurements by this factor
-#                            (testing aid; the self-test uses it)
 #   QUETZAL_CHECKPOINT_OVERHEAD_PCT
 #                            max checkpoint_overhead_pct a bench line
 #                            may report (default 5; DESIGN.md
@@ -60,11 +60,105 @@ done
 
 BASELINE_DIR="bench/baselines"
 THRESHOLD="${QUETZAL_BENCH_THRESHOLD:-4.0}"
-INJECT="${QUETZAL_BENCH_INJECT:-1.0}"
 
 if [ ! -d "$BASELINE_DIR" ]; then
     echo "check_bench: no baseline dir at $BASELINE_DIR" >&2
     exit 1
+fi
+
+# The verdict on one emitted bench line against its trajectory file:
+#   python3 -c "$VERDICT_PY" TRAJECTORY THRESHOLD INJECT UPDATE LABEL LINE
+# prints "OK ..." or "FAIL ..." for the primary ratio, then
+# "; OK|FAIL checkpoint_overhead_pct=..." when the line carries one.
+VERDICT_PY="$(cat <<'EOF'
+import json, os, sys
+path, threshold, inject, update, label, out = sys.argv[1:7]
+line = json.loads(out.splitlines()[-1])
+threshold, inject = float(threshold), float(inject)
+t = json.load(open(path))
+if line.get("schema") != "quetzal-bench-v1" or line["bench"] != t["bench"]:
+    print(f"FAIL schema mismatch (got {line.get('schema')}/"
+          f"{line.get('bench')})")
+    sys.exit(0)
+primary = t["primary"]
+current = float(line[primary]) * inject
+entries = t.get("entries", [])
+if not entries:
+    verdict = f"NEW {primary}={current:.0f} (no baseline yet)"
+else:
+    base = float(entries[-1][primary])
+    ratio = current / base if base > 0 else float("inf")
+    word = "FAIL" if ratio > threshold else "OK"
+    verdict = (f"{word} {primary}={current:.0f} baseline={base:.0f} "
+               f"ratio={ratio:.2f} (threshold {threshold:.1f})")
+# Absolute gate on the checkpoint tax: any bench line carrying a
+# checkpoint_overhead_pct column (micro_fleet --checkpoint) must keep
+# the barrier-snapshot cost below the budget.
+if "checkpoint_overhead_pct" in line:
+    limit = float(os.environ.get("QUETZAL_CHECKPOINT_OVERHEAD_PCT", "5"))
+    pct = float(line["checkpoint_overhead_pct"]) * inject
+    word = "FAIL" if pct >= limit else "OK"
+    verdict += (f"; {word} checkpoint_overhead_pct={pct:.2f}"
+                f" (budget {limit:.1f})")
+if update == "1":
+    entry = dict(line)
+    entry["label"] = label
+    t.setdefault("entries", []).append(entry)
+    with open(path, "w") as f:
+        json.dump(t, f, indent=2)
+        f.write("\n")
+    verdict += " [updated]"
+print(verdict)
+EOF
+)"
+
+if [ "$SELFTEST" -eq 1 ]; then
+    # Feed each trajectory's newest entry back through the verdict as
+    # if it were a fresh measurement: at factor 1.0 every file must
+    # read OK, and an injected 100x regression must FAIL every file's
+    # ratio and, where the smoke workload checkpoints, the absolute
+    # checkpoint_overhead_pct budget. Trajectory entries come from the
+    # full workload, which does not checkpoint, so the self-test gives
+    # such lines an overhead at half the budget.
+    selftest=0
+    for baseline in "$BASELINE_DIR"/BENCH_*.json; do
+        name="$(basename "$baseline")"
+        line="$(python3 - "$baseline" <<'EOF'
+import json, os, sys
+t = json.load(open(sys.argv[1]))
+line = dict(t["entries"][-1])
+line.pop("label", None)
+if "--checkpoint" in t["smoke_args"]:
+    limit = float(os.environ.get("QUETZAL_CHECKPOINT_OVERHEAD_PCT", "5"))
+    line.setdefault("checkpoint_overhead_pct", limit / 2)
+print(json.dumps(line))
+EOF
+)"
+        for factor in 1.0 100.0; do
+            verdict="$(python3 -c "$VERDICT_PY" "$baseline" \
+                "$THRESHOLD" "$factor" 0 self-test "$line")"
+            # At 1.0 nothing may fail; at 100x the ratio must, and so
+            # must the overhead budget where the line carries one.
+            case "$factor:$line" in
+                1.0:*) want='OK*' ;;
+                *checkpoint_overhead_pct*)
+                    want='FAIL*; FAIL checkpoint_overhead_pct*' ;;
+                *) want='FAIL*' ;;
+            esac
+            if [[ "$verdict" != $want ||
+                  ( "$factor" = 1.0 && "$verdict" == *FAIL* ) ]]; then
+                echo "check_bench: SELF-TEST FAILED $name at factor" \
+                     "$factor: $verdict" >&2
+                selftest=1
+            fi
+        done
+    done
+    if [ "$selftest" -ne 0 ]; then
+        exit 1
+    fi
+    echo "check_bench: self-test OK (newest entries pass; an injected" \
+         "100x regression fails every trajectory)"
+    exit 0
 fi
 
 for bin in micro_buffer micro_simulator micro_runtime \
@@ -100,20 +194,6 @@ if [ -n "$uncovered" ]; then
     exit 1
 fi
 
-if [ "$SELFTEST" -eq 1 ]; then
-    # The gate must trip on a synthetic regression well past the
-    # threshold; run the suite once with inflated measurements and
-    # require failure.
-    if QUETZAL_BENCH_INJECT=100.0 "$0" --smoke "$BUILD_DIR" \
-            >/dev/null 2>&1; then
-        echo "check_bench: SELF-TEST FAILED (injected 100x regression" \
-             "passed the gate)" >&2
-        exit 1
-    fi
-    echo "check_bench: self-test OK (injected regression detected)"
-    exit 0
-fi
-
 status=0
 for baseline in "$BASELINE_DIR"/BENCH_*.json; do
     name="$(basename "$baseline")"
@@ -139,51 +219,10 @@ EOF
         continue
     fi
 
-    verdict="$(python3 - "$baseline" "$THRESHOLD" "$INJECT" "$UPDATE" \
-            "${QUETZAL_BENCH_LABEL:-$(git rev-parse --short HEAD \
-                2>/dev/null || echo local)}" "$out" <<'EOF'
-import json, os, sys
-path, threshold, inject, update, label, out = sys.argv[1:7]
-line = json.loads(out.splitlines()[-1])
-threshold, inject = float(threshold), float(inject)
-t = json.load(open(path))
-if line.get("schema") != "quetzal-bench-v1" or line["bench"] != t["bench"]:
-    print(f"FAIL schema mismatch (got {line.get('schema')}/"
-          f"{line.get('bench')})")
-    sys.exit(0)
-primary = t["primary"]
-current = float(line[primary]) * inject
-entries = t.get("entries", [])
-if not entries:
-    verdict = f"NEW {primary}={current:.0f} (no baseline yet)"
-else:
-    base = float(entries[-1][primary])
-    ratio = current / base if base > 0 else float("inf")
-    word = "FAIL" if ratio > threshold else "OK"
-    verdict = (f"{word} {primary}={current:.0f} baseline={base:.0f} "
-               f"ratio={ratio:.2f} (threshold {threshold:.1f})")
-# Absolute gate on the checkpoint tax: any bench line carrying a
-# checkpoint_overhead_pct column (micro_fleet --checkpoint) must keep
-# the barrier-snapshot cost below the budget.
-if "checkpoint_overhead_pct" in line:
-    limit = float(os.environ.get("QUETZAL_CHECKPOINT_OVERHEAD_PCT", "5"))
-    pct = float(line["checkpoint_overhead_pct"]) * inject
-    word = "FAIL" if pct >= limit else "OK"
-    verdict += (f"; {word} checkpoint_overhead_pct={pct:.2f}"
-                f" (budget {limit:.1f})")
-if update == "1":
-    entry = dict(line)
-    entry["label"] = label
-    if inject != 1.0:
-        entry[primary] = float(line[primary]) * inject
-    t.setdefault("entries", []).append(entry)
-    with open(path, "w") as f:
-        json.dump(t, f, indent=2)
-        f.write("\n")
-    verdict += " [updated]"
-print(verdict)
-EOF
-)"
+    verdict="$(python3 -c "$VERDICT_PY" "$baseline" "$THRESHOLD" \
+        1.0 "$UPDATE" \
+        "${QUETZAL_BENCH_LABEL:-$(git rev-parse --short HEAD \
+            2>/dev/null || echo local)}" "$out")"
 
     echo "check_bench: $verdict  $name"
     case "$verdict" in *FAIL*) status=1 ;; esac

@@ -3,7 +3,8 @@
 # bad flag value is rejected through a named diagnostic (exit 1, the
 # flag on stderr), never a panic, an abort, a wrap-around or a silent
 # fallback; mode conflicts exit 2 naming both flags; --fleet requires
-# a "fleet" block; and small valid runs succeed.
+# a "fleet" block; a trace that cannot be written exits 1; and small
+# valid runs succeed.
 #
 # Usage: scripts/check_cli.sh [quetzal-sim] [scenario-dir] [trace-gen]
 #   quetzal-sim   path to the CLI (default build/tools/quetzal-sim)
@@ -86,6 +87,32 @@ expect 0 "" --fleet "$DIR/fleet_day.json" --validate
 
 # A small valid experiment runs.
 expect 0 "" --events 30 --buffer 10 --cells 4
+
+# A trace that cannot be written is an error, whatever its format and
+# whether it goes to a file or to stdout ("-").
+# expect_lost_trace TARGET STDOUT FORMAT: trace a small run to TARGET
+# with quetzal-sim's stdout sent to STDOUT; demand exit 1 and
+# "error writing trace output: TARGET" on stderr.
+expect_lost_trace() {
+    local target="$1" stdout="$2" format="$3"
+    local want="error writing trace output: $target"
+    local code=0
+    "$SIM" --events 30 --trace-format "$format" --trace-out "$target" \
+        >"$stdout" 2>"$tmp/err" || code=$?
+    if [ "$code" -ne 1 ] || ! grep -qF -- "$want" "$tmp/err"; then
+        echo "check_cli: FAIL $format trace to '$target' (stdout" \
+            "$stdout) exited $code, want 1 and '$want'" >&2
+        sed 's/^/  /' "$tmp/err" >&2
+        status=1
+        return
+    fi
+    echo "check_cli: OK $format trace to '$target' (stdout $stdout)" \
+        "(exit 1)"
+}
+expect_lost_trace - /dev/full jsonl
+expect_lost_trace - /dev/full chrome
+expect_lost_trace - /dev/full btrace
+expect_lost_trace /dev/full "$tmp/out" btrace
 
 # quetzal-trace-gen: --seed/--events/--cells/--env go through the same
 # field table; --days/--peak/--floor through the checked parser.

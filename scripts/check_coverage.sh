@@ -4,7 +4,7 @@
 # hardware models (src/hw), the fault-injection layer (src/fault),
 # the policy zoo (src/policy), the fleet engine (src/fleet), the
 # input event-trace layer (src/trace) and the observability/trace
-# pipeline (src/obs — JSONL + btrace codecs, streaming sinks, trace
+# pipeline (src/obs — JSONL + btrace codecs, the btrace writer, trace
 # cursors):
 # build with gcov instrumentation, run the test binaries that exercise
 # those modules, aggregate gcov's per-file "Lines executed" reports,

@@ -30,14 +30,6 @@ export TSAN_OPTIONS="halt_on_error=1 exitcode=66 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/test_obs \
     --gtest_filter='GoldenTrace.*:ObsProperties.*'
 
-# The async btrace sink: the recording thread hands sealed chunks to
-# a background flusher across the bounded queue, and the backpressure
-# test drives the queue into (and out of) its budget limit. Both the
-# byte-identity and the budget test join the flusher and then compare
-# or assert, so any handoff race is visible to TSan.
-"$BUILD_DIR"/tests/test_obs \
-    --gtest_filter='Btrace.StreamingSink*'
-
 # The indexed input buffer's randomized differential suite (also a
 # memory-safety workout for the slot/lane/free-list pointers).
 "$BUILD_DIR"/tests/test_queueing \

@@ -11,16 +11,6 @@ namespace fault {
 
 namespace {
 
-/** Mix the fault seed with the run seed (SplitMix64 finalizer). */
-std::uint64_t
-mixSeeds(std::uint64_t faultSeed, std::uint64_t runSeed)
-{
-    std::uint64_t z = faultSeed + 0x9e3779b97f4a7c15ull * (runSeed + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 /** Pack the ADC masks into one reportable magnitude. */
 double
 adcMagnitude(const AdcFault &adc)
@@ -37,7 +27,10 @@ adcMagnitude(const AdcFault &adc)
 FaultInjector::FaultInjector(const FaultSpec &spec, std::uint64_t runSeed)
     : spec_(spec)
 {
-    util::Rng base(mixSeeds(spec.seed, runSeed));
+    // Mix the fault seed with the run seed: the SplitMix64 finalizer
+    // of faultSeed plus runSeed + 1 golden-ratio steps (mix64 takes
+    // the last step itself).
+    util::Rng base(util::mix64(spec.seed + 0x9e3779b97f4a7c15ull * runSeed));
     // One decorrelated stream per seam: adding draws to one seam
     // (say, denser power dropouts) must not re-time the others.
     windowRng = base.fork();

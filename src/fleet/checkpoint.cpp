@@ -22,13 +22,17 @@
  * encoders, since the barrier snapshot is the fleet's checkpoint tax.
  * Decode validates structure against the resuming configuration —
  * cohort count, per-shard device ranges (re-derived from the stored
- * shard count), section fingerprints and CRCs — before anything is
- * applied, so every corruption class dies with a named diagnostic.
+ * shard count), section fingerprints and CRCs, and every device and
+ * coordinator value against its column and its legal range — before
+ * anything is applied, so every corruption class dies with a named
+ * diagnostic.
  */
 
 #include "fleet/checkpoint.hpp"
 
+#include "sim/device.hpp"
 #include "util/logging.hpp"
+#include "util/random.hpp"
 #include "util/wire.hpp"
 
 namespace quetzal {
@@ -69,16 +73,28 @@ putBlock(std::string &out, const CohortBlock &block)
     out.append(batch, p);
 }
 
+/**
+ * Decode shard `s`'s block of cohort `c`, which must hold devices
+ * [expectLo, expectLo + expectCount). A CRC-valid section can still
+ * carry state no run produces, so every value must fit its column
+ * and be resumable: a known phase, non-negative timers, occupancy
+ * within the cohort's buffer and an assignable degradation level.
+ */
 bool
-getBlock(wire::Reader &in, CohortBlock &block, std::size_t expectLo,
-         std::size_t expectCount)
+getBlock(wire::Reader &in, CohortBlock &block, unsigned s, std::size_t c,
+         std::size_t expectLo, std::size_t expectCount,
+         std::uint32_t capacity, std::string &error)
 {
     std::uint64_t first = 0;
     std::uint64_t count = 0;
-    if (!in.getVarint(first) || !in.getVarint(count))
+    if (!in.getVarint(first) || !in.getVarint(count) ||
+        first != expectLo || count != expectCount) {
+        error = util::msg("shard device range mismatch (shard ", s,
+                          ", cohort ", c,
+                          "): snapshot does not partition this "
+                          "configuration's devices");
         return false;
-    if (first != expectLo || count != expectCount)
-        return false;
+    }
     block.init(static_cast<std::size_t>(first),
                static_cast<std::size_t>(count), 0.0);
     for (std::uint64_t i = 0; i < count; ++i) {
@@ -92,8 +108,29 @@ getBlock(wire::Reader &in, CohortBlock &block, std::size_t expectLo,
         if (!in.getDouble(block.charge[i]) || !in.getZigzag(taskLeft) ||
             !in.getZigzag(phaseLeft) || !in.getVarint(cursor) ||
             !in.getByte(phase) || !in.getVarint(occupancy) ||
-            !in.getByte(level) || !in.getByte(scratch))
+            !in.getByte(level) || !in.getByte(scratch)) {
+            error = util::msg("truncated fleet state (shard ", s,
+                              ", cohort ", c, " device records)");
             return false;
+        }
+        const char *fault = nullptr;
+        if (phase > static_cast<std::uint8_t>(sim::DevicePhase::Restoring))
+            fault = "unknown device phase";
+        else if (taskLeft < 0 || phaseLeft < 0)
+            fault = "negative task or phase timer";
+        else if (phaseLeft > INT32_MAX || cursor > UINT32_MAX ||
+                 occupancy > UINT16_MAX)
+            fault = "value wider than its column";
+        else if (occupancy > capacity)
+            fault = "occupancy above the cohort's buffer capacity";
+        else if (level > kMaxDegradeLevel)
+            fault = "degradation level above the maximum";
+        if (fault != nullptr) {
+            error = util::msg("invalid device state (shard ", s,
+                              ", cohort ", c, ", device ", first + i,
+                              "): ", fault);
+            return false;
+        }
         block.taskTicksLeft[i] = taskLeft;
         block.phaseTicksLeft[i] = static_cast<std::int32_t>(phaseLeft);
         block.cursor[i] = static_cast<std::uint32_t>(cursor);
@@ -103,16 +140,6 @@ getBlock(wire::Reader &in, CohortBlock &block, std::size_t expectLo,
         block.scratch[i] = scratch;
     }
     return true;
-}
-
-/** SplitMix64 finalizer (the same mix the engine hashes with). */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
 }
 
 /**
@@ -223,19 +250,13 @@ fleetFingerprint(const FleetConfig &config)
         wire::putDouble(bytes, cohort.taskPower);
     }
 
-    // FNV-1a 64.
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (const char c : bytes) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
+    return wire::fnv1a64(bytes);
 }
 
 std::uint64_t
 shardFingerprint(std::uint64_t fleetFingerprint_, unsigned shard)
 {
-    return fleetFingerprint_ ^ mix64(shard + 1);
+    return fleetFingerprint_ ^ util::mix64(shard + 1);
 }
 
 bool
@@ -277,6 +298,18 @@ decodeFleetState(const std::string &blob, const FleetConfig &config,
     wire::Archive ar{wire::Reader(blob)};
     if (!walkHeader(ar, snap, cohortCount, error))
         return false;
+    // Levels shift the job length (execTicks), so one past the
+    // maximum would be a shift the engine never makes.
+    for (std::size_t c = 0; c < cohortCount; ++c) {
+        const FleetCoordinator::CohortState &state = snap.coordinator[c];
+        if (state.directive.baseLevel > kMaxDegradeLevel ||
+            state.directive.pressureLevel > kMaxDegradeLevel ||
+            state.lastBase > kMaxDegradeLevel) {
+            error = util::msg("invalid coordinator state (cohort ", c,
+                              "): degradation level above the maximum");
+            return false;
+        }
+    }
 
     snap.states.resize(snap.shards);
     std::string section;
@@ -309,13 +342,10 @@ decodeFleetState(const std::string &blob, const FleetConfig &config,
             const std::size_t n = config.cohorts[c].devices;
             const std::size_t lo = n * s / snap.shards;
             const std::size_t hi = n * (s + 1) / snap.shards;
-            if (!getBlock(sec, snap.states[s].blocks[c], lo, hi - lo)) {
-                error = util::msg("shard device range mismatch (shard ",
-                                  s, ", cohort ", c,
-                                  "): snapshot does not partition this "
-                                  "configuration's devices");
+            if (!getBlock(sec, snap.states[s].blocks[c], s, c, lo,
+                          hi - lo, config.cohorts[c].bufferCapacity,
+                          error))
                 return false;
-            }
         }
         if (!sec.atEnd()) {
             error = util::msg("trailing bytes in fleet state shard "

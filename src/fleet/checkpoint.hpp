@@ -85,7 +85,8 @@ std::string encodeFleetState(FleetSnapshot &snap,
  * configuration. Returns false with a named diagnostic in `error`
  * on truncation, a cohort-count or device-range mismatch, a shard
  * section whose fingerprint or CRC does not match, an out-of-range
- * event kind, or trailing bytes.
+ * event kind, device value (phase, timer, column width, occupancy,
+ * level) or coordinator level, or trailing bytes.
  */
 bool decodeFleetState(const std::string &blob,
                       const FleetConfig &config, FleetSnapshot &snap,

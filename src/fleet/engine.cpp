@@ -14,6 +14,7 @@
 #include "sim/device.hpp"
 #include "sim/runner.hpp"
 #include "util/logging.hpp"
+#include "util/random.hpp"
 
 namespace quetzal {
 namespace fleet {
@@ -24,18 +25,6 @@ namespace {
  *  stops asking for it (recovery hysteresis; lives in the per-device
  *  scratch byte). */
 constexpr std::uint8_t kRecoveryCooldown = 2;
-
-/** SplitMix64 finalizer: the per-device / per-capture hash behind
- *  phase offsets and drop classification. Depends only on cohort
- *  seed and *global* device index, never on the shard layout. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
 
 /** P(interesting) of a capture, by crowdedness preset. */
 double
@@ -133,7 +122,7 @@ advanceBlock(CohortBlock &block, const CohortConfig &cohort,
         std::uint8_t cooldown = block.scratch[i];
 
         const Tick offset = static_cast<Tick>(
-            mix64(offsetKey + gid * 0x9e3779b97f4a7c15ull) %
+            util::mix64(offsetKey + gid * 0x9e3779b97f4a7c15ull) %
             static_cast<std::uint64_t>(period));
         Tick nextCapture =
             firstCaptureAtOrAfter(offset, period, slabStart);
@@ -195,7 +184,7 @@ advanceBlock(CohortBlock &block, const CohortConfig &cohort,
                             std::uint64_t>((nextCapture - offset) /
                                            period);
                         const bool interesting =
-                            mix64(classKey +
+                            util::mix64(classKey +
                                   gid * 0x9e3779b97f4a7c15ull + k) <
                             runtime.interestingThreshold;
                         if (interesting)

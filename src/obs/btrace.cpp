@@ -1,7 +1,6 @@
 #include "obs/btrace.hpp"
 
 #include <ostream>
-#include <utility>
 
 #include "util/wire.hpp"
 
@@ -25,21 +24,18 @@ enum : std::uint8_t {
 
 } // namespace
 
-BtraceEncoder::BtraceEncoder(EmitFn emitFn) : emit(std::move(emitFn))
+BtraceWriter::BtraceWriter(std::ostream &stream, std::uint64_t runIndex)
+    : out(stream), body(kBtraceChunkTarget + 80, '\0'), run(runIndex)
 {
-    body.resize(kBtraceChunkTarget + 80);
-    std::string header;
-    header.reserve(kBtraceHeaderSize);
-    header.append(kBtraceMagic, sizeof(kBtraceMagic));
-    header.push_back(static_cast<char>(kBtraceMajor));
-    header.push_back(static_cast<char>(kBtraceMinor));
-    header.push_back('\0');
-    header.push_back('\0');
-    emit(std::move(header));
+    const char header[kBtraceHeaderSize] = {
+        kBtraceMagic[0], kBtraceMagic[1], kBtraceMagic[2], kBtraceMagic[3],
+        static_cast<char>(kBtraceMajor), static_cast<char>(kBtraceMinor),
+        0, 0};
+    out.write(header, sizeof header);
 }
 
 void
-BtraceEncoder::beginRun(std::uint64_t runIndex)
+BtraceWriter::beginRun(std::uint64_t runIndex)
 {
     if (runIndex != run)
         sealChunk();
@@ -47,7 +43,7 @@ BtraceEncoder::beginRun(std::uint64_t runIndex)
 }
 
 void
-BtraceEncoder::add(const Event &event)
+BtraceWriter::record(const Event &event)
 {
     // Worst case: 2 header bytes + 5 varints (10 bytes each) + 2
     // fixed64 doubles = 68 bytes; the arena always has that much
@@ -104,68 +100,48 @@ BtraceEncoder::add(const Event &event)
 }
 
 void
-BtraceEncoder::sealChunk()
+BtraceWriter::writeRun(const std::vector<Event> &events,
+                       std::uint64_t runIndex)
+{
+    beginRun(runIndex);
+    for (const Event &event : events)
+        record(event);
+}
+
+void
+BtraceWriter::sealChunk()
 {
     if (chunkEvents == 0)
         return;
-    // The payload (varint run + varint count + records) is framed
-    // without ever materializing it: the CRC streams over the head
-    // and the body, and the body is copied exactly once, into the
-    // framed block.
-    char head[20];
+    // The payload (varint run + varint count + records) is written
+    // without ever materializing it: the frame and the head go out
+    // in one small write, the body straight from the arena, and the
+    // CRC streams over the head and the body.
+    char frame[8 + 20];
+    char *const head = frame + 8;
     char *p = wire::putVarintRaw(head, run);
     p = wire::putVarintRaw(p, chunkEvents);
     const std::size_t headSize = static_cast<std::size_t>(p - head);
     wire::Crc32 crc;
     crc.update(head, headSize);
     crc.update(body.data(), bodyUsed);
-    std::string framed;
-    framed.reserve(8 + headSize + bodyUsed);
-    wire::putFixed32(framed,
-                     static_cast<std::uint32_t>(headSize + bodyUsed));
-    wire::putFixed32(framed, crc.value());
-    framed.append(head, headSize);
-    framed.append(body.data(), bodyUsed);
-    emit(std::move(framed));
+    // u32le(size) u32le(crc) is one u64le with the CRC on top.
+    wire::putFixed64Raw(frame, (headSize + bodyUsed) |
+                            std::uint64_t{crc.value()} << 32);
+    out.write(frame, static_cast<std::streamsize>(p - frame));
+    out.write(body.data(), static_cast<std::streamsize>(bodyUsed));
     bodyUsed = 0;
     chunkEvents = 0;
     previousTick = 0;
 }
 
 void
-BtraceEncoder::finish()
-{
-    if (finished)
-        return;
-    sealChunk();
-    std::string footer;
-    wire::putFixed32(footer, 0);
-    wire::putFixed32(footer, 0);
-    emit(std::move(footer));
-    finished = true;
-}
-
-BtraceWriter::BtraceWriter(std::ostream &out)
-    : encoder([&out](std::string &&block) {
-          out.write(block.data(),
-                    static_cast<std::streamsize>(block.size()));
-      })
-{
-}
-
-void
-BtraceWriter::writeRun(const std::vector<Event> &events,
-                       std::uint64_t runIndex)
-{
-    encoder.beginRun(runIndex);
-    for (const Event &event : events)
-        encoder.add(event);
-}
-
-void
 BtraceWriter::finish()
 {
-    encoder.finish();
+    sealChunk();
+    const char footer[8] = {};
+    out.write(footer, sizeof footer);
+    out.flush();
 }
 
 bool
@@ -206,9 +182,13 @@ decodeBtracePayload(const std::string &payload, BtraceChunk &out,
         }
         Event event;
         event.kind = static_cast<EventKind>(kind);
-        event.tick = previousTick + tickDelta;
+        if (__builtin_add_overflow(previousTick, tickDelta, &event.tick)) {
+            error = "record tick delta overflows the tick range";
+            return false;
+        }
         previousTick = event.tick;
-        std::uint64_t raw = 0;
+        std::uint64_t flags = 0;
+        std::uint64_t options = 0;
         bool intact = true;
         if (mask & kMaskId)
             intact = intact && reader.getVarint(event.id);
@@ -220,18 +200,20 @@ decodeBtracePayload(const std::string &payload, BtraceChunk &out,
             intact = intact && reader.getDouble(event.a);
         if (mask & kMaskB)
             intact = intact && reader.getDouble(event.b);
-        if (mask & kMaskFlags) {
-            intact = intact && reader.getVarint(raw);
-            event.flags = static_cast<std::uint32_t>(raw);
-        }
-        if (mask & kMaskOptions) {
-            intact = intact && reader.getVarint(raw);
-            event.options = static_cast<std::uint32_t>(raw);
-        }
+        if (mask & kMaskFlags)
+            intact = intact && reader.getVarint(flags);
+        if (mask & kMaskOptions)
+            intact = intact && reader.getVarint(options);
         if (!intact) {
             error = "chunk truncated mid-record";
             return false;
         }
+        if (flags > UINT32_MAX || options > UINT32_MAX) {
+            error = "record flags or options exceed 32 bits";
+            return false;
+        }
+        event.flags = static_cast<std::uint32_t>(flags);
+        event.options = static_cast<std::uint32_t>(options);
         out.events.push_back(event);
     }
     if (!reader.atEnd()) {

@@ -23,21 +23,22 @@
  * Chunks never mix runs and seal deterministically: when the encoded
  * body reaches kBtraceChunkTarget, at a run boundary, and at
  * finish(). Chunk boundaries are therefore a pure function of the
- * event stream — the streaming sink and the batch writer produce
- * byte-identical files. The zero-size footer distinguishes a clean
- * end of stream from a truncated file.
+ * event stream: a run recorded event by event and the same run
+ * written afterwards with writeRun() produce byte-identical files.
+ * The zero-size footer distinguishes a clean end of stream from a
+ * truncated file.
  */
 
 #ifndef QUETZAL_OBS_BTRACE_HPP
 #define QUETZAL_OBS_BTRACE_HPP
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "obs/event.hpp"
+#include "obs/trace_sink.hpp"
 
 namespace quetzal {
 namespace obs {
@@ -56,28 +57,33 @@ inline constexpr std::size_t kBtraceChunkTarget = 1u << 16;
 /// @}
 
 /**
- * Incremental btrace encoder. Sealed byte blocks (header, framed
- * chunks, footer) are handed to the emit callback in file order; the
- * callback either writes them to a stream (BtraceWriter) or queues
- * them for a background flusher (StreamingBtraceSink). Emission
- * granularity is one block per ~64 KiB of payload, so the callback
- * indirection is off the per-event path.
+ * The btrace writer: a TraceSink that encodes events into the open
+ * chunk and, when the chunk seals, writes it straight to the output
+ * stream on the recording thread. A run traced through it never
+ * holds more than one ~64 KiB chunk in memory; writeRun() serializes
+ * a recorded run the same way, so both paths emit identical bytes.
+ *
+ * The writer never checks the stream: callers check it after
+ * finish(), as writeTraceFile() does. A writer destroyed without
+ * finish() leaves no footer, which readers report as truncation.
  */
-class BtraceEncoder
+class BtraceWriter final : public TraceSink
 {
   public:
-    using EmitFn = std::function<void(std::string &&block)>;
+    /** Writes the file header to `out` and opens run `runIndex`. */
+    explicit BtraceWriter(std::ostream &out, std::uint64_t runIndex = 0);
 
-    /** Emits the file header immediately. */
-    explicit BtraceEncoder(EmitFn emit);
+    /** Append one event to the current run's chunk. */
+    void record(const Event &event) override;
 
     /** Start (or switch to) a run; seals any pending chunk. */
     void beginRun(std::uint64_t runIndex);
 
-    /** Append one event to the current run's chunk. */
-    void add(const Event &event);
+    /** Append one run's events (call in run-index order). */
+    void writeRun(const std::vector<Event> &events,
+                  std::uint64_t runIndex);
 
-    /** Seal the pending chunk and emit the footer. Idempotent. */
+    /** Seal the pending chunk, write the footer and flush. Call once. */
     void finish();
 
     /** Events encoded so far (all runs). */
@@ -86,7 +92,7 @@ class BtraceEncoder
   private:
     void sealChunk();
 
-    EmitFn emit;
+    std::ostream &out;
     /**
      * Fixed-size encode arena for the open chunk: records are
      * encoded in place at `bodyUsed` (the arena always holds
@@ -99,25 +105,6 @@ class BtraceEncoder
     std::uint64_t chunkEvents = 0;
     std::uint64_t totalEvents = 0;
     Tick previousTick = 0;
-    bool finished = false;
-};
-
-/** Batch convenience: encoder wired straight to an ostream. */
-class BtraceWriter
-{
-  public:
-    /** Writes the header to `out` immediately. */
-    explicit BtraceWriter(std::ostream &out);
-
-    /** Append one run's events (call in run-index order). */
-    void writeRun(const std::vector<Event> &events,
-                  std::uint64_t runIndex);
-
-    /** Seal and write the footer. Idempotent. */
-    void finish();
-
-  private:
-    BtraceEncoder encoder;
 };
 
 /** One decoded chunk: the run it belongs to and its events. */
@@ -129,7 +116,10 @@ struct BtraceChunk
 
 /**
  * Decode one chunk payload (the bytes the chunk CRC covers).
- * @return false with a diagnostic in `error` on malformed input.
+ * @return false with a diagnostic in `error` on malformed input:
+ *         truncation, an unknown kind or mask bit, a tick delta that
+ *         overflows the tick range, flags or options wider than 32
+ *         bits, or trailing bytes.
  */
 bool decodeBtracePayload(const std::string &payload, BtraceChunk &out,
                          std::string &error);

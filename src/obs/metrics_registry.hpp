@@ -123,18 +123,12 @@ class MetricsRegistry : public TraceSink
     /** @name Streaming distributions */
     /// @{
     /** Per-job observed service seconds (from JobComplete). */
-    const util::Histogram &serviceHistogram() const { return serviceHist; }
     const util::RunningStats &serviceStats() const { return serviceRun; }
 
     /** Buffer-occupancy samples (from BufferOccupancy). */
-    const util::Histogram &queueDepthHistogram() const { return depthHist; }
     const util::RunningStats &queueDepthStats() const { return depthRun; }
 
     /** observed - predicted E[S] samples (from PidUpdate). */
-    const util::Histogram &predictionErrorHistogram() const
-    {
-        return errorHist;
-    }
     const util::RunningStats &predictionErrorStats() const
     {
         return errorRun;

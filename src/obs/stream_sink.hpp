@@ -1,118 +1,19 @@
 /**
  * @file
- * Streaming btrace sink: the TraceSink that writes quetzal-btrace-v1
- * to disk *while the run executes*, so a fully-traced run never
- * materializes its event stream in memory.
- *
- * Double-buffered: events encode on the producer (simulation) thread
- * into the open chunk buffer; sealed ~64 KiB chunks move to a
- * bounded flush queue that a single background thread drains to the
- * output stream. Encoding on the producer side keeps the bytes a
- * pure function of the event stream — the file is byte-identical to
- * BtraceWriter over the same events, regardless of flusher timing.
- *
- * Backpressure is deterministic: when the queued bytes reach the
- * in-flight budget the producer blocks until the flusher drains —
- * never drops, never reorders, never grows the queue past the
- * budget. Debug builds assert the bound on every enqueue.
+ * The former name of the btrace writer. BtraceWriter is the one
+ * btrace TraceSink (obs/btrace.hpp); this alias keeps the old name
+ * compiling for code that still includes this header.
  */
 
 #ifndef QUETZAL_OBS_STREAM_SINK_HPP
 #define QUETZAL_OBS_STREAM_SINK_HPP
 
-#include <atomic>
-#include <condition_variable>
-#include <cstddef>
-#include <cstdint>
-#include <deque>
-#include <iosfwd>
-#include <mutex>
-#include <string>
-#include <thread>
-
 #include "obs/btrace.hpp"
-#include "obs/trace_sink.hpp"
 
 namespace quetzal {
 namespace obs {
 
-class StreamingBtraceSink final : public TraceSink
-{
-  public:
-    struct Options
-    {
-        /** Sealed-but-unflushed bytes the producer may have in
-         *  flight before it blocks (the bounded-memory budget). */
-        std::size_t maxInFlightBytes = 4u << 20;
-    };
-
-    /**
-     * Starts the background flusher and writes the file header.
-     * `out` must outlive the sink and is written *only* by the
-     * flusher thread until finish() returns.
-     */
-    StreamingBtraceSink(std::ostream &out, std::uint64_t runIndex,
-                        Options options);
-
-    explicit StreamingBtraceSink(std::ostream &out,
-                                 std::uint64_t runIndex = 0)
-        : StreamingBtraceSink(out, runIndex, Options())
-    {
-    }
-
-    /** finish()es if the caller did not. */
-    ~StreamingBtraceSink() override;
-
-    /** Encode one event (producer thread; may block on the budget). */
-    void record(const Event &event) override;
-
-    /** Switch runs (seals the open chunk). Producer thread only. */
-    void beginRun(std::uint64_t runIndex);
-
-    /**
-     * Seal the open chunk, write the footer, drain the queue, join
-     * the flusher and flush `out`. Fatal if any write failed.
-     * Idempotent; the sink accepts no events afterwards.
-     */
-    void finish();
-
-    /** Events recorded so far (producer thread only). */
-    std::uint64_t eventCount() const { return encoder.eventCount(); }
-
-    /** @name Backpressure observability */
-    /// @{
-    /** Peak in-flight bytes (call after finish()). */
-    std::size_t peakQueuedBytes() const { return peakQueued; }
-    /** Producer blocks on the budget so far. Atomic, so a test's
-     *  throttled output stream may poll it from the flusher thread
-     *  while the producer is still recording. */
-    std::uint64_t backpressureWaits() const
-    {
-        return producerWaits.load(std::memory_order_acquire);
-    }
-    /// @}
-
-  private:
-    void enqueue(std::string &&block);
-    void flushLoop();
-
-    std::ostream &out;
-    const std::size_t budget;
-
-    std::mutex mutex;
-    std::condition_variable producerCv; ///< signaled as bytes drain
-    std::condition_variable flusherCv;  ///< signaled as bytes arrive
-    std::deque<std::string> queue;
-    std::size_t queuedBytes = 0;
-    std::size_t peakQueued = 0;
-    std::atomic<std::uint64_t> producerWaits{0};
-    bool stopping = false;
-    bool writeFailed = false;
-
-    BtraceEncoder encoder; ///< after sync state: ctor enqueues header
-    std::thread flusher;
-    bool finished = false;
-};
+using StreamingBtraceSink = BtraceWriter;
 
 } // namespace obs
 } // namespace quetzal

@@ -792,40 +792,54 @@ writeChromeTraceFooter(std::ostream &out)
     out << "\n]\n";
 }
 
+std::ostream &
+openTraceOutput(const std::string &path, std::ofstream &file)
+{
+    if (path == "-")
+        return std::cout;
+    file.open(path, std::ios::binary);
+    if (!file)
+        util::fatal(util::msg("cannot open trace output: ", path));
+    return file;
+}
+
+void
+checkTraceOutput(std::ostream &out, const std::string &path)
+{
+    if (auto *file = dynamic_cast<std::ofstream *>(&out))
+        file->close();
+    else
+        out.flush();
+    if (!out)
+        util::fatal(util::msg("error writing trace output: ", path));
+}
+
 void
 writeTraceFile(const std::string &path, const std::string &format,
                const std::vector<VectorSink> &sinks)
 {
     std::ofstream file;
-    std::ostream *out = &std::cout;
-    if (path != "-") {
-        file.open(path, std::ios::binary);
-        if (!file)
-            util::fatal(util::msg("cannot open trace output: ", path));
-        out = &file;
-    }
+    std::ostream &out = openTraceOutput(path, file);
     if (format == "chrome") {
-        writeChromeTraceHeader(*out);
+        writeChromeTraceHeader(out);
         bool first = true;
         for (std::size_t i = 0; i < sinks.size(); ++i)
-            first = writeChromeTrace(*out, sinks[i].events(), i, first);
-        writeChromeTraceFooter(*out);
+            first = writeChromeTrace(out, sinks[i].events(), i, first);
+        writeChromeTraceFooter(out);
     } else if (format == "btrace") {
-        // Runs record in parallel into per-run sinks, so the batch
-        // writer serializes them in run order after the joins —
-        // byte-identical to a StreamingBtraceSink over the same
-        // streams (obs/btrace.hpp).
-        BtraceWriter writer(*out);
+        // Runs record in parallel into per-run sinks, so they are
+        // serialized in run order after the joins — byte-identical to
+        // one BtraceWriter recording the same streams live.
+        BtraceWriter writer(out);
         for (std::size_t i = 0; i < sinks.size(); ++i)
             writer.writeRun(sinks[i].events(), i);
         writer.finish();
     } else {
-        writeJsonlHeader(*out);
+        writeJsonlHeader(out);
         for (std::size_t i = 0; i < sinks.size(); ++i)
-            writeJsonl(*out, sinks[i].events(), i);
+            writeJsonl(out, sinks[i].events(), i);
     }
-    if (out == &file && !file)
-        util::fatal(util::msg("error writing trace output: ", path));
+    checkTraceOutput(out, path);
 }
 
 } // namespace obs

@@ -123,10 +123,21 @@ void writeChromeTraceHeader(std::ostream &out);
 void writeChromeTraceFooter(std::ostream &out);
 
 /**
+ * The stream a trace for `path` goes to: stdout for "-", otherwise
+ * `file`, opened on `path`. Fatal when the file cannot be opened.
+ */
+std::ostream &openTraceOutput(const std::string &path,
+                              std::ofstream &file);
+
+/** Flush `out` (close it if a file); fatal, naming `path`, when any
+ *  write or the close failed. */
+void checkTraceOutput(std::ostream &out, const std::string &path);
+
+/**
  * Serialize per-run sinks, in run-index order, as one trace file in
  * `format` ("chrome", "btrace", anything else JSONL) to `path`, or
- * to stdout when `path` is "-". Fatal when the file cannot be opened
- * or written.
+ * to stdout when `path` is "-". Fatal when the output cannot be
+ * opened or written.
  */
 void writeTraceFile(const std::string &path, const std::string &format,
                     const std::vector<VectorSink> &sinks);

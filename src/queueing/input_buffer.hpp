@@ -21,8 +21,7 @@
  *     arrival order (oldestSlotForJob / countForJob),
  *   - a free-list recycling released slots.
  * Release and retag are O(1) through the stable SlotId a consumer
- * already holds; the legacy id-based wrappers scan and exist for
- * callers that only kept the record id.
+ * already holds.
  * Overall capacity can therefore be "practically infinite" without
  * eagerly allocating it: memory tracks the occupancy high-water
  * mark, not the configured capacity.

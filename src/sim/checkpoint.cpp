@@ -252,13 +252,7 @@ experimentFingerprint(const ExperimentConfig &config)
     wire::putDouble(bytes, config.faults.detectErrorSeconds);
     wire::putVarint(bytes, config.faults.mitigateStreak);
 
-    // FNV-1a 64.
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (const char c : bytes) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
+    return wire::fnv1a64(bytes);
 }
 
 std::string

@@ -10,17 +10,6 @@ namespace util {
 
 namespace {
 
-/** SplitMix64 step, used only to expand seeds. */
-std::uint64_t
-splitMix64(std::uint64_t &x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 std::uint64_t
 rotl(std::uint64_t x, int k)
 {
@@ -31,9 +20,10 @@ rotl(std::uint64_t x, int k)
 
 Rng::Rng(std::uint64_t seed)
 {
-    std::uint64_t s = seed;
-    for (auto &word : state)
-        word = splitMix64(s);
+    for (auto &word : state) {
+        word = mix64(seed);
+        seed += 0x9e3779b97f4a7c15ull;
+    }
 }
 
 Rng::result_type

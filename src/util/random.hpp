@@ -25,6 +25,20 @@ class Archive;
 }
 
 /**
+ * SplitMix64: one golden-ratio step, then the finalizer. A stateless
+ * 64-bit hash for seeds and per-device keys; Rng seeding applies it
+ * to seed, seed + step, seed + 2 * step, ...
+ */
+inline std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+/**
  * xoshiro256** pseudo-random generator with SplitMix64 seeding.
  *
  * Satisfies the UniformRandomBitGenerator requirements, but the

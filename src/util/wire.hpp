@@ -160,6 +160,18 @@ crc32(const std::string &bytes)
     return crc32(bytes.data(), bytes.size());
 }
 
+/** FNV-1a 64 of a byte string: the configuration fingerprints. */
+inline std::uint64_t
+fnv1a64(const std::string &bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const char c : bytes) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ull;
+    }
+    return hash;
+}
+
 /** Incremental CRC-32C, for checksums spanning several buffers. */
 class Crc32
 {

@@ -21,6 +21,7 @@
 #include "fleet/fleet.hpp"
 #include "obs/trace_io.hpp"
 #include "obs/trace_sink.hpp"
+#include "util/wire.hpp"
 
 namespace {
 
@@ -505,6 +506,144 @@ TEST(FleetCheckpoint, DecodeRejectsBlocksThatDoNotTileTheCohort)
         fleet::encodeFleetState(snap, fp), config, snap, error));
     EXPECT_NE(error.find("device range mismatch"), std::string::npos)
         << error;
+}
+
+/** One device record's wire fields, each as wide as its varint so a
+ *  test can write values no column can hold. */
+struct DeviceRecord
+{
+    double charge = 0.0;
+    std::int64_t taskTicksLeft = 0;
+    std::int64_t phaseTicksLeft = 0;
+    std::uint64_t cursor = 0;
+    std::uint8_t phase = 0;
+    std::uint64_t occupancy = 0;
+    std::uint8_t level = 0;
+    std::uint8_t scratch = 0;
+};
+
+/**
+ * `snap` encoded with the first device of shard 0, cohort 0 passed
+ * through `patch`. The shard sections are written here in
+ * encodeFleetState's layout and sealed with their real fingerprints
+ * and CRCs, so only the decoder's value checks stand between a bad
+ * record and a resume.
+ */
+template <typename Patch>
+std::string
+encodeWithPatchedDevice(fleet::FleetSnapshot snap, std::uint64_t fp,
+                        Patch patch)
+{
+    namespace wire = util::wire;
+    const std::vector<fleet::ShardState> states = std::move(snap.states);
+    snap.states.assign(snap.shards, fleet::ShardState{});
+    // With no blocks, a shard section is its 8-byte fingerprint: one
+    // length byte, the section and a 4-byte CRC per shard.
+    std::string blob = fleet::encodeFleetState(snap, fp);
+    blob.resize(blob.size() - 13 * snap.shards);
+    for (unsigned s = 0; s < snap.shards; ++s) {
+        std::string section;
+        wire::putFixed64(section, fleet::shardFingerprint(fp, s));
+        for (std::size_t c = 0; c < states[s].blocks.size(); ++c) {
+            const fleet::CohortBlock &block = states[s].blocks[c];
+            wire::putVarint(section, block.firstDevice);
+            wire::putVarint(section, block.size());
+            for (std::size_t i = 0; i < block.size(); ++i) {
+                DeviceRecord d{block.charge[i],   block.taskTicksLeft[i],
+                               block.phaseTicksLeft[i], block.cursor[i],
+                               block.phase[i],    block.occupancy[i],
+                               block.level[i],    block.scratch[i]};
+                if (s == 0 && c == 0 && i == 0)
+                    patch(d);
+                wire::putDouble(section, d.charge);
+                wire::putZigzag(section, d.taskTicksLeft);
+                wire::putZigzag(section, d.phaseTicksLeft);
+                wire::putVarint(section, d.cursor);
+                section.push_back(static_cast<char>(d.phase));
+                wire::putVarint(section, d.occupancy);
+                section.push_back(static_cast<char>(d.level));
+                section.push_back(static_cast<char>(d.scratch));
+            }
+        }
+        wire::putBytes(blob, section);
+        wire::putFixed32(blob, wire::crc32(section));
+    }
+    return blob;
+}
+
+TEST(FleetCheckpoint, DecodeRejectsOutOfRangeDeviceAndCoordinatorState)
+{
+    // CRC-valid sections carrying state no run produces must fail
+    // decode with a diagnostic naming shard and cohort, not resume
+    // into a mid-slab panic or an undefined shift.
+    const fleet::FleetConfig config = smallConfig(2);
+    const FleetCapture saving = runOnce(config, 2, true);
+    ASSERT_FALSE(saving.checkpoints.empty());
+    const std::uint64_t fp = fleet::fleetFingerprint(config);
+    fleet::FleetSnapshot snap;
+    std::string error;
+    ASSERT_TRUE(fleet::decodeFleetState(
+        saving.checkpoints.front().first, config, snap, error))
+        << error;
+
+    // The hand-written sections are the real layout: unpatched, the
+    // blob is the one the run saved.
+    EXPECT_EQ(encodeWithPatchedDevice(snap, fp, [](DeviceRecord &) {}),
+              saving.checkpoints.front().first);
+
+    using Patch = void (*)(DeviceRecord &);
+    const std::pair<Patch, const char *> devices[] = {
+        {[](DeviceRecord &d) { d.phase = 9; }, "unknown device phase"},
+        {[](DeviceRecord &d) { d.taskTicksLeft = -1; },
+         "negative task or phase timer"},
+        {[](DeviceRecord &d) { d.phaseTicksLeft = -1; },
+         "negative task or phase timer"},
+        {[](DeviceRecord &d) { d.phaseTicksLeft = INT32_MAX + 1ll; },
+         "wider than its column"},
+        {[](DeviceRecord &d) { d.cursor = UINT32_MAX + 1ull; },
+         "wider than its column"},
+        {[](DeviceRecord &d) { d.occupancy = UINT16_MAX + 1ull; },
+         "wider than its column"},
+        {[](DeviceRecord &d) { d.occupancy = 5; }, // buffer holds 4
+         "occupancy above the cohort's buffer capacity"},
+        {[](DeviceRecord &d) { d.level = fleet::kMaxDegradeLevel + 1; },
+         "degradation level above the maximum"},
+    };
+    for (const auto &[patch, want] : devices) {
+        fleet::FleetSnapshot decoded;
+        EXPECT_FALSE(fleet::decodeFleetState(
+            encodeWithPatchedDevice(snap, fp, patch), config, decoded,
+            error));
+        EXPECT_NE(error.find("shard 0, cohort 0"), std::string::npos)
+            << error;
+        EXPECT_NE(error.find(want), std::string::npos) << error;
+    }
+
+    // Directive levels shift the job length; 64 would be undefined.
+    using Tamper = void (*)(fleet::FleetCoordinator::CohortState &);
+    const Tamper directives[] = {
+        [](fleet::FleetCoordinator::CohortState &c) {
+            c.directive.baseLevel = 64;
+        },
+        [](fleet::FleetCoordinator::CohortState &c) {
+            c.directive.pressureLevel = fleet::kMaxDegradeLevel + 1;
+        },
+        [](fleet::FleetCoordinator::CohortState &c) {
+            c.lastBase = fleet::kMaxDegradeLevel + 1;
+        },
+    };
+    for (const Tamper tamper : directives) {
+        fleet::FleetSnapshot tampered = snap;
+        tamper(tampered.coordinator[1]);
+        fleet::FleetSnapshot decoded;
+        EXPECT_FALSE(fleet::decodeFleetState(
+            fleet::encodeFleetState(tampered, fp), config, decoded,
+            error));
+        EXPECT_NE(error.find("cohort 1"), std::string::npos) << error;
+        EXPECT_NE(error.find("degradation level above the maximum"),
+                  std::string::npos)
+            << error;
+    }
 }
 
 using FleetCheckpointDeathTest = ::testing::Test;

@@ -1,11 +1,11 @@
 /**
  * @file
  * quetzal-btrace-v1 unit tests (DESIGN.md section 16): bit-exact
- * round-trips through the encoder and the streaming cursor, chunk
- * sealing determinism (streaming sink == batch writer, byte for
- * byte), bounded-memory backpressure, and the corruption paths —
- * truncation, CRC mismatch, and schema major-version skew all die
- * with a diagnostic instead of decoding garbage.
+ * round-trips through the writer and the streaming cursor, chunk
+ * sealing across run boundaries and the 64 KiB target, and the
+ * corruption paths — truncation, CRC mismatch, schema major-version
+ * skew, overflowing ticks and over-wide flags are all rejected with
+ * a diagnostic instead of decoding garbage.
  *
  * The format-equivalence test at the bottom is the satellite
  * contract behind tools/trace_stat: a run serialized as JSONL and as
@@ -16,22 +16,21 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
+#include <initializer_list>
 #include <sstream>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/btrace.hpp"
 #include "obs/event.hpp"
 #include "obs/metrics_registry.hpp"
-#include "obs/stream_sink.hpp"
 #include "obs/trace_cursor.hpp"
 #include "obs/trace_io.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/experiment.hpp"
+#include "util/wire.hpp"
 
 namespace quetzal {
 namespace obs {
@@ -82,9 +81,13 @@ writeBtrace(const std::vector<std::vector<Event>> &runs)
 {
     std::ostringstream out;
     BtraceWriter writer(out);
-    for (std::size_t i = 0; i < runs.size(); ++i)
+    std::size_t events = 0;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
         writer.writeRun(runs[i], i);
+        events += runs[i].size();
+    }
     writer.finish();
+    EXPECT_EQ(writer.eventCount(), events);
     return out.str();
 }
 
@@ -180,86 +183,6 @@ TEST(Btrace, LongStreamsSealMultipleChunks)
     expectSameEvent(events.back(), records.back().event);
 }
 
-TEST(Btrace, StreamingSinkIsByteIdenticalToBatchWriter)
-{
-    std::vector<Event> events;
-    for (Tick t = 0; t < 6000; ++t)
-        events.push_back(fullEvent(t * 41));
-
-    const std::string batch = writeBtrace({events});
-
-    std::ostringstream streamed;
-    {
-        StreamingBtraceSink sink(streamed, 0);
-        for (const Event &event : events)
-            sink.record(event);
-        sink.finish();
-        EXPECT_EQ(sink.eventCount(), events.size());
-    }
-    EXPECT_EQ(batch, streamed.str());
-}
-
-/**
- * Output buffer that stalls the flusher's first write until the
- * producer has been observed blocking on the budget. This makes the
- * backpressure path deterministic instead of a race the producer can
- * lose on slow (sanitizer/coverage) builds: with the first write
- * parked, the second sealed chunk is guaranteed to find the first
- * one still queued and take the wait branch — which in turn releases
- * this gate (a watchdog deadline fails the test instead of hanging
- * it if the wait never happens).
- */
-class GatedBuf final : public std::stringbuf
-{
-  public:
-    std::atomic<const StreamingBtraceSink *> sink{nullptr};
-
-  protected:
-    std::streamsize
-    xsputn(const char *data, std::streamsize size) override
-    {
-        const auto deadline = std::chrono::steady_clock::now() +
-            std::chrono::seconds(30);
-        const StreamingBtraceSink *observed = nullptr;
-        while ((observed = sink.load(std::memory_order_acquire)) ==
-                   nullptr ||
-               observed->backpressureWaits() == 0) {
-            if (std::chrono::steady_clock::now() > deadline)
-                break;
-            std::this_thread::yield();
-        }
-        return std::stringbuf::xsputn(data, size);
-    }
-};
-
-TEST(Btrace, StreamingSinkHonorsTheInFlightBudget)
-{
-    // A budget far below one sealed chunk forces the producer to wait
-    // for the flusher; the queue must still never hold more than one
-    // block beyond the budget, and the file must come out identical.
-    std::vector<Event> events;
-    for (Tick t = 0; t < 6000; ++t)
-        events.push_back(fullEvent(t * 43));
-
-    StreamingBtraceSink::Options options;
-    options.maxInFlightBytes = 1024;
-
-    GatedBuf gated;
-    std::ostream streamed(&gated);
-    StreamingBtraceSink sink(streamed, 0, options);
-    gated.sink.store(&sink, std::memory_order_release);
-    for (const Event &event : events)
-        sink.record(event);
-    sink.finish();
-
-    EXPECT_EQ(writeBtrace({events}), gated.str());
-    EXPECT_GT(sink.backpressureWaits(), 0u);
-    // Bounded memory: budget plus at most one oversized block (a
-    // sealed chunk body + framing).
-    EXPECT_LE(sink.peakQueuedBytes(),
-              options.maxInFlightBytes + kBtraceChunkTarget + 512);
-}
-
 // --- Corruption paths --------------------------------------------------
 
 using BtraceDeathTest = ::testing::Test;
@@ -312,6 +235,74 @@ TEST(Btrace, DecodePayloadReportsMalformedInputWithoutDying)
     error.clear();
     EXPECT_FALSE(decodeBtracePayload(claims, chunk, error));
     EXPECT_FALSE(error.empty());
+}
+
+/** A one-run payload of field-less records with these tick deltas. */
+std::string
+payloadWithDeltas(std::initializer_list<std::int64_t> deltas)
+{
+    std::string payload;
+    util::wire::putVarint(payload, 0);
+    util::wire::putVarint(payload, deltas.size());
+    for (const std::int64_t delta : deltas) {
+        payload.push_back(static_cast<char>(EventKind::RunEnd));
+        payload.push_back('\0'); // field mask: no fields
+        util::wire::putZigzag(payload, delta);
+    }
+    return payload;
+}
+
+TEST(Btrace, DecodePayloadRejectsTicksThatOverflow)
+{
+    // Deltas whose running sum leaves the int64 tick range: adding
+    // them unchecked would be signed overflow, not a decoded tick.
+    const std::pair<std::int64_t, std::int64_t> cases[] = {
+        {INT64_MAX, 1}, {INT64_MIN, -1}};
+    for (const auto &[first, second] : cases) {
+        BtraceChunk chunk;
+        std::string error;
+        EXPECT_FALSE(decodeBtracePayload(payloadWithDeltas({first, second}),
+                                         chunk, error));
+        EXPECT_NE(error.find("overflows the tick range"),
+                  std::string::npos)
+            << error;
+    }
+    // The extremes themselves are valid ticks.
+    BtraceChunk chunk;
+    std::string error;
+    ASSERT_TRUE(decodeBtracePayload(payloadWithDeltas({INT64_MAX, 0}),
+                                    chunk, error))
+        << error;
+    EXPECT_EQ(chunk.events.back().tick, INT64_MAX);
+}
+
+TEST(Btrace, DecodePayloadRejectsFlagsAndOptionsWiderThan32Bits)
+{
+    // Mask bits 5 and 6 carry flags and options, both uint32 Event
+    // members; a wider varint must not be silently truncated.
+    for (const std::uint8_t maskBit : {1u << 5, 1u << 6}) {
+        for (const std::uint64_t value :
+             {std::uint64_t{UINT32_MAX}, std::uint64_t{UINT32_MAX} + 1}) {
+            std::string payload;
+            util::wire::putVarint(payload, 0);
+            util::wire::putVarint(payload, 1);
+            payload.push_back(static_cast<char>(EventKind::RunEnd));
+            payload.push_back(static_cast<char>(maskBit));
+            util::wire::putZigzag(payload, 0);
+            util::wire::putVarint(payload, value);
+
+            BtraceChunk chunk;
+            std::string error;
+            const bool decoded =
+                decodeBtracePayload(payload, chunk, error);
+            EXPECT_EQ(decoded, value <= UINT32_MAX) << error;
+            if (!decoded) {
+                EXPECT_NE(error.find("exceed 32 bits"),
+                          std::string::npos)
+                    << error;
+            }
+        }
+    }
 }
 
 // --- Format equivalence (the trace_stat satellite) ---------------------

@@ -58,7 +58,7 @@
 #include <vector>
 
 #include "cli_flags.hpp"
-#include "obs/stream_sink.hpp"
+#include "obs/btrace.hpp"
 #include "obs/trace_io.hpp"
 #include "scenario/engine.hpp"
 #include "sim/checkpoint.hpp"
@@ -499,25 +499,19 @@ main(int argc, char **argv)
         };
     }
 
-    // btrace streams through the bounded-memory sink while the run
-    // executes; the text formats buffer into a VectorSink and
+    // btrace is written while the run executes, one ~64 KiB chunk
+    // at a time; the text formats buffer into a VectorSink and
     // serialize after the run.
     std::vector<obs::VectorSink> sinks;
     std::ofstream btraceFile;
-    std::optional<obs::StreamingBtraceSink> btraceSink;
+    std::ostream *btraceOut = nullptr;
+    std::optional<obs::BtraceWriter> btraceWriter;
     if (tracing) {
         cfg.obsLevel = traceLevel;
         if (traceFormat == "btrace") {
-            std::ostream *out = &std::cout;
-            if (traceOut != "-") {
-                btraceFile.open(traceOut, std::ios::binary);
-                if (!btraceFile)
-                    util::fatal(util::msg("cannot open trace output: ",
-                                          traceOut));
-                out = &btraceFile;
-            }
-            btraceSink.emplace(*out, 0);
-            cfg.obsSink = &*btraceSink;
+            btraceOut = &obs::openTraceOutput(traceOut, btraceFile);
+            btraceWriter.emplace(*btraceOut);
+            cfg.obsSink = &*btraceWriter;
         } else {
             sinks.resize(1);
             cfg.obsSink = &sinks[0];
@@ -534,14 +528,9 @@ main(int argc, char **argv)
     } else {
         m.printReport(std::cout, sim::experimentLabel(cfg));
     }
-    if (btraceSink) {
-        btraceSink->finish();
-        if (btraceFile.is_open()) {
-            btraceFile.close();
-            if (!btraceFile)
-                util::fatal(util::msg("error writing trace output: ",
-                                      traceOut));
-        }
+    if (btraceWriter) {
+        btraceWriter->finish();
+        obs::checkTraceOutput(*btraceOut, traceOut);
     } else if (tracing) {
         obs::writeTraceFile(traceOut, traceFormat, sinks);
     }
