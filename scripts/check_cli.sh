@@ -3,27 +3,31 @@
 # bad flag value is rejected through a named diagnostic (exit 1, the
 # flag on stderr), never a panic, an abort, a wrap-around or a silent
 # fallback; mode conflicts exit 2 naming both flags; --fleet requires
-# a "fleet" block; a trace that cannot be written exits 1; and small
-# valid runs succeed.
+# a "fleet" block; a trace, CSV or report that cannot be written exits
+# 1; a trace on stdout reads back with trace_stat; and small valid runs
+# succeed.
 #
 # Usage: scripts/check_cli.sh [quetzal-sim] [scenario-dir] [trace-gen]
+#                             [trace-stat]
 #   quetzal-sim   path to the CLI (default build/tools/quetzal-sim)
 #   scenario-dir  directory holding fig09.json and fleet_day.json
 #                 (default scenarios/)
 #   trace-gen     path to quetzal-trace-gen
 #                 (default build/tools/quetzal-trace-gen)
+#   trace-stat    path to trace_stat (default build/tools/trace_stat)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SIM="${1:-build/tools/quetzal-sim}"
 DIR="${2:-scenarios}"
 GEN="${3:-build/tools/quetzal-trace-gen}"
+STAT="${4:-build/tools/trace_stat}"
 
-for bin in "$SIM" "$GEN"; do
+for bin in "$SIM" "$GEN" "$STAT"; do
     if [ ! -x "$bin" ]; then
         echo "check_cli: $bin not found" >&2
         echo "  build it first: cmake --build build --target" \
-            "quetzal_sim_cli quetzal_trace_gen" >&2
+            "quetzal_sim_cli quetzal_trace_gen trace_stat" >&2
         exit 1
     fi
 done
@@ -88,31 +92,97 @@ expect 0 "" --fleet "$DIR/fleet_day.json" --validate
 # A small valid experiment runs.
 expect 0 "" --events 30 --buffer 10 --cells 4
 
-# A trace that cannot be written is an error, whatever its format and
-# whether it goes to a file or to stdout ("-").
-# expect_lost_trace TARGET STDOUT FORMAT: trace a small run to TARGET
-# with quetzal-sim's stdout sent to STDOUT; demand exit 1 and
-# "error writing trace output: TARGET" on stderr.
-expect_lost_trace() {
-    local target="$1" stdout="$2" format="$3"
-    local want="error writing trace output: $target"
+# An output that cannot be written is an error: a trace, whatever its
+# format and whether it goes to a file or to stdout ("-"), a scenario
+# CSV, the fleet episode trace, and the report or CSV on stdout.
+# expect_lost WANT STDOUT ARGS...: run quetzal-sim on ARGS with its
+# stdout sent to STDOUT; demand exit 1 and WANT on stderr.
+expect_lost() {
+    local want="$1" stdout="$2"
+    shift 2
     local code=0
-    "$SIM" --events 30 --trace-format "$format" --trace-out "$target" \
-        >"$stdout" 2>"$tmp/err" || code=$?
+    "$SIM" "$@" >"$stdout" 2>"$tmp/err" || code=$?
     if [ "$code" -ne 1 ] || ! grep -qF -- "$want" "$tmp/err"; then
-        echo "check_cli: FAIL $format trace to '$target' (stdout" \
-            "$stdout) exited $code, want 1 and '$want'" >&2
+        echo "check_cli: FAIL '$*' (stdout $stdout) exited $code, want" \
+            "1 and '$want'" >&2
         sed 's/^/  /' "$tmp/err" >&2
         status=1
         return
     fi
-    echo "check_cli: OK $format trace to '$target' (stdout $stdout)" \
-        "(exit 1)"
+    echo "check_cli: OK '$*' (stdout $stdout) (exit 1)"
+}
+# expect_lost_trace TARGET STDOUT FORMAT: a small run traced to TARGET.
+expect_lost_trace() {
+    expect_lost "error writing trace output: $1" "$2" --events 30 \
+        --trace-format "$3" --trace-out "$1"
 }
 expect_lost_trace - /dev/full jsonl
 expect_lost_trace - /dev/full chrome
 expect_lost_trace - /dev/full btrace
 expect_lost_trace /dev/full "$tmp/out" btrace
+expect_lost "error writing standard output" /dev/full --events 30
+expect_lost "error writing standard output" /dev/full --events 30 --csv
+expect_lost "error writing standard output" /dev/full --events 30 \
+    --ensemble 2
+
+# csv_scenario PATH: a one-population scenario writing its CSV to PATH.
+csv_scenario() {
+    cat <<EOF
+{"schema_version": 1, "name": "tiny", "defaults": {"events": 20},
+ "populations": [{"name": "A"}], "output": {"csv": "$1"}}
+EOF
+}
+csv_scenario /dev/full >"$tmp/csv_file.json"
+csv_scenario - >"$tmp/csv_stdout.json"
+# Four devices for one simulated hour.
+cat >"$tmp/fleet.json" <<'EOF'
+{"schema_version": 1, "name": "tiny_fleet",
+ "populations": [{"name": "A", "policy": "sjf-ibo"}],
+ "fleet": {"shards": 1, "slab_s": 600, "horizon_s": 3600,
+           "cohorts": [{"population": "A", "devices": 4,
+                        "task_ms": 1000, "task_mw": 12.0}]}}
+EOF
+expect_lost "error writing csv output: /dev/full" "$tmp/out" \
+    --scenario "$tmp/csv_file.json"
+expect_lost "error writing csv output: -" /dev/full \
+    --scenario "$tmp/csv_stdout.json"
+expect_lost "error writing episode trace: /dev/full" "$tmp/out" \
+    --fleet "$tmp/fleet.json" --fleet-checkpoint "$tmp/fleet.qzck" \
+    --fleet-ckpt-trace /dev/full
+
+# A trace on stdout leaves stdout to the trace: the report or ensemble
+# summary goes to stderr, --csv conflicts, and trace_stat reads the
+# trace back.
+expect 2 "--csv --trace-out" --events 30 --csv --trace-out -
+expect 2 "--csv-header --trace-out" --events 30 --csv-header \
+    --trace-out -
+# expect_stdout_trace FORMAT ARGS...: trace a small run to stdout.
+expect_stdout_trace() {
+    local format="$1"
+    shift
+    local code=0
+    : >"$tmp/stat"
+    "$SIM" --events 30 --trace-format "$format" --trace-out - "$@" \
+        >"$tmp/trace" 2>"$tmp/err" || code=$?
+    if [ "$code" -ne 0 ] || ! grep -qF QZ "$tmp/err" ||
+        ! "$STAT" "$tmp/trace" >"$tmp/stat" 2>&1; then
+        echo "check_cli: FAIL $format trace on stdout ($*): exit" \
+            "$code; the report must be on stderr and trace_stat must" \
+            "read the trace" >&2
+        sed 's/^/  /' "$tmp/err" "$tmp/stat" >&2
+        status=1
+        return
+    fi
+    echo "check_cli: OK $format trace on stdout${*:+ $*} reads back"
+}
+expect_stdout_trace jsonl
+expect_stdout_trace btrace
+expect_stdout_trace btrace --ensemble 3
+
+# trace_stat checks its --run value like quetzal-sim's flags.
+"$SIM" --events 30 --trace-out "$tmp/trace.jsonl" >/dev/null
+BIN="$STAT" expect 1 --run --run 4x "$tmp/trace.jsonl"
+BIN="$STAT" expect 1 --run --run abc "$tmp/trace.jsonl"
 
 # quetzal-trace-gen: --seed/--events/--cells/--env go through the same
 # field table; --days/--peak/--floor through the checked parser.

@@ -793,25 +793,27 @@ writeChromeTraceFooter(std::ostream &out)
 }
 
 std::ostream &
-openTraceOutput(const std::string &path, std::ofstream &file)
+openTraceOutput(const std::string &path, std::ofstream &file,
+                const char *what)
 {
     if (path == "-")
         return std::cout;
     file.open(path, std::ios::binary);
     if (!file)
-        util::fatal(util::msg("cannot open trace output: ", path));
+        util::fatal(util::msg("cannot open ", what, ": ", path));
     return file;
 }
 
 void
-checkTraceOutput(std::ostream &out, const std::string &path)
+checkTraceOutput(std::ostream &out, const std::string &path,
+                 const char *what)
 {
     if (auto *file = dynamic_cast<std::ofstream *>(&out))
         file->close();
     else
         out.flush();
     if (!out)
-        util::fatal(util::msg("error writing trace output: ", path));
+        util::fatal(util::msg("error writing ", what, ": ", path));
 }
 
 void

@@ -123,15 +123,19 @@ void writeChromeTraceHeader(std::ostream &out);
 void writeChromeTraceFooter(std::ostream &out);
 
 /**
- * The stream a trace for `path` goes to: stdout for "-", otherwise
- * `file`, opened on `path`. Fatal when the file cannot be opened.
+ * The stream an output for `path` goes to: stdout for "-", otherwise
+ * `file`, opened on `path`. Fatal ("cannot open <what>: <path>") when
+ * the file cannot be opened. Outputs that are not the event trace
+ * (a scenario CSV, the fleet episode trace) name themselves in `what`.
  */
 std::ostream &openTraceOutput(const std::string &path,
-                              std::ofstream &file);
+                              std::ofstream &file,
+                              const char *what = "trace output");
 
-/** Flush `out` (close it if a file); fatal, naming `path`, when any
- *  write or the close failed. */
-void checkTraceOutput(std::ostream &out, const std::string &path);
+/** Flush `out` (close it if a file); fatal ("error writing <what>:
+ *  <path>") when any write or the close failed. */
+void checkTraceOutput(std::ostream &out, const std::string &path,
+                      const char *what = "trace output");
 
 /**
  * Serialize per-run sinks, in run-index order, as one trace file in

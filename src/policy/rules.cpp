@@ -10,10 +10,9 @@ namespace policy {
 namespace {
 
 /**
- * Pick the buffered input ordered first/last by capture time
- * (enqueue time breaks ties so re-inserted inputs order behind fresh
- * ones captured at the same tick). The buffer answers both orderings
- * without a scan in the runtime's monotonic-capture regime.
+ * Pick the schedulable input that arrived first/last. The buffer
+ * stores captures in order, so this is capture order; a re-inserted
+ * (spawned) input keeps its arrival position. O(job classes).
  */
 std::optional<core::SchedulerDecision>
 rankByOrder(const core::PolicyContext &ctx, bool newestFirst)

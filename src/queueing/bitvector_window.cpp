@@ -11,12 +11,6 @@ BitVectorWindow::BitVectorWindow(std::uint32_t windowBits_)
 {
     if (windowBits == 0)
         util::fatal("bit-vector window size must be positive");
-    if ((windowBits & (windowBits - 1)) == 0) {
-        int log2 = 0;
-        for (std::uint32_t w = windowBits; w > 1; w >>= 1)
-            ++log2;
-        log2Window = log2;
-    }
 }
 
 bool
@@ -58,22 +52,6 @@ BitVectorWindow::fraction(double fallback) const
         return fallback;
     return static_cast<double>(onesCount) /
         static_cast<double>(filledBits);
-}
-
-util::Fixed
-BitVectorWindow::fractionFixed(util::Fixed fallback) const
-{
-    if (filledBits == 0)
-        return fallback;
-    if (warm() && log2Window >= 0) {
-        return util::fixedFractionPow2(
-            static_cast<std::int32_t>(onesCount), log2Window);
-    }
-    // Warm-up (or non-power-of-two window): one integer division,
-    // off the steady-state hot path.
-    return static_cast<util::Fixed>(
-        (static_cast<std::int64_t>(onesCount) << util::kFixedShift) /
-        filledBits);
 }
 
 void

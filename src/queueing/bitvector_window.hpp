@@ -6,9 +6,8 @@
  * probability and input-arrival rate with bit-vectors of size
  * <task-window> and <arrival-window>: a 1 records "task executed" /
  * "input stored", a 0 the opposite. A separate 1s-counter is updated
- * only on modification so reading a rate never scans the vector —
- * and because the window sizes are powers of two, converting the
- * count to a fraction is a shift, keeping the hot path division-free.
+ * only on modification so reading a rate never scans the vector:
+ * the fraction is one division of the count by the filled bits.
  */
 
 #ifndef QUETZAL_QUEUEING_BITVECTOR_WINDOW_HPP
@@ -16,8 +15,6 @@
 
 #include <cstdint>
 #include <vector>
-
-#include "util/fixed_point.hpp"
 
 namespace quetzal::util::wire {
 class Archive;
@@ -58,13 +55,6 @@ class BitVectorWindow
      * Returns fallback when nothing has been recorded yet.
      */
     double fraction(double fallback = 0.0) const;
-
-    /**
-     * Fraction of 1s as Q16.16. Division-free when the window is a
-     * warm power of two (shift); falls back to one integer division
-     * during warm-up, matching the paper's profile-phase allowance.
-     */
-    util::Fixed fractionFixed(util::Fixed fallback = 0) const;
 
     /** Reset to empty. */
     void clear();
@@ -115,7 +105,6 @@ class BitVectorWindow
     std::uint32_t filledBits = 0;
     std::uint32_t onesCount = 0;
     std::uint32_t cursor = 0;
-    int log2Window = -1; ///< >= 0 iff windowBits is a power of two
     std::vector<std::uint64_t> words;
 
     bool getBit(std::uint32_t index) const;

@@ -119,20 +119,19 @@ InputBuffer::tryPush(const InputRecord &record)
             ++overflowCounts.interesting;
         return false;
     }
-    if (anyIdPushed && record.id <= maxPushedId) {
-        // Non-monotone id: only now can a resident record collide.
-        for (SlotId s = fifoHead; s != kNoSlot; s = slots[s].nextFifo) {
-            if (slots[s].rec.id == record.id)
-                util::panic(util::msg("duplicate input id ", record.id));
-        }
-    }
-    anyIdPushed = true;
-    if (record.id > maxPushedId)
-        maxPushedId = record.id;
-
-    if (anyPush && record.captureTick <= lastPushCaptureTick)
-        captureStrictlyIncreasing = false;
+    // Every program push carries a fresh counter id and a capture no
+    // earlier than the last one, so arrival order is capture order and
+    // no resident record can share the id.
+    if (anyPush && record.id <= maxPushedId)
+        util::panic(util::msg("input id ", record.id,
+                              " is not above the last pushed id ",
+                              maxPushedId));
+    if (anyPush && record.captureTick < lastPushCaptureTick)
+        util::panic(util::msg("input capture tick ", record.captureTick,
+                              " precedes the last pushed capture tick ",
+                              lastPushCaptureTick));
     anyPush = true;
+    maxPushedId = record.id;
     lastPushCaptureTick = record.captureTick;
 
     const SlotId slot = allocateSlot();
@@ -178,38 +177,16 @@ InputBuffer::oldestSlotForJob(JobId job) const
 std::optional<SlotId>
 InputBuffer::oldestSchedulable() const
 {
+    // Each lane is in arrival order, so the oldest schedulable record
+    // is the lane head that arrived first.
     if (schedulableCount == 0)
         return std::nullopt;
-    if (captureStrictlyIncreasing) {
-        // Every lane is capture-ordered, so the FCFS choice is the
-        // lane head with the smallest captureTick (globally unique).
-        SlotId best = kNoSlot;
-        for (const Lane &lane : lanes) {
-            if (lane.head == kNoSlot)
-                continue;
-            if (best == kNoSlot ||
-                slots[lane.head].rec.captureTick <
-                    slots[best].rec.captureTick)
-                best = lane.head;
-        }
-        return best;
-    }
-    // Fallback: arrival-order scan with the legacy tie-break (the
-    // first record scanned wins among equals).
     SlotId best = kNoSlot;
-    for (SlotId s = fifoHead; s != kNoSlot; s = slots[s].nextFifo) {
-        const InputRecord &candidate = slots[s].rec;
-        if (candidate.inFlight)
-            continue;
-        if (best == kNoSlot) {
-            best = s;
-            continue;
-        }
-        const InputRecord &incumbent = slots[best].rec;
-        if (candidate.captureTick < incumbent.captureTick ||
-            (candidate.captureTick == incumbent.captureTick &&
-             candidate.enqueueTick < incumbent.enqueueTick))
-            best = s;
+    for (const Lane &lane : lanes) {
+        if (lane.head != kNoSlot &&
+            (best == kNoSlot ||
+             slots[lane.head].arrivalSeq < slots[best].arrivalSeq))
+            best = lane.head;
     }
     return best;
 }
@@ -219,36 +196,12 @@ InputBuffer::newestSchedulable() const
 {
     if (schedulableCount == 0)
         return std::nullopt;
-    if (captureStrictlyIncreasing) {
-        SlotId best = kNoSlot;
-        for (const Lane &lane : lanes) {
-            if (lane.tail == kNoSlot)
-                continue;
-            if (best == kNoSlot ||
-                slots[lane.tail].rec.captureTick >
-                    slots[best].rec.captureTick)
-                best = lane.tail;
-        }
-        return best;
-    }
-    // Fallback: the last record scanned wins among equals, matching
-    // the legacy newest-first scan.
     SlotId best = kNoSlot;
-    for (SlotId s = fifoHead; s != kNoSlot; s = slots[s].nextFifo) {
-        const InputRecord &candidate = slots[s].rec;
-        if (candidate.inFlight)
-            continue;
-        if (best == kNoSlot) {
-            best = s;
-            continue;
-        }
-        const InputRecord &incumbent = slots[best].rec;
-        const bool earlier =
-            candidate.captureTick < incumbent.captureTick ||
-            (candidate.captureTick == incumbent.captureTick &&
-             candidate.enqueueTick < incumbent.enqueueTick);
-        if (!earlier)
-            best = s;
+    for (const Lane &lane : lanes) {
+        if (lane.tail != kNoSlot &&
+            (best == kNoSlot ||
+             slots[lane.tail].arrivalSeq > slots[best].arrivalSeq))
+            best = lane.tail;
     }
     return best;
 }
@@ -324,8 +277,6 @@ InputBuffer::exportState() const
     });
     snapshot.overflows = overflowCounts;
     snapshot.maxPushedId = maxPushedId;
-    snapshot.anyIdPushed = anyIdPushed;
-    snapshot.captureStrictlyIncreasing = captureStrictlyIncreasing;
     snapshot.anyPush = anyPush;
     snapshot.lastPushCaptureTick = lastPushCaptureTick;
     return snapshot;
@@ -347,8 +298,6 @@ InputBuffer::importState(const State &snapshot)
     }
     overflowCounts = snapshot.overflows;
     maxPushedId = snapshot.maxPushedId;
-    anyIdPushed = snapshot.anyIdPushed;
-    captureStrictlyIncreasing = snapshot.captureStrictlyIncreasing;
     anyPush = snapshot.anyPush;
     lastPushCaptureTick = snapshot.lastPushCaptureTick;
 }
@@ -365,8 +314,6 @@ InputBuffer::clear()
     schedulableCount = 0;
     nextArrivalSeq = 0;
     maxPushedId = 0;
-    anyIdPushed = false;
-    captureStrictlyIncreasing = true;
     anyPush = false;
     lastPushCaptureTick = 0;
 }
@@ -388,10 +335,28 @@ InputBuffer::State::walk(util::wire::Archive &ar)
     ar.varint(overflows.total);
     ar.varint(overflows.interesting);
     ar.varint(maxPushedId);
+    // The layout keeps two retired bytes: a second copy of anyPush and
+    // a capture-order flag, written as 1 and ignored on load.
+    bool anyIdPushed = anyPush;
+    bool retiredCaptureOrder = true;
     ar.flag(anyIdPushed);
-    ar.flag(captureStrictlyIncreasing);
+    ar.flag(retiredCaptureOrder);
     ar.flag(anyPush);
     ar.zigzag(lastPushCaptureTick);
+    ar.section("buffer push history flags");
+    ar.check(anyIdPushed == anyPush);
+
+    // Reject what importState's re-push would refuse: ids must rise
+    // and capture ticks must not fall along the FIFO, and the newest
+    // record must lie within the push history.
+    ar.section("buffer record order");
+    for (std::size_t i = 1; i < records.size(); ++i)
+        ar.check(records[i].id > records[i - 1].id &&
+                 records[i].captureTick >= records[i - 1].captureTick);
+    ar.section("buffer record past push history");
+    if (!records.empty())
+        ar.check(anyPush && records.back().id <= maxPushedId &&
+                 records.back().captureTick <= lastPushCaptureTick);
 }
 
 } // namespace queueing

@@ -16,7 +16,7 @@
  *   - slots: lazily grown array; a record keeps its slot (a stable
  *     SlotId handle) from insert to release,
  *   - a global intrusive FIFO list in arrival order (the iteration
- *     and tie-break order of every policy),
+ *     and tie-break order of every policy, and the FCFS/LCFS order),
  *   - one intrusive lane per job holding its schedulable records in
  *     arrival order (oldestSlotForJob / countForJob),
  *   - a free-list recycling released slots.
@@ -87,7 +87,8 @@ struct OverflowCounts
  * FIFO ("oldest") order is arrival order: tryPush appends, release
  * preserves the order of the remaining records, and retag keeps the
  * record's original position — exactly the semantics the scheduling
- * policies tie-break on.
+ * policies tie-break on. tryPush requires ids to rise and capture
+ * ticks not to fall, so arrival order is also capture order.
  */
 class InputBuffer
 {
@@ -105,8 +106,10 @@ class InputBuffer
 
     /**
      * Insert an input. On a full buffer the input is dropped, the
-     * overflow counters advance, and false is returned. Record ids
-     * must be unique among resident records.
+     * overflow counters advance, and false is returned. A stored
+     * record's id must exceed every id stored before and its
+     * captureTick must be no smaller than the last stored one's;
+     * a violation panics (clear() resets this history).
      */
     bool tryPush(const InputRecord &record);
 
@@ -123,14 +126,12 @@ class InputBuffer
     std::optional<SlotId> oldestSlotForJob(JobId job) const;
 
     /**
-     * Slot of the schedulable input that orders first by
-     * (captureTick, enqueueTick, arrival): the FCFS choice. O(jobs)
-     * when capture ticks arrived strictly increasing (the runtime's
-     * one-capture-per-tick regime), O(occupancy) otherwise.
+     * Slot of the schedulable input that arrived first: the FCFS
+     * choice. A retagged input keeps its arrival position. O(jobs).
      */
     std::optional<SlotId> oldestSchedulable() const;
 
-    /** The LCFS counterpart of oldestSchedulable(). */
+    /** Slot of the schedulable input that arrived last (LCFS). O(jobs). */
     std::optional<SlotId> newestSchedulable() const;
 
     /** Record held by a slot. The slot must be occupied. O(1). */
@@ -170,9 +171,9 @@ class InputBuffer
      * Logical checkpoint of the buffer: the resident records in FIFO
      * (arrival) order plus the push-history metadata that shapes
      * future behavior. Slot ids and arrival sequence numbers are
-     * *not* state — policies order on the FIFO list and per-job
-     * lanes, which re-pushing the records in order reconstructs
-     * exactly — so a restored buffer is behavior-identical without
+     * *not* state — policies order on relative arrival, which
+     * re-pushing the records in order reconstructs exactly — so a
+     * restored buffer is behavior-identical without
      * persisting the intrusive index.
      */
     struct State
@@ -180,8 +181,6 @@ class InputBuffer
         std::vector<InputRecord> records; ///< FIFO order
         OverflowCounts overflows;
         std::uint64_t maxPushedId = 0;
-        bool anyIdPushed = false;
-        bool captureStrictlyIncreasing = true;
         bool anyPush = false;
         Tick lastPushCaptureTick = 0;
 
@@ -189,10 +188,13 @@ class InputBuffer
          * The wire layout, under the resume diagnostics' section
          * names: the record count, each record (varint id, capture
          * tick, enqueue tick, job id; interesting flag), then the
-         * overflow counters, the id/capture-order history and the
-         * zigzag last capture tick. The caller checks the count
-         * against the restoring buffer's capacity and job ids against
-         * its job table.
+         * overflow counters, the push history (last id, anyPush
+         * twice around a retired flag byte written as 1) and the
+         * zigzag last capture tick. Load rejects records that
+         * tryPush would refuse to re-push in order. The caller checks
+         * the count against the restoring buffer's capacity, job ids
+         * against its job table, and the history against its id and
+         * capture clocks.
          */
         void walk(util::wire::Archive &ar);
     };
@@ -258,21 +260,11 @@ class InputBuffer
     SlotId fifoTail = kNoSlot;
     std::uint64_t nextArrivalSeq = 0;
     /**
-     * Largest record id ever pushed. The runtime allocates ids from
-     * a counter, so almost every push carries a fresh maximum and
-     * the duplicate-id check is one compare; a non-monotone id falls
-     * back to scanning the resident records.
+     * Push history that tryPush checks each stored record against:
+     * the last stored id (the largest, ids only rise) and capture
+     * tick. With ids unique by construction, no push scans residents.
      */
     std::uint64_t maxPushedId = 0;
-    bool anyIdPushed = false;
-    /**
-     * True while every push carried a captureTick strictly greater
-     * than its predecessor's (the simulator's one-capture-per-tick
-     * regime). Enables the O(jobs) FCFS/LCFS fast path: each lane is
-     * then also capture-ordered, so the global extreme is an extreme
-     * over lane heads/tails.
-     */
-    bool captureStrictlyIncreasing = true;
     bool anyPush = false;
     Tick lastPushCaptureTick = 0;
     OverflowCounts overflowCounts;

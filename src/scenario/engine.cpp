@@ -239,30 +239,23 @@ writeCsv(const ScenarioPlan &plan,
          const std::vector<sim::Metrics> &results)
 {
     const std::string &path = plan.spec.output.csvPath;
-    FILE *out = stdout;
-    if (path != "-") {
-        out = std::fopen(path.c_str(), "wb");
-        if (out == nullptr)
-            util::fatal(util::msg("cannot open csv output: ", path));
-    }
-    std::fprintf(out,
-                 "scenario,cell,population,controller,events,seed,"
-                 "nominal_interesting,discarded_total,discarded_pct,"
-                 "ibo_interesting,fn_discards,tx_interesting_hq,"
-                 "tx_interesting_lq,hq_share,jobs,degraded_jobs,"
-                 "power_failures\n");
+    std::ofstream file;
+    std::ostream &out = obs::openTraceOutput(path, file, "csv output");
+    out << "scenario,cell,population,controller,events,seed,"
+           "nominal_interesting,discarded_total,discarded_pct,"
+           "ibo_interesting,fn_discards,tx_interesting_hq,"
+           "tx_interesting_lq,hq_share,jobs,degraded_jobs,"
+           "power_failures\n";
     for (const RunSpec &run : plan.runs) {
         const sim::Metrics &m =
             results[run.cellIndex * plan.populationCount +
                     run.populationIndex];
-        std::fprintf(
-            out,
-            "%s,%s,%s,%s,%zu,%llu,%llu,%llu,%.4f,%llu,%llu,%llu,"
+        // 13 numeric fields of at most 20 characters each.
+        char numbers[320];
+        std::snprintf(
+            numbers, sizeof numbers,
+            "%zu,%llu,%llu,%llu,%.4f,%llu,%llu,%llu,"
             "%llu,%.4f,%llu,%llu,%llu\n",
-            plan.spec.name.c_str(),
-            plan.cells[run.cellIndex].label.c_str(),
-            run.population.c_str(),
-            sim::experimentLabel(run.config).c_str(),
             run.config.eventCount,
             static_cast<unsigned long long>(run.config.seed),
             static_cast<unsigned long long>(
@@ -279,9 +272,11 @@ writeCsv(const ScenarioPlan &plan,
             static_cast<unsigned long long>(m.jobsCompleted),
             static_cast<unsigned long long>(m.degradedJobs),
             static_cast<unsigned long long>(m.powerFailures));
+        out << plan.spec.name << ',' << plan.cells[run.cellIndex].label
+            << ',' << run.population << ','
+            << sim::experimentLabel(run.config) << ',' << numbers;
     }
-    if (out != stdout)
-        std::fclose(out);
+    obs::checkTraceOutput(out, path, "csv output");
 }
 
 void
@@ -472,16 +467,13 @@ runFleetSpec(const ScenarioSpec &spec, const EngineOptions &options)
         registry.printSummary(std::cout, "fleet");
     }
     if (!options.fleetEpisodeTracePath.empty()) {
-        std::ofstream file(options.fleetEpisodeTracePath,
-                           std::ios::binary);
-        if (!file)
-            util::fatal(util::msg("cannot open episode trace: ",
-                                  options.fleetEpisodeTracePath));
-        obs::writeJsonlHeader(file);
-        obs::writeJsonl(file, episodes.events(), 0);
-        if (!file)
-            util::fatal(util::msg("error writing episode trace: ",
-                                  options.fleetEpisodeTracePath));
+        const std::string &path = options.fleetEpisodeTracePath;
+        std::ofstream file;
+        std::ostream &out =
+            obs::openTraceOutput(path, file, "episode trace");
+        obs::writeJsonlHeader(out);
+        obs::writeJsonl(out, episodes.events(), 0);
+        obs::checkTraceOutput(out, path, "episode trace");
     }
 }
 

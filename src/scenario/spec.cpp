@@ -810,9 +810,11 @@ readPopulation(const Member &entry, std::vector<PopulationSpec> &out)
     if (!readOverrides(entry, population.overrides,
                        {{"name", &population.name}}))
         return;
-    if (entry.value.find("name") == nullptr)
+    // A mistyped name is already reported as a type mismatch.
+    const json::Value *name = entry.value.find("name");
+    if (name == nullptr)
         entry.fail("population needs a \"name\"", "name");
-    if (population.name.empty())
+    else if (name->isString() && population.name.empty())
         entry.fail("population name must be a non-empty string", "name");
     out.push_back(std::move(population));
 }
@@ -852,20 +854,24 @@ readAxis(const Member &entry, std::set<std::string> &swept,
                              }}}))
         return;
 
+    const json::Value *field = entry.value.find("field");
     const bool sawValues = entry.value.find("values") != nullptr;
     const bool sawRange = entry.value.find("range") != nullptr;
-    if (axis.field.empty())
+    if (field == nullptr)
         entry.fail("axis needs a \"field\"", "field");
     if (sawValues && sawRange)
         entry.fail("give either \"values\" or \"range\", not both");
     else if (!sawValues && !sawRange)
         entry.fail("axis needs \"values\" or \"range\"");
-    if (!fields::knownField(axis.field)) {
+    // A missing field is reported above and a mistyped one as a type
+    // mismatch; only a string field is looked up.
+    const bool named = field != nullptr && field->isString();
+    if (named && !fields::knownField(axis.field)) {
         entry.fail("unknown experiment field \"" + axis.field +
                        "\" (known fields: " + fields::describeFields() +
                        ")",
                    "field");
-    } else {
+    } else if (named) {
         if (!swept.insert(axis.field).second)
             entry.fail("field \"" + axis.field +
                            "\" is swept by more than one axis",
@@ -994,11 +1000,14 @@ readTerm(const Member &entry, std::vector<ReportTerm> &out)
     if (!readObject(entry, {}, read))
         return;
     const ReportMetric *metric = findRow(kReportMetrics, term.metric);
-    if (metric == nullptr)
-        entry.fail(unknownKey("metric \"" + term.metric + "\"",
-                              keysOf(kReportMetrics)),
-                   "metric");
-    else if (metric->baseline && term.baseline.empty())
+    if (metric == nullptr) {
+        // A mistyped metric is already reported as a type mismatch.
+        const json::Value *named = entry.value.find("metric");
+        if (named == nullptr || named->isString())
+            entry.fail(unknownKey("metric \"" + term.metric + "\"",
+                                  keysOf(kReportMetrics)),
+                       "metric");
+    } else if (metric->baseline && term.baseline.empty())
         entry.fail("metric \"" + term.metric +
                    "\" needs a baseline population");
     else if (!metric->baseline && !term.baseline.empty())
@@ -1100,19 +1109,23 @@ readCohort(const Member &entry, std::vector<FleetCohortSpec> &out)
 {
     FleetCohortSpec cohort;
     cohort.path = entry.path;
+    constexpr std::uint64_t kMaxDevices = 100'000'000;
     if (!readObject(entry, {{"population", &cohort.population},
                             {"name", &cohort.name},
-                            {"devices", &cohort.devices},
+                            {"devices", &cohort.devices, 1, kMaxDevices},
                             {"task_ms", &cohort.taskMs, 1, 10'000'000},
                             {"task_mw", &cohort.taskMw, 0.0, 10'000.0,
                              true}}))
         return;
-    if (cohort.population.empty())
+    // Mistyped values are already reported as type mismatches.
+    const json::Value *population = entry.value.find("population");
+    if (population == nullptr ||
+        (population->isString() && cohort.population.empty()))
         entry.fail("cohort needs a \"population\" reference",
                    "population");
-    // The device count has no default: missing or mistyped reads as 0.
-    if (cohort.devices < 1 || cohort.devices > 100'000'000)
-        entry.fail(mustBeIn<std::uint64_t>("an integer", 1, 100'000'000),
+    // The device count has no default.
+    if (entry.value.find("devices") == nullptr)
+        entry.fail(mustBeIn<std::uint64_t>("an integer", 1, kMaxDevices),
                    "devices");
     out.push_back(std::move(cohort));
 }

@@ -118,6 +118,14 @@ Simulator::walkCheckpoint(wire::Archive &ar, Tick &now,
         cfg.observer != nullptr ? recorded - telemetryChargedEvents : 0;
     ar.zigzag(pendingUncharged);
 
+    // The next capture stores the next input id at a tick no earlier
+    // than nextCapture: the buffer's push history must lie behind
+    // both, or that push would panic mid-run.
+    ar.section("buffer record id past next input id");
+    ar.check(!buf.anyPush || buf.maxPushedId < inputId);
+    ar.section("buffer record capture after next capture");
+    ar.check(!buf.anyPush || buf.lastPushCaptureTick <= nextCapture);
+
     // Length-prefixed component blobs. Each component validates its
     // blob against the rebuilt configuration and applies it only once
     // the whole blob parsed.

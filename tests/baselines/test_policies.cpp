@@ -23,50 +23,34 @@ TEST(Fcfs, PicksOldestCapture)
 {
     auto s = makeSmallSystem();
     queueing::InputBuffer buffer(10);
-    pushInput(buffer, s, 1, 500, s.classifyJob);
-    pushInput(buffer, s, 2, 100, s.transmitJob);
-    pushInput(buffer, s, 3, 300, s.classifyJob);
+    // The oldest input waits in the classify lane, behind the
+    // transmit lane in job order, so neither the first lane's head
+    // nor the newest input is the FCFS choice.
+    pushInput(buffer, s, 1, 100, s.classifyJob);
+    pushInput(buffer, s, 2, 300, s.transmitJob);
+    pushInput(buffer, s, 3, 500, s.classifyJob);
     RulePolicy fcfs(RankRule::Oldest, kFull);
     const auto decision = rankAt(fcfs, *s.system, buffer, {1.0, 255});
     ASSERT_TRUE(decision.has_value());
-    EXPECT_EQ(buffer.record(decision->slot).id, 2u);
-    EXPECT_EQ(decision->jobId, s.transmitJob);
+    EXPECT_EQ(buffer.record(decision->slot).id, 1u);
+    EXPECT_EQ(decision->jobId, s.classifyJob);
 }
 
 TEST(Lcfs, PicksNewestCapture)
 {
     auto s = makeSmallSystem();
     queueing::InputBuffer buffer(10);
-    pushInput(buffer, s, 1, 500, s.classifyJob);
-    pushInput(buffer, s, 2, 100, s.transmitJob);
-    pushInput(buffer, s, 3, 900, s.classifyJob);
+    // The newest input sits in the transmit lane, ahead of the
+    // classify lane in job order, so neither the last lane's tail
+    // nor a lane head is the LCFS choice.
+    pushInput(buffer, s, 1, 100, s.transmitJob);
+    pushInput(buffer, s, 2, 300, s.classifyJob);
+    pushInput(buffer, s, 3, 500, s.transmitJob);
     RulePolicy lcfs(RankRule::Newest, kFull);
     const auto decision = rankAt(lcfs, *s.system, buffer, {1.0, 255});
     ASSERT_TRUE(decision.has_value());
     EXPECT_EQ(buffer.record(decision->slot).id, 3u);
-}
-
-TEST(Fcfs, TieBreaksOnEnqueueTime)
-{
-    auto s = makeSmallSystem();
-    queueing::InputBuffer buffer(10);
-    // Same capture tick; the re-enqueued (spawned) one is newer.
-    queueing::InputRecord fresh;
-    fresh.id = 1;
-    fresh.captureTick = 100;
-    fresh.enqueueTick = 100;
-    fresh.jobId = s.classifyJob;
-    queueing::InputRecord respawned;
-    respawned.id = 2;
-    respawned.captureTick = 100;
-    respawned.enqueueTick = 900;
-    respawned.jobId = s.transmitJob;
-    buffer.tryPush(respawned);
-    buffer.tryPush(fresh);
-    RulePolicy fcfs(RankRule::Oldest, kFull);
-    const auto decision = rankAt(fcfs, *s.system, buffer, {1.0, 255});
-    ASSERT_TRUE(decision.has_value());
-    EXPECT_EQ(buffer.record(decision->slot).id, 1u);
+    EXPECT_EQ(decision->jobId, s.transmitJob);
 }
 
 TEST(Fcfs, SkipsInFlight)

@@ -64,24 +64,26 @@ TEST(EnergyAwareSjf, TieBreaksTowardOlderInput)
     // over the same task.
     const JobId other = s.system->addJob("classify2", {s.mlTask});
     queueing::InputBuffer buffer(10);
-    pushInput(buffer, s, 1, 500, other);
-    pushInput(buffer, s, 2, 100, s.classifyJob); // older capture
+    // The older input waits for the job ranked later in job order,
+    // so only the capture-time tie-break can pick it.
+    pushInput(buffer, s, 1, 100, other);
+    pushInput(buffer, s, 2, 500, s.classifyJob);
     const auto sjf = policy::makePolicy("sjf-ibo");
     const auto decision = rankAt(*sjf, *s.system, buffer, {1.0, 255});
     ASSERT_TRUE(decision.has_value());
-    EXPECT_EQ(decision->jobId, s.classifyJob);
+    EXPECT_EQ(decision->jobId, other);
 }
 
 TEST(EnergyAwareSjf, SelectsOldestInputOfChosenJob)
 {
     auto s = makeSmallSystem();
     queueing::InputBuffer buffer(10);
-    pushInput(buffer, s, 1, 300, s.classifyJob);
-    pushInput(buffer, s, 2, 100, s.classifyJob);
+    pushInput(buffer, s, 1, 100, s.classifyJob);
+    pushInput(buffer, s, 2, 300, s.classifyJob);
     const auto sjf = policy::makePolicy("sjf-ibo");
     const auto decision = rankAt(*sjf, *s.system, buffer, {1.0, 255});
     ASSERT_TRUE(decision.has_value());
-    // oldestSlotForJob returns the first (oldest-enqueued) entry.
+    // oldestSlotForJob returns the lane head, not its tail.
     EXPECT_EQ(buffer.record(decision->slot).id, 1u);
 }
 

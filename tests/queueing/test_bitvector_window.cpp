@@ -53,17 +53,6 @@ TEST(BitVectorWindow, EvictsOldestWhenFull)
     EXPECT_DOUBLE_EQ(window.fraction(), 1.0);
 }
 
-TEST(BitVectorWindow, FixedFractionMatchesDouble)
-{
-    BitVectorWindow window(256);
-    util::Rng rng(3);
-    for (int i = 0; i < 1000; ++i) {
-        window.append(rng.bernoulli(0.3));
-        EXPECT_NEAR(util::fixedToDouble(window.fractionFixed()),
-                    window.fraction(), 1e-4);
-    }
-}
-
 TEST(BitVectorWindow, ClearResets)
 {
     BitVectorWindow window(16);

@@ -1,12 +1,17 @@
 /**
  * @file
  * Tests for the bounded input buffer: capacity invariants, overflow
- * accounting, in-flight slot reservation, and the retag spawn path.
+ * accounting, in-flight slot reservation, the retag spawn path, and
+ * the checkpoint state codec's refusal of records that a re-push
+ * would reject.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "queueing/input_buffer.hpp"
+#include "util/wire.hpp"
 
 namespace quetzal {
 namespace queueing {
@@ -142,6 +147,166 @@ TEST(InputBufferDeathTest, RetagUnknownSlotPanics)
     buffer.tryPush(record(1, 0));
     buffer.markInFlight(*buffer.oldestSlotForJob(0));
     EXPECT_DEATH(buffer.retagSlot(99, 1, 0), "unknown slot");
+}
+
+TEST(InputBufferDeathTest, RepeatedIdPanicsNamingBothIds)
+{
+    InputBuffer buffer(4);
+    buffer.tryPush(record(5, 0));
+    EXPECT_DEATH(buffer.tryPush(record(5, 0)),
+                 "input id 5 is not above the last pushed id 5");
+    // Also once the id's first holder has left the buffer, and for an
+    // id below the last one pushed.
+    const SlotId slot = *buffer.oldestSlotForJob(0);
+    buffer.markInFlight(slot);
+    buffer.releaseSlot(slot);
+    EXPECT_DEATH(buffer.tryPush(record(5, 0)),
+                 "input id 5 is not above the last pushed id 5");
+    EXPECT_DEATH(buffer.tryPush(record(3, 0)),
+                 "input id 3 is not above the last pushed id 5");
+}
+
+TEST(InputBufferDeathTest, DecreasingCaptureTickPanicsNamingBothTicks)
+{
+    InputBuffer buffer(4);
+    buffer.tryPush(record(1, 0, false, 200));
+    EXPECT_TRUE(buffer.tryPush(record(2, 0, false, 200)));
+    EXPECT_DEATH(buffer.tryPush(record(3, 0, false, 100)),
+                 "input capture tick 100 precedes the last pushed capture "
+                 "tick 200");
+}
+
+std::string
+encode(InputBuffer::State state)
+{
+    std::string out;
+    util::wire::Archive ar(out);
+    state.walk(ar);
+    return out;
+}
+
+/** Load `bytes`; the failing section, or "" when the whole blob loads. */
+std::string
+loadFailure(const std::string &bytes, InputBuffer::State &state)
+{
+    util::wire::Archive ar{util::wire::Reader(bytes)};
+    state.walk(ar);
+    if (ar.loaded())
+        return "";
+    return ar.ok() ? "trailing bytes" : ar.failure();
+}
+
+std::string
+loadFailure(const InputBuffer::State &state)
+{
+    InputBuffer::State loaded;
+    return loadFailure(encode(state), loaded);
+}
+
+/**
+ * A quiescent buffer's snapshot: ids 3 and 7 resident (captured at
+ * ticks 20 and 30), id 8 taken and released, so the push history
+ * (last id 8, last capture tick 40) lies past the newest record.
+ */
+InputBuffer::State
+snapshotWithHistory()
+{
+    InputBuffer buffer(4);
+    buffer.tryPush(record(3, 0, true, 20));
+    buffer.tryPush(record(7, 1, false, 30));
+    buffer.tryPush(record(8, 0, false, 40));
+    const SlotId taken = *buffer.newestSchedulable();
+    buffer.markInFlight(taken);
+    buffer.releaseSlot(taken);
+    return buffer.exportState();
+}
+
+TEST(InputBufferState, RoundTripsRecordsAndPushHistory)
+{
+    const InputBuffer::State original = snapshotWithHistory();
+    ASSERT_EQ(original.records.size(), 2u);
+    EXPECT_EQ(original.maxPushedId, 8u);
+    EXPECT_EQ(original.lastPushCaptureTick, 40);
+
+    const std::string bytes = encode(original);
+    InputBuffer::State loaded;
+    ASSERT_EQ(loadFailure(bytes, loaded), "");
+    InputBuffer restored(4);
+    restored.importState(loaded);
+    EXPECT_EQ(encode(restored.exportState()), bytes);
+    EXPECT_TRUE(restored.tryPush(record(9, 0, false, 40)));
+}
+
+TEST(InputBufferState, RetiredFlagByteIsWrittenAsOneAndIgnoredOnLoad)
+{
+    const InputBuffer::State original = snapshotWithHistory();
+    std::string bytes = encode(original);
+    // Tail: anyPush, the retired byte, anyPush again, then the
+    // one-byte zigzag of capture tick 40.
+    const std::size_t retired = bytes.size() - 3;
+    EXPECT_EQ(bytes[retired], '\x01');
+    bytes[retired] = '\x00';
+    InputBuffer::State loaded;
+    ASSERT_EQ(loadFailure(bytes, loaded), "");
+    EXPECT_EQ(encode(loaded), encode(original));
+}
+
+TEST(InputBufferState, LoadRefusesDifferingAnyPushBytes)
+{
+    std::string bytes = encode(snapshotWithHistory());
+    bytes[bytes.size() - 4] = '\x00'; // the first anyPush byte
+    InputBuffer::State loaded;
+    EXPECT_EQ(loadFailure(bytes, loaded), "buffer push history flags");
+}
+
+TEST(InputBufferState, LoadRefusesRepeatedRecordId)
+{
+    InputBuffer::State state = snapshotWithHistory();
+    state.records[1].id = state.records[0].id;
+    EXPECT_EQ(loadFailure(state), "buffer record order");
+}
+
+TEST(InputBufferState, LoadRefusesDecreasingRecordIds)
+{
+    InputBuffer::State state = snapshotWithHistory();
+    state.records[0].id = 5;
+    state.records[1].id = 4;
+    EXPECT_EQ(loadFailure(state), "buffer record order");
+}
+
+TEST(InputBufferState, LoadRefusesDecreasingCaptureTicks)
+{
+    InputBuffer::State state = snapshotWithHistory();
+    state.records[1].captureTick = state.records[0].captureTick - 1;
+    EXPECT_EQ(loadFailure(state), "buffer record order");
+    // Equal ticks are a valid push order.
+    state.records[1].captureTick = state.records[0].captureTick;
+    EXPECT_EQ(loadFailure(state), "");
+}
+
+TEST(InputBufferState, LoadRefusesRecordIdPastLastPushedId)
+{
+    InputBuffer::State state = snapshotWithHistory();
+    state.records.back().id = state.maxPushedId + 1;
+    EXPECT_EQ(loadFailure(state), "buffer record past push history");
+    state.records.back().id = state.maxPushedId;
+    EXPECT_EQ(loadFailure(state), "");
+}
+
+TEST(InputBufferState, LoadRefusesRecordCapturedAfterLastPush)
+{
+    InputBuffer::State state = snapshotWithHistory();
+    state.records.back().captureTick = state.lastPushCaptureTick + 1;
+    EXPECT_EQ(loadFailure(state), "buffer record past push history");
+}
+
+TEST(InputBufferState, LoadRefusesRecordsWithoutPushHistory)
+{
+    InputBuffer::State state = snapshotWithHistory();
+    state.anyPush = false;
+    EXPECT_EQ(loadFailure(state), "buffer record past push history");
+    state.records.clear();
+    EXPECT_EQ(loadFailure(state), "");
 }
 
 } // namespace

@@ -8,8 +8,8 @@
  * per-job counts, FIFO order, oldest-per-job, FCFS/LCFS choice,
  * overflow counters) identical between the two. This pins the
  * O(1)-index rewrite to the exact semantics the scheduling policies
- * and the simulator tie-break on, including duplicate capture ticks,
- * which force the buffer off its capture-ordered fast path.
+ * and the simulator tie-break on: FCFS/LCFS follow arrival order,
+ * also when consecutive captures share a tick.
  */
 
 #include <gtest/gtest.h>
@@ -78,43 +78,24 @@ class NaiveBuffer
         return std::nullopt;
     }
 
-    /** FCFS: min (captureTick, enqueueTick); first scanned wins. */
+    /** FCFS: the first schedulable record in arrival order. */
     std::optional<std::uint64_t>
     oldestSchedulableId() const
     {
-        const InputRecord *best = nullptr;
-        for (const auto &r : records) {
-            if (r.inFlight)
-                continue;
-            if (best == nullptr || r.captureTick < best->captureTick ||
-                (r.captureTick == best->captureTick &&
-                 r.enqueueTick < best->enqueueTick))
-                best = &r;
-        }
-        if (best == nullptr)
-            return std::nullopt;
-        return best->id;
+        for (const auto &r : records)
+            if (!r.inFlight)
+                return r.id;
+        return std::nullopt;
     }
 
-    /** LCFS: max (captureTick, enqueueTick); last scanned wins. */
+    /** LCFS: the last schedulable record in arrival order. */
     std::optional<std::uint64_t>
     newestSchedulableId() const
     {
-        const InputRecord *best = nullptr;
-        for (const auto &r : records) {
-            if (r.inFlight)
-                continue;
-            const bool earlier =
-                best != nullptr &&
-                (r.captureTick < best->captureTick ||
-                 (r.captureTick == best->captureTick &&
-                  r.enqueueTick < best->enqueueTick));
-            if (!earlier)
-                best = &r;
-        }
-        if (best == nullptr)
-            return std::nullopt;
-        return best->id;
+        for (auto it = records.rbegin(); it != records.rend(); ++it)
+            if (!it->inFlight)
+                return it->id;
+        return std::nullopt;
     }
 
     void
@@ -242,10 +223,6 @@ expectEquivalent(const InputBuffer &indexed, const NaiveBuffer &naive)
     }
 }
 
-/**
- * One randomized episode. strictCaptures drives the capture-ordered
- * fast path; duplicated ticks drive the exact fallback scan.
- */
 /** The slot holding input `id`, found by a FIFO walk. */
 SlotId
 slotOf(const InputBuffer &buffer, std::uint64_t id)
@@ -259,6 +236,10 @@ slotOf(const InputBuffer &buffer, std::uint64_t id)
     return slot.value_or(0);
 }
 
+/**
+ * One randomized episode. Without strictCaptures, consecutive pushes
+ * often share a capture tick.
+ */
 void
 runEpisode(std::uint64_t seed, bool strictCaptures)
 {

@@ -100,10 +100,8 @@ const std::vector<DiagnosticCase> kCases = {
          {"name": "A", "frobnicate": 1, "buffer": 0, "controller": "WARP"},
          {"name": "A"}]})",
      {{"populations[0]", "expected object, got number"},
-      {"populations[1].name", "population name must be a non-empty string"},
       {"populations[1].name", "population needs a \"name\""},
       {"populations[2].name", "expected string, got number"},
-      {"populations[2].name", "population name must be a non-empty string"},
       {"populations[3].name", "population name must be a non-empty string"},
       {"populations[4].buffer", "must be an integer in [1, 1000000]"},
       {"populations[4].controller",
@@ -321,16 +319,9 @@ const std::vector<DiagnosticCase> kCases = {
          {"field": "events", "values": [], "frob": 1},
          {"field": "cells", "values": [0, 65, "x"]}]}})",
      {{"sweep.axes[0]", "expected object, got number"},
-      {"sweep.axes[1].field", "axis needs a \"field\""},
       {"sweep.axes[1].field", "expected string, got number"},
-      {"sweep.axes[1].field",
-       "unknown experiment field \"\" (known fields: " + kKnownFields +
-           ")"},
       {"sweep.axes[1].values", "expected array, got number"},
       {"sweep.axes[2].field", "axis needs a \"field\""},
-      {"sweep.axes[2].field",
-       "unknown experiment field \"\" (known fields: " + kKnownFields +
-           ")"},
       {"sweep.axes[3]", "axis needs \"values\" or \"range\""},
       {"sweep.axes[3].values", "axis needs at least one value"},
       {"sweep.axes[4]", "give either \"values\" or \"range\", not both"},
@@ -507,9 +498,6 @@ const std::vector<DiagnosticCase> kCases = {
       {"report.lines[2].format", "format has 2 conversions but 3 values"},
       {"report.lines[2].values[0]", "expected object, got number"},
       {"report.lines[2].values[1].metric", "expected string, got number"},
-      {"report.lines[2].values[1].metric",
-       "unknown metric \"\" (allowed: discard_ratio, ibo_ratio, "
-       "tx_share_pct, hq_share_pct)"},
       {"report.lines[2].values[2].weight",
        "unknown key (allowed: metric, subject, baseline)"},
       {"report.lines[2].values[3].weight", "expected string, got number"},
@@ -623,10 +611,8 @@ const std::vector<DiagnosticCase> kCases = {
        "task_mw)"},
       {"fleet.cohorts[1].population",
        "cohort needs a \"population\" reference"},
-      {"fleet.cohorts[2].devices", "must be an integer in [1, 100000000]"},
       {"fleet.cohorts[2].devices", "must be an unsigned integer"},
       {"fleet.cohorts[2].name", "expected string, got number"},
-      {"fleet.cohorts[2].population", "cohort needs a \"population\" reference"},
       {"fleet.cohorts[2].population", "expected string, got number"},
       {"fleet.cohorts[2].task_ms", "must be an unsigned integer"},
       {"fleet.cohorts[2].task_mw", "must be a number"},

@@ -13,7 +13,8 @@
  *    from it, is refused: restored, it would index past the tracker's
  *    storage on the next recorded capture.
  *  - A Simulator resume from a truncated, over-long, mismatched or
- *    out-of-range blob exits with the named diagnostic.
+ *    out-of-range blob exits with the named diagnostic, also when its
+ *    buffer records repeat an id or lie ahead of the next input id.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +27,11 @@
 #include "core/runtime.hpp"
 #include "fault/fault_injector.hpp"
 #include "policy/registry.hpp"
+#include "queueing/input_buffer.hpp"
+#include "sim/device.hpp"
 #include "sim/experiment.hpp"
+#include "sim/metrics.hpp"
+#include "util/random.hpp"
 #include "util/wire.hpp"
 
 namespace quetzal {
@@ -380,6 +385,79 @@ resume(ExperimentConfig config, const std::string &blob)
     (void)runExperiment(config);
 }
 
+/**
+ * The head of a state blob, decoded in walkCheckpoint's order: the
+ * loop clocks, device and input buffer (re-encodable after a patch;
+ * varints are canonical, so unpatched fields keep their bytes), then
+ * the fields up to the next input id, which are only read.
+ */
+struct BlobHead
+{
+    Tick clocks[3] = {};
+    Device::State device;
+    queueing::InputBuffer::State buffer;
+    std::size_t bytes = 0; ///< encoded size of clocks, device, buffer
+    std::uint64_t nextInputId = 0;
+
+    explicit BlobHead(const std::string &blob)
+    {
+        util::wire::Archive in{util::wire::Reader(blob)};
+        walk(in);
+        bytes = encode().size();
+        Metrics metrics;
+        metrics.walk(in);
+        util::Rng::State rng;
+        rng.walk(in); // outcome stream
+        rng.walk(in); // jitter stream
+        std::size_t cursor = 0;
+        in.varint(cursor); // schedule power cursor
+        in.varint(cursor); // capture cursor
+        double carry = 0.0;
+        in.real(carry);
+        in.varint(nextInputId);
+        EXPECT_TRUE(in.ok()) << in.failure();
+    }
+
+    void
+    walk(util::wire::Archive &ar)
+    {
+        for (Tick &clock : clocks)
+            ar.varint(clock);
+        device.walk(ar);
+        buffer.walk(ar);
+    }
+
+    std::string
+    encode()
+    {
+        return saved([this](util::wire::Archive &ar) { walk(ar); });
+    }
+};
+
+/** The first checkpoint of `config`'s run that buffers two inputs. */
+std::string
+checkpointWithTwoBufferedInputs(ExperimentConfig config)
+{
+    std::string blob;
+    config.sim.checkpointEveryCaptures = 10;
+    config.sim.checkpointSink = [&blob](std::string &&state, Tick) {
+        if (blob.empty() && BlobHead(state).buffer.records.size() >= 2)
+            blob = std::move(state);
+    };
+    (void)runExperiment(config);
+    return blob;
+}
+
+/** `blob` with its input buffer rewritten by `patch`. */
+std::string
+withBuffer(const std::string &blob,
+           const std::function<void(BlobHead &)> &patch)
+{
+    BlobHead head(blob);
+    patch(head);
+    return head.encode() + blob.substr(head.bytes);
+}
+
 using CheckpointRestoreDeathTest = ::testing::Test;
 
 TEST(CheckpointRestoreDeathTest, ResumeNamesTheSectionItCouldNotRestore)
@@ -409,6 +487,30 @@ TEST(CheckpointRestoreDeathTest, ResumeNamesTheSectionItCouldNotRestore)
     badPhase[blob.size() - in.remaining() + 16] = '\x09';
     EXPECT_EXIT(resume(faultedRun(), badPhase),
                 ::testing::ExitedWithCode(1), "\\(device state\\)");
+
+    // A longer run has inputs waiting in its buffer at some of its
+    // checkpoints.
+    ExperimentConfig longRun = faultedRun();
+    longRun.eventCount = 2000;
+    const std::string buffered = checkpointWithTwoBufferedInputs(longRun);
+    ASSERT_FALSE(buffered.empty());
+
+    // Two buffer records sharing an id: re-pushing them would panic.
+    const std::string sharedId = withBuffer(buffered, [](BlobHead &head) {
+        head.buffer.records[1].id = head.buffer.records[0].id;
+    });
+    EXPECT_EXIT(resume(longRun, sharedId),
+                ::testing::ExitedWithCode(1), "\\(buffer record order\\)");
+
+    // The newest record holds the id the next stored capture takes.
+    const std::string aheadOfNextId =
+        withBuffer(buffered, [](BlobHead &head) {
+            head.buffer.records.back().id = head.nextInputId;
+            head.buffer.maxPushedId = head.nextInputId;
+        });
+    EXPECT_EXIT(resume(longRun, aheadOfNextId),
+                ::testing::ExitedWithCode(1),
+                "\\(buffer record id past next input id\\)");
 }
 
 } // namespace

@@ -216,8 +216,8 @@ simulateQueue(const QueueSimConfig &config)
                 ++out.arrivals;
             InputRecord record;
             record.id = nextId++;
-            // Strictly increasing capture order keeps the buffer on
-            // its O(jobs) FCFS/LCFS fast path.
+            // The buffer requires rising ids and capture ticks that
+            // never fall; the id doubles as the capture tick.
             record.captureTick = static_cast<Tick>(record.id);
             record.enqueueTick = record.captureTick;
             record.jobId = 0;

@@ -28,6 +28,11 @@
  * --jobs picks the worker count — outputs are byte-identical for
  * every value.
  *
+ * --trace-out - writes the trace to stdout and the report or
+ * ensemble summary to stderr, so stdout stays a readable trace; it
+ * conflicts with --csv. Exit status 1 reports a lost write to a
+ * trace, a CSV or stdout.
+ *
  * --policy NAME runs a registered scheduling policy from the policy
  * zoo (src/policy) instead of a --controller configuration; it
  * overrides --controller when both are given. "sjf-ibo" is the
@@ -120,7 +125,8 @@ usage(const char *argv0, bool requested)
         "  --no-circuit           disable the analog monitor circuit\n"
         "\n"
         "Telemetry (experiment modes):\n"
-        "  --trace-out FILE|-     stream the typed event trace\n"
+        "  --trace-out FILE|-     stream the typed event trace (\"-\":\n"
+        "                         stdout; the report goes to stderr)\n"
         "  --trace-level LVL      off|counters|decisions|full "
         "(default full)\n"
         "  --trace-format FMT     jsonl|chrome|btrace (btrace streams "
@@ -233,10 +239,17 @@ csvRow(const sim::ExperimentConfig &cfg, const std::string &environment,
         ticksToSeconds(m.rechargeTicks));
 }
 
-} // namespace
+/** Flush stdout; fatal when any report or CSV write to it failed. */
+void
+checkStdout()
+{
+    std::cout.flush();
+    if (!std::cout || std::fflush(stdout) != 0 || std::ferror(stdout))
+        util::fatal("error writing standard output");
+}
 
 int
-main(int argc, char **argv)
+runCli(int argc, char **argv)
 {
     sim::ExperimentConfig cfg;
     scenario::EngineOptions engine; ///< jobs, and --scenario/--fleet
@@ -439,6 +452,11 @@ main(int argc, char **argv)
         return scenario::runScenarioFile(scenarioPath, engine);
     }
 
+    if (traceOut == "-" && !outputFlag.empty())
+        conflict(outputFlag, "--trace-out -",
+                 "the trace is written to stdout");
+    // A trace on stdout leaves the human-readable output to stderr.
+    std::ostream &report = traceOut == "-" ? std::cerr : std::cout;
     const bool tracing = !traceOut.empty() &&
         traceLevel != obs::ObsLevel::Off;
 
@@ -471,7 +489,7 @@ main(int argc, char **argv)
                 csvRow(batch[i], environment, metrics[i]);
         } else {
             sim::aggregateEnsemble(metrics)
-                .printSummary(std::cout, sim::experimentLabel(cfg));
+                .printSummary(report, sim::experimentLabel(cfg));
         }
         if (tracing)
             obs::writeTraceFile(traceOut, traceFormat, sinks);
@@ -526,7 +544,7 @@ main(int argc, char **argv)
             csvHeader();
         csvRow(cfg, environment, m);
     } else {
-        m.printReport(std::cout, sim::experimentLabel(cfg));
+        m.printReport(report, sim::experimentLabel(cfg));
     }
     if (btraceWriter) {
         btraceWriter->finish();
@@ -535,4 +553,14 @@ main(int argc, char **argv)
         obs::writeTraceFile(traceOut, traceFormat, sinks);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    const int status = runCli(argc, argv);
+    checkStdout();
+    return status;
 }

@@ -34,6 +34,7 @@
 #include <map>
 #include <string>
 
+#include "cli_flags.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/trace_cursor.hpp"
 #include "util/logging.hpp"
@@ -81,7 +82,8 @@ main(int argc, char **argv)
             if (i + 1 >= argc)
                 usage(argv[0]);
             filterRun = true;
-            runFilter = std::strtoull(argv[++i], nullptr, 10);
+            runFilter = cli::checkedNumber<std::uint64_t>(
+                arg, argv[++i], 0);
         } else if (arg == "--per-run") {
             perRun = true;
         } else if (arg == "--kinds") {
