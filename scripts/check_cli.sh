@@ -4,8 +4,9 @@
 # flag on stderr), never a panic, an abort, a wrap-around or a silent
 # fallback; mode conflicts exit 2 naming both flags; --fleet requires
 # a "fleet" block; a trace, CSV or report that cannot be written exits
-# 1; a trace on stdout reads back with trace_stat; and small valid runs
-# succeed.
+# 1; a fleet resume from a CRC-valid record holding an impossible
+# state exits 1 naming the file; a trace on stdout reads back with
+# trace_stat; and small valid runs succeed.
 #
 # Usage: scripts/check_cli.sh [quetzal-sim] [scenario-dir] [trace-gen]
 #                             [trace-stat]
@@ -149,6 +150,38 @@ expect_lost "error writing csv output: -" /dev/full \
 expect_lost "error writing episode trace: /dev/full" "$tmp/out" \
     --fleet "$tmp/fleet.json" --fleet-checkpoint "$tmp/fleet.qzck" \
     --fleet-ckpt-trace /dev/full
+
+# A fleet resume whose record passes its CRC but carries a state no
+# run produces (cohort 0's directive base level 9, the record CRC
+# re-sealed) exits 1 naming the file and the fault, never an abort.
+"$SIM" --fleet "$tmp/fleet.json" --fleet-checkpoint "$tmp/bad.qzck" \
+    --fleet-stop-after-s 1800 >/dev/null
+python3 - "$tmp/bad.qzck" <<'PY'
+import struct, sys
+
+def crc32c(data):
+    crc = 0xFFFFFFFF
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ (0x82F63B78 if crc & 1 else 0)
+    return crc ^ 0xFFFFFFFF
+
+path = sys.argv[1]
+stream = bytearray(open(path, "rb").read())
+off = last = 0
+while off < len(stream):  # QZCK records: 32-byte header + state
+    last = off
+    off += 32 + struct.unpack_from("<I", stream, off + 24)[0]
+state = last + 32
+stream[state + 2] = 9  # after varint shards and varint cohort count
+size = struct.unpack_from("<I", stream, last + 24)[0]
+struct.pack_into("<I", stream, last + 28,
+                 crc32c(stream[state:state + size]))
+open(path, "wb").write(stream)
+PY
+expect 1 "$tmp/bad.qzck invalid coordinator state (cohort 0)" \
+    --fleet "$tmp/fleet.json" --fleet-resume "$tmp/bad.qzck"
 
 # A trace on stdout leaves stdout to the trace: the report or ensemble
 # summary goes to stderr, --csv conflicts, and trace_stat reads the

@@ -50,16 +50,6 @@ PidController::update(double error, double dt)
 }
 
 void
-PidController::reset()
-{
-    integrator = 0.0;
-    differentiator = 0.0;
-    previousError = 0.0;
-    lastOutput = 0.0;
-    updateCount = 0;
-}
-
-void
 PidController::State::walk(util::wire::Archive &ar)
 {
     ar.real(integrator);

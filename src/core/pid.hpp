@@ -60,9 +60,6 @@ class PidController
     /** Number of updates applied. */
     unsigned long updates() const { return updateCount; }
 
-    /** Reset all state. */
-    void reset();
-
     /** Loop state for checkpoint/restore (gains are configuration). */
     struct State
     {

@@ -31,14 +31,6 @@ EnergyStorage::EnergyStorage(const StorageConfig &config, bool startFull)
                               cfg.vMax));
 }
 
-Volts
-EnergyStorage::voltage() const
-{
-    // E = C/2 (V^2 - vOff^2)  =>  V = sqrt(2E/C + vOff^2)
-    return std::sqrt(2.0 * stored / cfg.capacitance +
-                     cfg.vOff * cfg.vOff);
-}
-
 void
 EnergyStorage::negativeAmount(const char *op)
 {

@@ -57,8 +57,6 @@ class EnergyStorage
     /** Usable capacity in joules. */
     Joules capacity() const { return cap; }
 
-    /** Current capacitor voltage implied by the stored energy. */
-    Volts voltage() const;
 
     /** True when at capacity. */
     bool full() const { return stored >= cap; }

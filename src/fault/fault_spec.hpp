@@ -19,8 +19,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string>
 
 #include "util/types.hpp"
 
@@ -168,12 +166,6 @@ enum class FaultClass : std::uint8_t {
 
 /** Number of distinct fault classes. */
 constexpr std::size_t kFaultClassCount = 8;
-
-/** Class display name ("measurement_bias", "power_dropout", ...). */
-std::string faultClassName(FaultClass cls);
-
-/** Parse a class name; nullopt on unknown input. */
-std::optional<FaultClass> parseFaultClass(const std::string &name);
 
 } // namespace fault
 } // namespace quetzal

@@ -30,6 +30,8 @@
 
 #include "fleet/checkpoint.hpp"
 
+#include <algorithm>
+
 #include "sim/device.hpp"
 #include "util/logging.hpp"
 #include "util/random.hpp"
@@ -149,11 +151,11 @@ getBlock(wire::Reader &in, CohortBlock &block, unsigned s, std::size_t c,
  * checked against it with named diagnostics.
  */
 bool
-walkHeader(wire::Archive &ar, FleetSnapshot &snap,
+walkHeader(wire::Archive &ar, FleetState &state,
            std::size_t cohortCount, std::string &error)
 {
     ar.section("truncated fleet state (shard/cohort header)");
-    std::uint64_t storedShards = snap.shards;
+    std::uint64_t storedShards = state.shards;
     std::uint64_t storedCohorts = cohortCount;
     ar.varint(storedShards);
     ar.varint(storedCohorts);
@@ -173,28 +175,28 @@ walkHeader(wire::Archive &ar, FleetSnapshot &snap,
                           ")");
         return false;
     }
-    snap.shards = static_cast<unsigned>(storedShards);
+    state.shards = static_cast<unsigned>(storedShards);
 
-    snap.coordinator.resize(cohortCount);
-    snap.cohortTotals.resize(cohortCount);
-    snap.rollupBase.resize(cohortCount);
-    snap.shardTotals.resize(snap.shards);
+    state.coordinator.resize(cohortCount);
+    state.cohortTotals.resize(cohortCount);
+    state.rollupBase.resize(cohortCount);
+    state.shardTotals.resize(state.shards);
     ar.section("truncated fleet state (coordinator directives)");
-    for (FleetCoordinator::CohortState &c : snap.coordinator)
+    for (CohortState &c : state.coordinator)
         c.walk(ar);
     ar.section("truncated fleet state (cohort totals)");
-    for (CohortCounters &c : snap.cohortTotals)
+    for (CohortCounters &c : state.cohortTotals)
         c.walk(ar);
     ar.section("truncated fleet state (rollup baseline)");
-    for (CohortCounters &c : snap.rollupBase)
+    for (CohortCounters &c : state.rollupBase)
         c.walk(ar);
     ar.section("truncated fleet state (shard totals)");
-    for (CohortCounters &s : snap.shardTotals)
+    for (CohortCounters &s : state.shardTotals)
         s.walk(ar);
     ar.section("truncated fleet state (event count)");
-    snap.events.resize(ar.count(snap.events.size()));
+    state.events.resize(ar.count(state.events.size()));
     ar.section("malformed fleet state (replay event)");
-    for (obs::Event &event : snap.events)
+    for (obs::Event &event : state.events)
         event.walk(ar);
     if (!ar.ok()) {
         error = ar.failure();
@@ -213,7 +215,7 @@ CohortCounters::walk(wire::Archive &ar)
 }
 
 void
-FleetCoordinator::CohortState::walk(wire::Archive &ar)
+CohortState::walk(wire::Archive &ar)
 {
     ar.byte(directive.baseLevel);
     ar.byte(directive.pressureLevel);
@@ -266,54 +268,60 @@ validBarrierTick(const FleetConfig &config, Tick tick)
         (tick % config.slabTicks == 0 || tick == config.horizonTicks);
 }
 
-std::string
-encodeFleetState(FleetSnapshot &snap, std::uint64_t fleetFingerprint_)
+std::uint64_t
+barrierEpoch(const FleetConfig &config, Tick slabEnd)
 {
-    std::string out;
+    return static_cast<std::uint64_t>(
+        (slabEnd + config.slabTicks - 1) / config.slabTicks);
+}
+
+void
+encodeFleetState(FleetState &state, std::uint64_t fleetFingerprint_,
+                 std::string &out, std::string &section)
+{
+    out.clear();
     wire::Archive ar(out);
     std::string error;
-    (void)walkHeader(ar, snap, snap.coordinator.size(), error);
+    (void)walkHeader(ar, state, state.coordinator.size(), error);
 
-    std::string section;
-    for (unsigned s = 0; s < snap.shards; ++s) {
+    for (unsigned s = 0; s < state.shards; ++s) {
         section.clear();
         wire::putFixed64(section,
                          shardFingerprint(fleetFingerprint_, s));
-        for (const CohortBlock &block : snap.states[s].blocks)
+        for (const CohortBlock &block : state.devices[s].blocks)
             putBlock(section, block);
         std::uint32_t crc = wire::crc32(section);
         ar.bytes(section);
         ar.fixed32(crc);
     }
-    return out;
 }
 
 bool
 decodeFleetState(const std::string &blob, const FleetConfig &config,
-                 FleetSnapshot &snap, std::string &error)
+                 FleetState &state, std::string &error)
 {
-    snap = FleetSnapshot{};
+    state = FleetState{};
     const std::uint64_t fp = fleetFingerprint(config);
     const std::size_t cohortCount = config.cohorts.size();
     wire::Archive ar{wire::Reader(blob)};
-    if (!walkHeader(ar, snap, cohortCount, error))
+    if (!walkHeader(ar, state, cohortCount, error))
         return false;
     // Levels shift the job length (execTicks), so one past the
     // maximum would be a shift the engine never makes.
     for (std::size_t c = 0; c < cohortCount; ++c) {
-        const FleetCoordinator::CohortState &state = snap.coordinator[c];
-        if (state.directive.baseLevel > kMaxDegradeLevel ||
-            state.directive.pressureLevel > kMaxDegradeLevel ||
-            state.lastBase > kMaxDegradeLevel) {
+        const CohortState &cohort = state.coordinator[c];
+        if (cohort.directive.baseLevel > kMaxDegradeLevel ||
+            cohort.directive.pressureLevel > kMaxDegradeLevel ||
+            cohort.lastBase > kMaxDegradeLevel) {
             error = util::msg("invalid coordinator state (cohort ", c,
                               "): degradation level above the maximum");
             return false;
         }
     }
 
-    snap.states.resize(snap.shards);
+    state.devices.resize(state.shards);
     std::string section;
-    for (unsigned s = 0; s < snap.shards; ++s) {
+    for (unsigned s = 0; s < state.shards; ++s) {
         std::uint32_t crc = 0;
         ar.bytes(section);
         ar.fixed32(crc);
@@ -337,12 +345,12 @@ decodeFleetState(const std::string &blob, const FleetConfig &config,
                               "configuration");
             return false;
         }
-        snap.states[s].blocks.resize(cohortCount);
+        state.devices[s].blocks.resize(cohortCount);
         for (std::size_t c = 0; c < cohortCount; ++c) {
             const std::size_t n = config.cohorts[c].devices;
-            const std::size_t lo = n * s / snap.shards;
-            const std::size_t hi = n * (s + 1) / snap.shards;
-            if (!getBlock(sec, snap.states[s].blocks[c], s, c, lo,
+            const std::size_t lo = n * s / state.shards;
+            const std::size_t hi = n * (s + 1) / state.shards;
+            if (!getBlock(sec, state.devices[s].blocks[c], s, c, lo,
                           hi - lo, config.cohorts[c].bufferCapacity,
                           error))
                 return false;
@@ -361,64 +369,42 @@ decodeFleetState(const std::string &blob, const FleetConfig &config,
 }
 
 void
-reshardSnapshot(const FleetSnapshot &stored, const FleetConfig &config,
-                std::vector<ShardState> &states,
-                std::vector<CohortCounters> &shardTotals)
+reshardFleetState(FleetState &state, const FleetConfig &config)
 {
-    const std::size_t cohortCount = config.cohorts.size();
+    const unsigned stored = state.shards;
     const unsigned target = config.shards;
+    if (stored == target)
+        return;
 
-    // Concatenate each cohort's columns across stored shards (blocks
-    // are contiguous global ranges in shard order), then re-split by
-    // the target count's range formula. The copy is per-resume, not
-    // per-slab, so clarity beats zero-copy here.
-    std::vector<CohortBlock> whole(cohortCount);
-    for (std::size_t c = 0; c < cohortCount; ++c) {
-        CohortBlock &all = whole[c];
-        all.init(0, config.cohorts[c].devices, 0.0);
-        std::size_t at = 0;
-        for (unsigned s = 0; s < stored.shards; ++s) {
-            const CohortBlock &block = stored.states[s].blocks[c];
-            for (std::size_t i = 0; i < block.size(); ++i, ++at) {
-                all.charge[at] = block.charge[i];
-                all.taskTicksLeft[at] = block.taskTicksLeft[i];
-                all.phaseTicksLeft[at] = block.phaseTicksLeft[i];
-                all.cursor[at] = block.cursor[i];
-                all.phase[at] = block.phase[i];
-                all.occupancy[at] = block.occupancy[i];
-                all.level[at] = block.level[i];
-                all.scratch[at] = block.scratch[i];
-            }
-        }
-    }
-
-    states.assign(target, ShardState{});
+    std::vector<ShardState> devices(target);
     for (unsigned s = 0; s < target; ++s) {
-        states[s].blocks.resize(cohortCount);
-        for (std::size_t c = 0; c < cohortCount; ++c) {
+        devices[s].blocks.resize(config.cohorts.size());
+        for (std::size_t c = 0; c < config.cohorts.size(); ++c) {
             const std::size_t n = config.cohorts[c].devices;
             const std::size_t lo = n * s / target;
             const std::size_t hi = n * (s + 1) / target;
-            CohortBlock &block = states[s].blocks[c];
+            CohortBlock &block = devices[s].blocks[c];
             block.init(lo, hi - lo, 0.0);
-            const CohortBlock &all = whole[c];
-            for (std::size_t i = 0; i < hi - lo; ++i) {
-                block.charge[i] = all.charge[lo + i];
-                block.taskTicksLeft[i] = all.taskTicksLeft[lo + i];
-                block.phaseTicksLeft[i] = all.phaseTicksLeft[lo + i];
-                block.cursor[i] = all.cursor[lo + i];
-                block.phase[i] = all.phase[lo + i];
-                block.occupancy[i] = all.occupancy[lo + i];
-                block.level[i] = all.level[lo + i];
-                block.scratch[i] = all.scratch[lo + i];
+            for (const ShardState &shard : state.devices) {
+                const CohortBlock &from = shard.blocks[c];
+                const std::size_t begin = std::max(lo, from.firstDevice);
+                const std::size_t end =
+                    std::min(hi, from.firstDevice + from.size());
+                if (begin < end)
+                    block.copyDevices(begin - lo, from,
+                                      begin - from.firstDevice,
+                                      end - begin);
             }
         }
     }
+    state.devices = std::move(devices);
 
-    shardTotals.assign(target, CohortCounters{});
-    for (unsigned s = 0; s < stored.shards; ++s)
-        shardTotals[static_cast<std::size_t>(s) * target / stored.shards]
-            .add(stored.shardTotals[s]);
+    std::vector<CohortCounters> shardTotals(target);
+    for (unsigned s = 0; s < stored; ++s)
+        shardTotals[static_cast<std::size_t>(s) * target / stored]
+            .add(state.shardTotals[s]);
+    state.shardTotals = std::move(shardTotals);
+    state.shards = target;
 }
 
 } // namespace fleet

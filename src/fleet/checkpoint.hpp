@@ -1,10 +1,10 @@
 /**
  * @file
  * Fleet barrier snapshots (DESIGN.md section 17): the byte
- * serialization of everything mutable in a fleet run at a
- * coordinator barrier, plus the fleet-level fingerprint and the
- * re-sharding rules that let a snapshot taken under one shard count
- * resume under another.
+ * serialization of a fleet run's FleetState at a coordinator
+ * barrier, plus the fleet-level fingerprint and the re-sharding
+ * rules that let a snapshot taken under one shard count resume
+ * under another.
  *
  * A snapshot is the *state* payload of one QZCK record in a
  * checkpoint stream (sim/checkpoint.hpp); the record's boundaryTick
@@ -24,35 +24,13 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "fleet/coordinator.hpp"
 #include "fleet/fleet.hpp"
 #include "fleet/state.hpp"
-#include "obs/event.hpp"
 #include "util/types.hpp"
 
 namespace quetzal {
 namespace fleet {
-
-/**
- * Full mutable state of a fleet run at a coordinator barrier: the
- * coordinator's per-cohort rule state, the running aggregates, the
- * rollup baseline, the per-shard totals, every run-sink event
- * emitted so far (replayed on restore so a resumed run's trace is
- * the straight run's trace), and the per-shard device columns.
- */
-struct FleetSnapshot
-{
-    /** Shard count the snapshot was taken under. */
-    unsigned shards = 0;
-    std::vector<FleetCoordinator::CohortState> coordinator;
-    std::vector<CohortCounters> cohortTotals;
-    std::vector<CohortCounters> rollupBase;
-    std::vector<CohortCounters> shardTotals;
-    std::vector<obs::Event> events;
-    std::vector<ShardState> states;
-};
 
 /**
  * Hash of every fleet knob that shapes the run's evolution (FNV-1a
@@ -74,38 +52,45 @@ std::uint64_t shardFingerprint(std::uint64_t fleetFingerprint,
  */
 bool validBarrierTick(const FleetConfig &config, Tick tick);
 
-/** Serialize a snapshot into a QZCK state payload. Takes the snapshot
- *  by non-const reference because one walk both encodes and decodes
- *  the header fields; encoding only reads it. */
-std::string encodeFleetState(FleetSnapshot &snap,
-                             std::uint64_t fleetFingerprint);
+/** Barrier epoch of a slab end (1-based; the final, possibly
+ *  partial, slab rounds up to its own epoch). */
+std::uint64_t barrierEpoch(const FleetConfig &config, Tick slabEnd);
+
+/**
+ * Serialize `state` into `out`, a QZCK state payload. Both strings
+ * are cleared and refilled, so a caller that keeps them across
+ * barriers reuses their capacity; `section` is scratch for one
+ * shard section. Takes the state by non-const reference because one
+ * walk both encodes and decodes the header fields; encoding only
+ * reads it.
+ */
+void encodeFleetState(FleetState &state, std::uint64_t fleetFingerprint,
+                      std::string &out, std::string &section);
 
 /**
  * Parse and validate a snapshot blob against the resuming
- * configuration. Returns false with a named diagnostic in `error`
- * on truncation, a cohort-count or device-range mismatch, a shard
+ * configuration into `state`, under the shard count it was taken
+ * with. Returns false with a named diagnostic in `error` on
+ * truncation, a cohort-count or device-range mismatch, a shard
  * section whose fingerprint or CRC does not match, an out-of-range
  * event kind, device value (phase, timer, column width, occupancy,
  * level) or coordinator level, or trailing bytes.
  */
 bool decodeFleetState(const std::string &blob,
-                      const FleetConfig &config, FleetSnapshot &snap,
+                      const FleetConfig &config, FleetState &state,
                       std::string &error);
 
 /**
- * Map a decoded snapshot onto a target shard layout. Device columns
- * are concatenated per cohort in stored-shard order (blocks are
- * contiguous global ranges) and re-split by the target count's
- * range formula. Per-shard totals remap by
+ * Re-split a decoded state's device columns and shard totals for
+ * config.shards, in place. Blocks are contiguous global ranges in
+ * shard order, so each target block copies the stored blocks it
+ * overlaps. Per-shard totals remap by
  * `target[s * targetShards / storedShards] += stored[s]` — the
  * shard-sum == fleetTotals identity is preserved exactly, and the
  * map is the identity when the counts match; across counts the
  * gauge fields self-correct at the next barrier.
  */
-void reshardSnapshot(const FleetSnapshot &stored,
-                     const FleetConfig &config,
-                     std::vector<ShardState> &states,
-                     std::vector<CohortCounters> &shardTotals);
+void reshardFleetState(FleetState &state, const FleetConfig &config);
 
 } // namespace fleet
 } // namespace quetzal

@@ -1,8 +1,5 @@
 #include "fleet/coordinator.hpp"
 
-#include "policy/registry.hpp"
-#include "util/logging.hpp"
-
 namespace quetzal {
 namespace fleet {
 
@@ -38,21 +35,12 @@ assignLevel(const Directive &directive, std::uint64_t chargeNano,
 FleetCoordinator::FleetCoordinator(const FleetConfig &config_)
     : config(config_)
 {
-    controls.reserve(config.cohorts.size());
+    rules.reserve(config.cohorts.size());
     capacityNano.reserve(config.cohorts.size());
     for (const CohortConfig &cohort : config.cohorts) {
         // The registry validates the name: an unknown policy fails
         // here, before any device advances.
-        const std::string &name = cohort.policy;
-        (void)policy::policyRow(name);
-        Control control;
-        if (name == "greedy-fcfs")
-            control.rule = Rule::FullQuality;
-        else if (name == "zygarde")
-            control.rule = Rule::DeadlineDrain;
-        else if (name == "delgado-famaey")
-            control.rule = Rule::EnergyHorizon;
-        controls.push_back(control);
+        rules.push_back(policy::policyRow(cohort.policy).fleetRule);
         capacityNano.push_back(toNano(
             app::deviceProfile(cohort.device).storage.capacity()));
     }
@@ -60,10 +48,12 @@ FleetCoordinator::FleetCoordinator(const FleetConfig &config_)
 
 void
 FleetCoordinator::consumeSlab(
-    const std::vector<CohortCounters> &slabTotals)
+    const std::vector<CohortCounters> &slabTotals,
+    std::vector<CohortState> &cohorts) const
 {
-    for (std::size_t c = 0; c < controls.size(); ++c) {
-        Control &control = controls[c];
+    using policy::FleetRule;
+    for (std::size_t c = 0; c < rules.size(); ++c) {
+        CohortState &state = cohorts[c];
         const CohortConfig &cohort = config.cohorts[c];
         const CohortCounters &slab = slabTotals[c];
         const std::uint64_t devices = cohort.devices;
@@ -77,10 +67,10 @@ FleetCoordinator::consumeSlab(
         const std::uint8_t keepUp = minKeepUpLevel(cohort);
 
         Directive next;
-        if (control.rule == Rule::FullQuality) {
+        if (rules[c] == FleetRule::FullQuality) {
             // The strawman: full quality always, whatever the fleet
             // reports. (Directive defaults already say exactly that.)
-        } else if (control.rule == Rule::DeadlineDrain) {
+        } else if (rules[c] == FleetRule::DeadlineDrain) {
             // Deadline-drain (imprecise computing): each capture
             // period admits one new input, so pick the lowest level
             // at which the mean backlog plus the newcomer clears
@@ -102,7 +92,7 @@ FleetCoordinator::consumeSlab(
             next.baseLevel = base;
             next.pressureLevel = kMaxDegradeLevel;
             next.occupancyHigh = capacity > 1 ? capacity - 1 : 1;
-        } else if (control.rule == Rule::EnergyHorizon) {
+        } else if (rules[c] == FleetRule::EnergyHorizon) {
             // Energy lookahead: devices run full quality while their
             // own charge horizon is healthy and shed work when it
             // drops below 30 % of usable capacity; the base level
@@ -113,17 +103,16 @@ FleetCoordinator::consumeSlab(
                 next.baseLevel = std::uint8_t(1) > keepUp
                     ? std::uint8_t(1) : keepUp;
         } else {
-            // sjf-ibo and any future registry policy: the paper's
-            // overflow-prevention posture. Escalate to the keep-up
-            // level while the fleet observed drops; relax one level
-            // per quiet slab. Per-device pressure kicks in at 3/4
+            // The paper's overflow-prevention posture (sjf-ibo):
+            // escalate to the keep-up level while the fleet observed
+            // drops; relax one level per quiet slab. Per-device pressure kicks in at 3/4
             // occupancy or a nearly flat capacitor.
-            std::uint8_t base = control.lastBase;
+            std::uint8_t base = state.lastBase;
             if (drops > 0)
                 base = base > keepUp ? base : keepUp;
             else if (base > 0)
                 --base;
-            control.lastBase = base;
+            state.lastBase = base;
             next.baseLevel = base;
             next.pressureLevel =
                 base < kMaxDegradeLevel ? base + 1 : kMaxDegradeLevel;
@@ -131,28 +120,7 @@ FleetCoordinator::consumeSlab(
                 capacity >= 4 ? capacity - capacity / 4 : capacity;
             next.chargeLowNano = capacityNano[c] * 3 / 20;
         }
-        control.directive = next;
-    }
-}
-
-std::vector<FleetCoordinator::CohortState>
-FleetCoordinator::exportState() const
-{
-    std::vector<CohortState> state;
-    state.reserve(controls.size());
-    for (const Control &control : controls)
-        state.push_back({control.directive, control.lastBase});
-    return state;
-}
-
-void
-FleetCoordinator::importState(const std::vector<CohortState> &state)
-{
-    if (state.size() != controls.size())
-        util::panic("coordinator state cohort count mismatch");
-    for (std::size_t c = 0; c < controls.size(); ++c) {
-        controls[c].directive = state[c].directive;
-        controls[c].lastBase = state[c].lastBase;
+        state.directive = next;
     }
 }
 

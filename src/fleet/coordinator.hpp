@@ -6,11 +6,11 @@
  * drop counts, mean charge, occupancy, devices off. The coordinator
  * folds those into one Directive per cohort for the next slab:
  * thresholds a device applies locally (and purely) when it starts
- * its next job. The per-cohort rule is selected by the cohort's
- * registered policy name, so the policy zoo drives fleet-scale
- * assignment: the paper's SJF+IBO degrades to prevent predicted
- * overflow, Zygarde drains by deadline, Delgado & Famaey watches the
- * energy horizon, and greedy-FCFS never degrades.
+ * its next job. The per-cohort rule is the fleet-rule column of the
+ * cohort's policy row in the registry, so the policy zoo drives
+ * fleet-scale assignment: the paper's SJF+IBO degrades to prevent
+ * predicted overflow, Zygarde drains by deadline, Delgado & Famaey
+ * watches the energy horizon, and greedy-FCFS never degrades.
  *
  * Everything here is integer arithmetic over fleet-wide sums, and
  * consumeSlab() runs serially between slabs, so directives — and
@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "fleet/fleet.hpp"
+#include "policy/registry.hpp"
 
 namespace quetzal::util::wire {
 class Archive;
@@ -65,66 +66,43 @@ std::uint8_t assignLevel(const Directive &directive,
                          std::uint32_t occupancy);
 
 /**
- * Owns the per-cohort directive rules (picked once from the cohort's
- * policy name — an unknown name fails fast at construction) and the
- * directives.
+ * Mutable per-cohort rule state: the directive the cohort's devices
+ * apply in the next slab and the overflow-prevention rule's last
+ * base level. The rule itself is configuration (the policy's
+ * registry row), so this is the whole evolution state; a fleet run
+ * keeps one per cohort in its FleetState.
+ */
+struct CohortState
+{
+    Directive directive;
+    std::uint8_t lastBase = 0;
+
+    /** Checkpoint wire layout: base and pressure level bytes,
+     *  fixed32 occupancyHigh, fixed64 chargeLowNano, lastBase. */
+    void walk(util::wire::Archive &ar);
+};
+
+/**
+ * Reads each cohort's directive rule from its policy's registry row
+ * once (an unknown name fails fast at construction) and advances the
+ * per-cohort state the run holds.
  */
 class FleetCoordinator
 {
   public:
     explicit FleetCoordinator(const FleetConfig &config);
 
-    /** Directive the cohort's devices apply in the next slab. */
-    const Directive &directive(std::size_t cohort) const
-    {
-        return controls[cohort].directive;
-    }
-
     /**
      * Fold one slab's fleet-wide per-cohort aggregates into the next
-     * directives. Called serially between slabs, in slab order.
+     * directives of `cohorts` (one per cohort). Called serially
+     * between slabs, in slab order.
      */
-    void consumeSlab(const std::vector<CohortCounters> &slabTotals);
-
-    /** Mutable per-cohort rule state, for checkpoint serialization.
-     *  The rule itself is configuration — the directive plus
-     *  lastBase is the whole evolution state. */
-    struct CohortState
-    {
-        Directive directive;
-        std::uint8_t lastBase = 0;
-
-        /** Checkpoint wire layout: base and pressure level bytes,
-         *  fixed32 occupancyHigh, fixed64 chargeLowNano, lastBase. */
-        void walk(util::wire::Archive &ar);
-    };
-
-    /** Snapshot the per-cohort rule state, in cohort order. */
-    std::vector<CohortState> exportState() const;
-
-    /** Restore a snapshot taken by exportState on an identically
-     *  configured coordinator (size must match the cohort count). */
-    void importState(const std::vector<CohortState> &state);
+    void consumeSlab(const std::vector<CohortCounters> &slabTotals,
+                     std::vector<CohortState> &cohorts) const;
 
   private:
-    /** Directive rule per registered policy name (see consumeSlab). */
-    enum class Rule {
-        OverflowPrevention, ///< sjf-ibo and any other registered name
-        DeadlineDrain,      ///< zygarde
-        EnergyHorizon,      ///< delgado-famaey
-        FullQuality,        ///< greedy-fcfs
-    };
-
-    struct Control
-    {
-        Rule rule = Rule::OverflowPrevention;
-        Directive directive;
-        /** sjf-ibo rule state: last slab's base level. */
-        std::uint8_t lastBase = 0;
-    };
-
     const FleetConfig &config;
-    std::vector<Control> controls;
+    std::vector<policy::FleetRule> rules;
     /** Usable storage capacity per cohort (nJ). */
     std::vector<std::uint64_t> capacityNano;
 };

@@ -258,15 +258,6 @@ struct LoggingSink final : obs::TraceSink
     }
 };
 
-/** Barrier epoch of a slab end (1-based; the final, possibly
- *  partial, slab rounds up to its own epoch). */
-std::uint64_t
-barrierEpoch(const FleetConfig &config, Tick slabEnd)
-{
-    return static_cast<std::uint64_t>(
-        (slabEnd + config.slabTicks - 1) / config.slabTicks);
-}
-
 void
 emitRollup(obs::TraceSink &sink, Tick tick, std::size_t cohort,
            const CohortCounters &delta, const CohortCounters &gauge,
@@ -425,51 +416,23 @@ runFleet(const FleetConfig &config, const FleetOptions &options)
     const unsigned shards = config.shards;
 
     // Validates every cohort's policy name through the registry.
-    FleetCoordinator coordinator(config);
+    const FleetCoordinator coordinator(config);
 
     std::vector<CohortRuntime> runtimes;
     runtimes.reserve(cohortCount);
     for (const CohortConfig &cohort : config.cohorts)
         runtimes.push_back(buildRuntime(cohort, config));
 
-    // Devices materialize per shard: cohort c's global index range
-    // is split into contiguous blocks, so no structure of size
-    // (total devices) ever lives outside the shard states.
-    std::vector<ShardState> states(shards);
     std::size_t totalDevices = 0;
-    for (unsigned s = 0; s < shards; ++s) {
-        states[s].blocks.resize(cohortCount);
-        for (std::size_t c = 0; c < cohortCount; ++c) {
-            const std::size_t n = config.cohorts[c].devices;
-            const std::size_t lo = n * s / shards;
-            const std::size_t hi = n * (s + 1) / shards;
-            states[s].blocks[c].init(
-                lo, hi - lo,
-                runtimes[c].profile.storage.capacity());
-        }
-    }
     for (const CohortConfig &cohort : config.cohorts)
         totalDevices += cohort.devices;
 
-    std::vector<CohortCounters> cohortTotals(cohortCount);
-    std::vector<CohortCounters> rollupBase(cohortCount);
-    std::vector<CohortCounters> shardTotals(shards);
-    std::vector<std::vector<CohortCounters>> reports(
-        shards, std::vector<CohortCounters>(cohortCount));
-
-    // The snapshot fingerprint and the replay log only exist when
-    // the run checkpoints; a plain run pays nothing.
-    const bool checkpointing =
-        static_cast<bool>(options.checkpointSink);
-    const std::uint64_t fingerprint =
-        checkpointing || options.resumeState != nullptr
-            ? fleetFingerprint(config)
-            : 0;
-    std::vector<obs::Event> emitted;
-    LoggingSink rollupSink;
-    rollupSink.inner = options.sink;
-    rollupSink.log = checkpointing ? &emitted : nullptr;
-
+    // The one mutable state of the run: a resume takes over the
+    // decoded state, re-split for this run's shard count; a fresh run
+    // materializes devices per shard, cohort c's global index range
+    // split into contiguous blocks, so no structure of size (total
+    // devices) ever lives outside the shard columns.
+    FleetState state;
     Tick startTick = 0;
     if (options.resumeState != nullptr) {
         if (!validBarrierTick(config, options.resumeTick))
@@ -478,38 +441,55 @@ runFleet(const FleetConfig &config, const FleetOptions &options)
                 options.resumeTick,
                 " is not a coordinator barrier of this "
                 "configuration"));
-        FleetSnapshot snap;
-        std::string error;
-        if (!decodeFleetState(*options.resumeState, config, snap,
-                              error))
-            util::panic(util::msg("fleet resume failed: ", error));
-        reshardSnapshot(snap, config, states, shardTotals);
-        coordinator.importState(snap.coordinator);
-        cohortTotals = snap.cohortTotals;
-        rollupBase = snap.rollupBase;
-        // Replay the pre-barrier event stream, so the run sink —
-        // and any trace written from it — carries the straight
-        // run's full timeline.
-        for (const obs::Event &event : snap.events)
-            rollupSink.record(event);
+        state = std::move(*options.resumeState);
+        reshardFleetState(state, config);
         startTick = options.resumeTick;
-        if (options.episodeSink != nullptr) {
-            obs::Event restore;
-            restore.kind = obs::EventKind::FleetRestore;
-            restore.tick = startTick;
-            restore.id = barrierEpoch(config, startTick);
-            restore.value = static_cast<std::int64_t>(
-                options.resumeState->size());
-            restore.extra = static_cast<std::int64_t>(shards);
-            if (options.resumeTornTail)
-                restore.flags |= obs::kFlagTornTail;
-            options.episodeSink->record(restore);
+    } else {
+        state.shards = shards;
+        state.coordinator.resize(cohortCount);
+        state.cohortTotals.resize(cohortCount);
+        state.rollupBase.resize(cohortCount);
+        state.shardTotals.resize(shards);
+        state.devices.resize(shards);
+        for (unsigned s = 0; s < shards; ++s) {
+            state.devices[s].blocks.resize(cohortCount);
+            for (std::size_t c = 0; c < cohortCount; ++c) {
+                const std::size_t n = config.cohorts[c].devices;
+                const std::size_t lo = n * s / shards;
+                const std::size_t hi = n * (s + 1) / shards;
+                state.devices[s].blocks[c].init(
+                    lo, hi - lo,
+                    runtimes[c].profile.storage.capacity());
+            }
         }
+    }
+    std::vector<std::vector<CohortCounters>> reports(
+        shards, std::vector<CohortCounters>(cohortCount));
+
+    // The fingerprint, the event log and the encode buffers only
+    // exist when the run checkpoints; a plain run pays nothing. The
+    // buffers keep their capacity from one barrier to the next.
+    const bool checkpointing =
+        static_cast<bool>(options.checkpointSink);
+    const std::uint64_t fingerprint =
+        checkpointing ? fleetFingerprint(config) : 0;
+    std::string blob;
+    std::string section;
+    LoggingSink rollupSink;
+    rollupSink.inner = options.sink;
+    rollupSink.log = checkpointing ? &state.events : nullptr;
+
+    // Replay the restored pre-barrier events into the run sink, so it
+    // — and any trace written from it — carries the straight run's
+    // full timeline. They are already the state's log.
+    if (options.sink != nullptr && options.resumeState != nullptr) {
+        for (const obs::Event &event : state.events)
+            options.sink->record(event);
     }
 
     std::size_t stateBytes = 0;
-    for (const ShardState &state : states)
-        stateBytes += state.bytes();
+    for (const ShardState &shard : state.devices)
+        stateBytes += shard.bytes();
 
     if (options.out && options.resumeState == nullptr) {
         // Shard count and --jobs are deliberately absent: the text
@@ -526,30 +506,32 @@ runFleet(const FleetConfig &config, const FleetOptions &options)
 
     Tick haltedAtTick = 0;
     std::uint64_t checkpointsWritten = 0;
+    std::vector<Directive> directives(cohortCount);
+    std::vector<CohortCounters> slabTotals(cohortCount);
 
     for (Tick slabStart = startTick; slabStart < config.horizonTicks;
          slabStart += config.slabTicks) {
         const Tick slabEnd = std::min(
             slabStart + config.slabTicks, config.horizonTicks);
 
-        // Directives are snapshotted before the fan-out so every
+        // Directives are copied out before the fan-out so every
         // shard reads the same immutable copy.
-        std::vector<Directive> directives(cohortCount);
         for (std::size_t c = 0; c < cohortCount; ++c)
-            directives[c] = coordinator.directive(c);
+            directives[c] = state.coordinator[c].directive;
 
         sim::parallelFor(shards, options.jobs, [&](std::size_t s) {
             for (std::size_t c = 0; c < cohortCount; ++c) {
                 reports[s][c] = CohortCounters{};
-                advanceBlock(states[s].blocks[c], config.cohorts[c],
-                             runtimes[c], directives[c], slabStart,
-                             slabEnd, reports[s][c]);
+                advanceBlock(state.devices[s].blocks[c],
+                             config.cohorts[c], runtimes[c],
+                             directives[c], slabStart, slabEnd,
+                             reports[s][c]);
             }
         });
 
         // Serial aggregation, shard order (64-bit integer sums, so
         // any order gives the same bytes; serial keeps it obvious).
-        std::vector<CohortCounters> slabTotals(cohortCount);
+        std::fill(slabTotals.begin(), slabTotals.end(), CohortCounters{});
         for (unsigned s = 0; s < shards; ++s) {
             // Sum the shard's cohorts first (gauges add within one
             // slab), then fold into the running shard total (gauges
@@ -561,58 +543,48 @@ runFleet(const FleetConfig &config, const FleetOptions &options)
                 slabTotals[c].add(reports[s][c]);
                 shardSlab.add(reports[s][c]);
             }
-            addCounters(shardTotals[s], shardSlab);
+            addCounters(state.shardTotals[s], shardSlab);
         }
         for (std::size_t c = 0; c < cohortCount; ++c)
-            addCounters(cohortTotals[c], slabTotals[c]);
+            addCounters(state.cohortTotals[c], slabTotals[c]);
 
-        coordinator.consumeSlab(slabTotals);
+        coordinator.consumeSlab(slabTotals, state.coordinator);
 
         const bool atRollup = slabEnd % config.rollupTicks == 0 ||
             slabEnd == config.horizonTicks;
         if (atRollup) {
             for (std::size_t c = 0; c < cohortCount; ++c) {
+                const CohortCounters &total = state.cohortTotals[c];
                 // Counters since the last rollup; gauges as of now.
-                CohortCounters delta = cohortTotals[c];
+                CohortCounters delta = total;
                 for (const CohortCounterField &field :
                      kCohortCounterFields) {
                     if (!field.gauge)
-                        delta.*field.member -= rollupBase[c].*field.member;
+                        delta.*field.member -=
+                            state.rollupBase[c].*field.member;
                 }
                 if (options.sink != nullptr || checkpointing)
-                    emitRollup(rollupSink, slabEnd, c, delta,
-                               cohortTotals[c],
+                    emitRollup(rollupSink, slabEnd, c, delta, total,
                                config.cohorts[c].devices);
                 if (options.out)
                     printRollupLine(*options.out, slabEnd,
-                                    config.cohorts[c], delta,
-                                    cohortTotals[c]);
-                rollupBase[c] = cohortTotals[c];
+                                    config.cohorts[c], delta, total);
+                state.rollupBase[c] = total;
             }
         }
 
         // Barrier snapshot, after the coordinator consumed the slab
         // and the rollup (if due) was emitted — the exact state a
-        // straight run carries into the next slab. The final barrier
-        // always snapshots, whatever the cadence.
+        // straight run carries into the next slab, encoded where it
+        // lives. The final barrier always snapshots, whatever the
+        // cadence.
         const std::uint64_t epoch = barrierEpoch(config, slabEnd);
         if (checkpointing) {
             const unsigned every = options.checkpointEverySlabs > 0
                 ? options.checkpointEverySlabs
                 : 1;
             if (epoch % every == 0 || slabEnd == config.horizonTicks) {
-                FleetSnapshot snap;
-                snap.shards = shards;
-                snap.coordinator = coordinator.exportState();
-                snap.cohortTotals = cohortTotals;
-                snap.rollupBase = rollupBase;
-                snap.shardTotals = shardTotals;
-                snap.events = emitted;
-                // The device columns are only read during encoding;
-                // swapping them in and back avoids the copy.
-                snap.states.swap(states);
-                std::string blob = encodeFleetState(snap, fingerprint);
-                snap.states.swap(states);
+                encodeFleetState(state, fingerprint, blob, section);
                 ++checkpointsWritten;
                 if (options.episodeSink != nullptr) {
                     obs::Event saved;
@@ -624,7 +596,7 @@ runFleet(const FleetConfig &config, const FleetOptions &options)
                     saved.extra = static_cast<std::int64_t>(shards);
                     options.episodeSink->record(saved);
                 }
-                options.checkpointSink(std::move(blob), slabEnd);
+                options.checkpointSink(blob, slabEnd);
             }
         }
 
@@ -646,17 +618,17 @@ runFleet(const FleetConfig &config, const FleetOptions &options)
     result.resumedFromTick = startTick;
     result.haltedAtTick = haltedAtTick;
     result.checkpointsWritten = checkpointsWritten;
-    result.shardTotals = std::move(shardTotals);
+    result.shardTotals = std::move(state.shardTotals);
     result.cohorts.reserve(cohortCount);
     for (std::size_t c = 0; c < cohortCount; ++c) {
         CohortResult cohort;
         cohort.name = config.cohorts[c].name;
         cohort.policy = config.cohorts[c].policy;
         cohort.devices = config.cohorts[c].devices;
-        cohort.totals = cohortTotals[c];
+        cohort.totals = state.cohortTotals[c];
         cohort.metrics =
-            toMetrics(cohortTotals[c], config.horizonTicks);
-        result.fleetTotals.add(cohortTotals[c]);
+            toMetrics(state.cohortTotals[c], config.horizonTicks);
+        result.fleetTotals.add(state.cohortTotals[c]);
         result.cohorts.push_back(std::move(cohort));
     }
 

@@ -8,17 +8,21 @@
  * compact struct-of-arrays snapshot per device (fleet::ShardState)
  * and advances whole shards across fixed *time slabs* by rehydrating
  * one scratch sim::Device per (shard, cohort) and advancing it with
- * the closed-form Device::advance span logic device by device. Shards are scheduled on sim::parallelFor — the same
- * deterministic pool as the experiment engine — and all cross-device
- * aggregation is 64-bit-integer arithmetic (ticks, counts,
- * nanojoules), so fleet outputs are byte-identical for every --jobs
- * value and every shard count.
+ * the closed-form Device::advance span logic device by device.
+ * Shards are scheduled on sim::parallelFor — the same deterministic
+ * pool as the experiment engine — and all cross-device aggregation
+ * is 64-bit-integer arithmetic (ticks, counts, nanojoules), so fleet
+ * outputs are byte-identical for every --jobs value and every shard
+ * count.
  *
  * Between slabs a FleetCoordinator consumes the per-slab shard
  * reports (the BOINC-MGE server-scheduler shape: devices report
  * charge / buffer occupancy / drop counts, a central policy assigns
  * work and degradation levels) and publishes one Directive per
- * cohort through the policy registry's named policies.
+ * cohort by the fleet rule of the cohort's policy row in the
+ * registry. Everything the run carries between slabs is one
+ * fleet::FleetState (fleet/state.hpp), advanced in place and, at a
+ * checkpoint barrier, encoded in place.
  */
 
 #ifndef QUETZAL_FLEET_FLEET_HPP
@@ -34,6 +38,7 @@
 
 #include "app/device_profiles.hpp"
 #include "obs/trace_sink.hpp"
+#include "policy/registry.hpp"
 #include "sim/metrics.hpp"
 #include "trace/event_generator.hpp"
 #include "util/types.hpp"
@@ -44,6 +49,8 @@ class Archive;
 
 namespace quetzal {
 namespace fleet {
+
+struct FleetState;
 
 /** Maximum degradation level a directive may assign. */
 constexpr std::uint8_t kMaxDegradeLevel = 2;
@@ -60,7 +67,7 @@ struct CohortConfig
     std::string name;
     std::size_t devices = 0;
     /** Registered policy name driving the coordinator. */
-    std::string policy = "sjf-ibo";
+    std::string policy = policy::kPaperPolicy;
     app::DeviceKind device = app::DeviceKind::Apollo4;
     /** Scales the interesting/uninteresting split of dropped
      *  captures (crowdedness; the paper's Table 1 environments). */
@@ -225,11 +232,13 @@ struct FleetOptions
 
     /** @name Barrier checkpointing (DESIGN.md section 17) */
     /// @{
-    /** Receives the encoded FleetSnapshot blob and the barrier tick
-     *  it was taken at, serially between slabs. Saving draws no
-     *  randomness and mutates nothing, so a checkpointing run stays
-     *  byte-identical to a clean one. */
-    std::function<void(std::string &&, Tick)> checkpointSink;
+    /** Receives the encoded FleetState blob and the barrier tick it
+     *  was taken at, serially between slabs. The blob is the run's
+     *  one encode buffer, reused at the next barrier: copy what must
+     *  outlive the call. Saving draws no randomness and mutates
+     *  nothing, so a checkpointing run stays byte-identical to a
+     *  clean one. */
+    std::function<void(const std::string &, Tick)> checkpointSink;
     /** Snapshot every N coordinator barriers (the final barrier at
      *  the horizon always snapshots); meaningful only with a sink. */
     unsigned checkpointEverySlabs = 1;
@@ -237,18 +246,18 @@ struct FleetOptions
      *  when that barrier is before the horizon (0 = run to the
      *  horizon). The kill-at-barrier chaos driver rides this. */
     Tick stopAfterTick = 0;
-    /** Resume point: the barrier tick and the decoded-and-validated
-     *  snapshot blob (fleet::decodeFleetState names the diagnostics;
-     *  runFleet panics on a malformed blob). */
+    /** Resume point: the barrier tick and the state decoded at it
+     *  (fleet::decodeFleetState, which names every diagnostic).
+     *  runFleet takes the state over — moves from it, re-splits it
+     *  for config.shards and advances it — and panics when the tick
+     *  is not a barrier of the configuration. */
     Tick resumeTick = 0;
-    const std::string *resumeState = nullptr;
-    /** The resume scan dropped a torn final record (reported on the
-     *  FleetRestore episode event). */
-    bool resumeTornTail = false;
-    /** Checkpoint/restore episode events (FleetCheckpoint /
-     *  FleetRestore). Deliberately a separate sink: the run sink's
-     *  event stream — and therefore every golden — must not depend
-     *  on whether the run checkpoints. */
+    FleetState *resumeState = nullptr;
+    /** Checkpoint episode events (FleetCheckpoint; the reader that
+     *  decodes a resume state records its FleetRestore). Deliberately
+     *  a separate sink: the run sink's event stream — and therefore
+     *  every golden — must not depend on whether the run
+     *  checkpoints. */
     obs::TraceSink *episodeSink = nullptr;
     /// @}
 };

@@ -1,6 +1,8 @@
 /**
  * @file
- * Struct-of-arrays per-device fleet state.
+ * The fleet run's mutable state: the struct-of-arrays per-device
+ * columns and the FleetState that holds them with everything else a
+ * run carries from one coordinator barrier to the next.
  *
  * One heap sim::Simulator per device would cost kilobytes each; a
  * million devices only fit when the persistent per-device state is
@@ -10,14 +12,24 @@
  * bytes per device all in. Everything else a device needs while it
  * advances (profile, power trace, camera costs) is cohort-constant
  * and lives once per cohort, not per device.
+ *
+ * runFleet advances one FleetState in place, encodes it in place at
+ * each barrier and, on resume, starts from one decoded from a
+ * checkpoint record (DESIGN.md sections 15 and 17).
  */
 
 #ifndef QUETZAL_FLEET_STATE_HPP
 #define QUETZAL_FLEET_STATE_HPP
 
+#include <algorithm>
 #include <cstdint>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "fleet/coordinator.hpp"
+#include "fleet/fleet.hpp"
+#include "obs/event.hpp"
 #include "util/types.hpp"
 
 namespace quetzal {
@@ -53,29 +65,56 @@ struct CohortBlock
 
     std::size_t size() const { return charge.size(); }
 
+    /** Every per-device column, in wire order. init, bytes and
+     *  copyDevices walk this one list, so a new column is added
+     *  here and nowhere else. */
+    auto
+    columns()
+    {
+        return std::tie(charge, taskTicksLeft, phaseTicksLeft, cursor,
+                        phase, occupancy, level, scratch);
+    }
+    auto
+    columns() const
+    {
+        return std::tie(charge, taskTicksLeft, phaseTicksLeft, cursor,
+                        phase, occupancy, level, scratch);
+    }
+
     /** Allocate `count` devices in their deployment state: full
      *  charge, idle, empty buffer, full quality. */
-    void init(std::size_t first, std::size_t count, double fullCharge)
+    void
+    init(std::size_t first, std::size_t count, double fullCharge)
     {
         firstDevice = first;
-        charge.assign(count, fullCharge);
-        taskTicksLeft.assign(count, 0);
-        phaseTicksLeft.assign(count, 0);
-        cursor.assign(count, 0);
-        phase.assign(count, 0);
-        occupancy.assign(count, 0);
-        level.assign(count, 0);
-        scratch.assign(count, 0);
+        std::apply([count](auto &...column) {
+            (column.assign(count, 0), ...);
+        }, columns());
+        std::fill(charge.begin(), charge.end(), fullCharge);
     }
 
     /** Bytes of per-device state this block holds. */
     std::size_t
     bytes() const
     {
-        return size() *
-            (sizeof(double) + sizeof(std::int64_t) +
-             sizeof(std::int32_t) + sizeof(std::uint32_t) +
-             3 * sizeof(std::uint8_t) + sizeof(std::uint16_t));
+        return std::apply([](const auto &...column) {
+            return ((column.size() * sizeof(column.front())) + ...);
+        }, columns());
+    }
+
+    /** Copy devices [at, at + count) of `from` over this block's
+     *  devices [to, to + count), every column. */
+    void
+    copyDevices(std::size_t to, const CohortBlock &from, std::size_t at,
+                std::size_t count)
+    {
+        auto into = columns();
+        const auto source = from.columns();
+        [&]<std::size_t... I>(std::index_sequence<I...>) {
+            (std::copy_n(std::get<I>(source).begin() + at, count,
+                         std::get<I>(into).begin() + to),
+             ...);
+        }(std::make_index_sequence<std::tuple_size_v<decltype(into)>>{});
     }
 };
 
@@ -92,6 +131,31 @@ struct ShardState
             total += block.bytes();
         return total;
     }
+};
+
+/**
+ * Everything mutable in a fleet run, between coordinator barriers:
+ * runFleet advances one of these, encodeFleetState serializes it in
+ * place at a barrier, and decodeFleetState rebuilds it for a resume.
+ */
+struct FleetState
+{
+    /** Shard count the device columns are split under. */
+    unsigned shards = 0;
+    /** The coordinator's rule state, one per cohort. */
+    std::vector<CohortState> coordinator;
+    /** Running per-cohort totals (gauges as of the last slab end). */
+    std::vector<CohortCounters> cohortTotals;
+    /** cohortTotals at the last rollup. */
+    std::vector<CohortCounters> rollupBase;
+    /** Running per-shard totals, summed over cohorts. */
+    std::vector<CohortCounters> shardTotals;
+    /** Every run-sink event emitted so far, kept while the run
+     *  checkpoints and replayed into the run sink on resume, so a
+     *  resumed run's trace is the straight run's. */
+    std::vector<obs::Event> events;
+    /** Per-shard device columns. */
+    std::vector<ShardState> devices;
 };
 
 } // namespace fleet

@@ -39,11 +39,5 @@ Adc8::applyFaults(std::uint8_t code) const
     return std::min(code, cfg.saturateMax);
 }
 
-Volts
-Adc8::voltageForCode(std::uint8_t code) const
-{
-    return static_cast<double>(code) * lsbVolts();
-}
-
 } // namespace hw
 } // namespace quetzal

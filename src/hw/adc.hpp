@@ -61,9 +61,6 @@ class Adc8
     /** Quantize a voltage to a code (saturating at 0 and 255). */
     std::uint8_t sample(Volts voltage) const;
 
-    /** Reconstruct the voltage a code represents (bin center). */
-    Volts voltageForCode(std::uint8_t code) const;
-
     /** Apply the config's fault masks to an already-quantized code. */
     std::uint8_t applyFaults(std::uint8_t code) const;
 

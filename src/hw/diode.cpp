@@ -40,11 +40,5 @@ Diode::voltageForCurrent(Amperes current) const
     return thermalVoltage() * std::log(current / cfg.saturationCurrent);
 }
 
-Amperes
-Diode::currentForVoltage(Volts voltage) const
-{
-    return cfg.saturationCurrent * std::exp(voltage / thermalVoltage());
-}
-
 } // namespace hw
 } // namespace quetzal

@@ -60,9 +60,6 @@ class Diode
      */
     Volts voltageForCurrent(Amperes current) const;
 
-    /** Inverse: current producing a given forward voltage. */
-    Amperes currentForVoltage(Volts voltage) const;
-
   private:
     DiodeConfig cfg;
     Kelvin temp;

@@ -64,13 +64,6 @@ PowerMonitorCircuit::measureExecutionCode()
     return read();
 }
 
-std::uint8_t
-PowerMonitorCircuit::measureCapCode()
-{
-    select(Channel::Vcap);
-    return read();
-}
-
 void
 PowerMonitorCircuit::State::walk(util::wire::Archive &ar)
 {

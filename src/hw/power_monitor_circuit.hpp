@@ -85,8 +85,6 @@ class PowerMonitorCircuit
     /** Convenience: select Vexe and read (the paper's V_D2). */
     std::uint8_t measureExecutionCode();
 
-    /** Convenience: select Vcap and read. */
-    std::uint8_t measureCapCode();
     /// @}
 
     /**

@@ -94,15 +94,6 @@ minLevel(EventKind kind)
     return info(kind).level;
 }
 
-std::vector<std::size_t>
-unpackOptions(std::uint32_t packed, std::size_t count)
-{
-    std::vector<std::size_t> options(count, 0);
-    for (std::size_t i = 0; i < count && i < 8; ++i)
-        options[i] = (packed >> (4 * i)) & 0xf;
-    return options;
-}
-
 void
 Event::walk(util::wire::Archive &ar)
 {

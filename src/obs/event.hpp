@@ -169,10 +169,6 @@ packOptions(const Vec &optionPerTask)
     return packed;
 }
 
-/** Unpack `count` option indices packed by packOptions(). */
-std::vector<std::size_t> unpackOptions(std::uint32_t packed,
-                                       std::size_t count);
-
 } // namespace obs
 } // namespace quetzal
 

@@ -92,14 +92,14 @@ const ControllerRow kRows[] = {
     {"Ideal", false, fixedRule<RankRule::Oldest, Admit::FullQuality>,
      Estimator::ExactFloat, false, false},
     // The zoo. "sjf-ibo" is the Quetzal row's policy under its name.
-    {"sjf-ibo", true, fixedRule<RankRule::EnergyAwareSjf, Admit::Ibo>,
-     Estimator::EnergyAware, true, true},
+    {kPaperPolicy, true, fixedRule<RankRule::EnergyAwareSjf, Admit::Ibo>,
+     Estimator::EnergyAware, true, true, FleetRule::OverflowPrevention},
     {"zygarde", true, zoo<ZygardePolicy>, Estimator::EnergyAware,
-     true, true},
+     true, true, FleetRule::DeadlineDrain},
     {"delgado-famaey", true, zoo<EnergyLookaheadPolicy>,
-     Estimator::EnergyAware, true, true},
+     Estimator::EnergyAware, true, true, FleetRule::EnergyHorizon},
     {"greedy-fcfs", true, zoo<GreedyFcfsPolicy>,
-     Estimator::EnergyAware, true, true},
+     Estimator::EnergyAware, true, true, FleetRule::FullQuality},
 };
 
 constexpr std::size_t kKindRows =

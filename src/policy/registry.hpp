@@ -7,10 +7,12 @@
  * A row names the display label, how to build the policy, which
  * service-time estimator the controller runs, whether it honours the
  * section 4.3 PID loop, and whether the simulator charges the modeled
- * Alg. 1 + Alg. 2 invocation cost. sim::runExperiment, the CLI
- * (`quetzal-sim --controller` / `--policy`), the scenario `controller`
- * / `policy` fields and the fleet coordinator all resolve here; the
- * invariant test harness walks every row.
+ * Alg. 1 + Alg. 2 invocation cost; a zoo row also names the
+ * directive rule the fleet coordinator runs for a cohort under it.
+ * sim::runExperiment, the CLI (`quetzal-sim --controller` /
+ * `--policy`), the scenario `controller` / `policy` fields and the
+ * fleet coordinator all resolve here; the invariant test harness
+ * walks every row.
  */
 
 #ifndef QUETZAL_POLICY_REGISTRY_HPP
@@ -44,6 +46,10 @@ enum class ControllerKind {
     Ideal,          ///< infinite buffer, never degrades
 };
 
+/** The registered name of the paper's policy (EA-SJF + IBO engine):
+ *  the Quetzal row's policy under its zoo name. */
+inline constexpr char kPaperPolicy[] = "sjf-ibo";
+
 /** Knobs and run facts a row reads when building its controller. */
 struct PolicyOptions
 {
@@ -67,6 +73,16 @@ enum class EstimatorRule {
     Average,     ///< power-blind historical averages (Avg. S_e2e)
 };
 
+/** The fleet coordinator's per-cohort directive rule (DESIGN.md
+ *  section 15): how a cohort's slab aggregates become the next
+ *  slab's directive. */
+enum class FleetRule {
+    OverflowPrevention, ///< escalate on drops, relax when quiet
+    DeadlineDrain,      ///< lowest level that clears the backlog
+    EnergyHorizon,      ///< shed work when the mean charge runs low
+    FullQuality,        ///< never degrade
+};
+
 /** One runnable controller configuration. */
 struct ControllerRow
 {
@@ -81,6 +97,9 @@ struct ControllerRow
     bool honoursPid;
     /** Charge the modeled Alg. 1 + Alg. 2 invocation cost. */
     bool chargesOverhead;
+    /** Directive rule of a fleet cohort under this policy (read for
+     *  zoo rows; the ControllerKind rows omit it). */
+    FleetRule fleetRule = FleetRule::OverflowPrevention;
 };
 
 /** Every row: the ControllerKind rows in enum order, then the zoo. */

@@ -55,16 +55,6 @@ BitVectorWindow::fraction(double fallback) const
 }
 
 void
-BitVectorWindow::clear()
-{
-    filledBits = 0;
-    onesCount = 0;
-    cursor = 0;
-    for (auto &word : words)
-        word = 0;
-}
-
-void
 BitVectorWindow::State::walk(util::wire::Archive &ar)
 {
     ar.varint(filledBits);

@@ -56,9 +56,6 @@ class BitVectorWindow
      */
     double fraction(double fallback = 0.0) const;
 
-    /** Reset to empty. */
-    void clear();
-
     /**
      * Mutable internals for checkpoint/restore. The window size is
      * construction-time configuration, not state: exportState() fills

@@ -84,16 +84,6 @@ ArrivalRateTracker::arrivalsPerSecond() const
         captureHz;
 }
 
-void
-ArrivalRateTracker::clear()
-{
-    for (auto &count : counts)
-        count = 0;
-    cursor = 0;
-    filledPeriods = 0;
-    runningSum = 0;
-}
-
 ExecutionProbabilityTracker::ExecutionProbabilityTracker(
         std::uint32_t windowBits)
     : window(windowBits)

@@ -82,9 +82,6 @@ class ArrivalRateTracker
     /** Configured capture rate. */
     double captureRate() const { return captureHz; }
 
-    /** Reset all history. */
-    void clear();
-
     /** Mutable internals for checkpoint/restore (the window size and
      *  capture rate are configuration, not state). */
     struct State
@@ -153,9 +150,6 @@ class ExecutionProbabilityTracker
 
     /** Number of observations (saturating at window). */
     std::uint32_t filled() const { return window.filled(); }
-
-    /** Reset all history. */
-    void clear() { window.clear(); }
 
     /** Snapshot the underlying bit window for checkpoint/restore. */
     BitVectorWindow::State exportState() const

@@ -398,21 +398,35 @@ runFleetSpec(const ScenarioSpec &spec, const EngineOptions &options)
     if (checkpointing || resuming)
         fleetOptions.episodeSink = &episodes;
 
-    std::string resumeBlob;
+    fleet::FleetState resumeState;
     if (resuming) {
-        sim::CheckpointScan scan = sim::readCheckpointStream(
+        const sim::CheckpointScan scan = sim::readCheckpointStream(
             options.fleetResumePath, fingerprint);
-        if (!fleet::validBarrierTick(config, scan.last.boundaryTick))
+        const Tick tick = scan.last.boundaryTick;
+        if (!fleet::validBarrierTick(config, tick))
             util::fatal(util::msg(
                 options.fleetResumePath,
-                ": barrier epoch mismatch — checkpoint tick ",
-                scan.last.boundaryTick,
+                ": barrier epoch mismatch — checkpoint tick ", tick,
                 " is not a coordinator barrier of this "
                 "configuration"));
-        resumeBlob = std::move(scan.last.state);
-        fleetOptions.resumeTick = scan.last.boundaryTick;
-        fleetOptions.resumeState = &resumeBlob;
-        fleetOptions.resumeTornTail = scan.tornTail;
+        std::string error;
+        if (!fleet::decodeFleetState(scan.last.state, config,
+                                     resumeState, error))
+            util::fatal(util::msg(options.fleetResumePath,
+                                  ": fleet resume failed: ", error));
+        fleetOptions.resumeTick = tick;
+        fleetOptions.resumeState = &resumeState;
+
+        obs::Event restore;
+        restore.kind = obs::EventKind::FleetRestore;
+        restore.tick = tick;
+        restore.id = fleet::barrierEpoch(config, tick);
+        restore.value =
+            static_cast<std::int64_t>(scan.last.state.size());
+        restore.extra = static_cast<std::int64_t>(config.shards);
+        if (scan.tornTail)
+            restore.flags |= obs::kFlagTornTail;
+        episodes.record(restore);
         if (checkpointing &&
             options.fleetCheckpointPath == options.fleetResumePath) {
             // Appending resumes on the same stream: drop any torn
@@ -439,7 +453,7 @@ runFleetSpec(const ScenarioSpec &spec, const EngineOptions &options)
                 : static_cast<unsigned>(spec.fleet->checkpointSlabs);
         const std::string path = options.fleetCheckpointPath;
         fleetOptions.checkpointSink =
-            [path, fingerprint](std::string &&state, Tick tick) {
+            [path, fingerprint](const std::string &state, Tick tick) {
                 sim::appendCheckpointFile(path, state, fingerprint,
                                           tick);
             };

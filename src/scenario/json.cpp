@@ -21,14 +21,6 @@ Value::find(const std::string &key) const
     return nullptr;
 }
 
-std::optional<bool>
-Value::asBool() const
-{
-    if (kind != Kind::Bool)
-        return std::nullopt;
-    return boolean;
-}
-
 std::optional<std::uint64_t>
 Value::asUint64() const
 {

@@ -61,7 +61,6 @@ struct Value
      *  fractions and exponents, asDouble accepts any JSON number.
      */
     /// @{
-    std::optional<bool> asBool() const;
     std::optional<std::uint64_t> asUint64() const;
     std::optional<double> asDouble() const;
     std::optional<std::string> asString() const;

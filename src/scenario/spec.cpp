@@ -987,15 +987,16 @@ readTerm(const Member &entry, std::vector<ReportTerm> &out)
 {
     ReportTerm term;
     term.path = entry.path;
-    // A value that is not a string is reported whatever its key.
+    // An unknown key is reported as such, whatever its value.
     const auto read = [&](const std::string &key, const Member &m) {
-        std::string text;
-        if (!m.text(text))
-            return;
-        if (const TermKey *row = findRow(kTermKeys, key))
-            term.*row->text = std::move(text);
-        else
+        const TermKey *row = findRow(kTermKeys, key);
+        if (row == nullptr) {
             m.fail(unknownKey("key", keysOf(kTermKeys)));
+            return;
+        }
+        std::string text;
+        if (m.text(text))
+            term.*row->text = std::move(text);
     };
     if (!readObject(entry, {}, read))
         return;

@@ -302,27 +302,6 @@ writeCheckpointFile(const std::string &path, const std::string &state,
 
 namespace {
 
-/** Little-endian fixed-width loads at a byte offset (no copy). */
-std::uint64_t
-loadFixed64(const std::string &bytes, std::size_t off)
-{
-    std::uint64_t value = 0;
-    for (int i = 7; i >= 0; --i)
-        value = (value << 8) |
-            static_cast<unsigned char>(bytes[off + static_cast<std::size_t>(i)]);
-    return value;
-}
-
-std::uint32_t
-loadFixed32(const std::string &bytes, std::size_t off)
-{
-    std::uint32_t value = 0;
-    for (int i = 3; i >= 0; --i)
-        value = (value << 8) |
-            static_cast<unsigned char>(bytes[off + static_cast<std::size_t>(i)]);
-    return value;
-}
-
 /** QZCK record header size: magic + version + fingerprint + tick +
  *  size + CRC. */
 constexpr std::size_t kCheckpointHeaderBytes = 32;
@@ -370,10 +349,24 @@ scanCheckpointStream(const std::string &bytes, CheckpointScan &scan,
             return false;
         }
 
-        const std::uint8_t major =
-            static_cast<std::uint8_t>(bytes[off + 4]);
-        const std::uint8_t minor =
-            static_cast<std::uint8_t>(bytes[off + 5]);
+        // The whole header is present, so none of these reads can
+        // fail: version, two reserved bytes, fingerprint, boundary
+        // tick, state size and state CRC.
+        wire::Reader header(bytes.data() + off + sizeof kCheckpointMagic,
+                            kCheckpointHeaderBytes -
+                                sizeof kCheckpointMagic);
+        std::uint8_t major = 0;
+        std::uint8_t minor = 0;
+        std::uint8_t reserved = 0;
+        std::uint64_t fingerprint = 0;
+        std::uint64_t boundary = 0;
+        std::uint32_t stateSize = 0;
+        std::uint32_t crc = 0;
+        (void)(header.getByte(major) && header.getByte(minor) &&
+               header.getByte(reserved) && header.getByte(reserved) &&
+               header.getFixed64(fingerprint) &&
+               header.getFixed64(boundary) &&
+               header.getFixed32(stateSize) && header.getFixed32(crc));
         if (major != kCheckpointMajor) {
             error = util::msg("unsupported checkpoint schema version ",
                               static_cast<int>(major), ".",
@@ -382,11 +375,6 @@ scanCheckpointStream(const std::string &bytes, CheckpointScan &scan,
                               static_cast<int>(kCheckpointMajor), ".x)");
             return false;
         }
-
-        const std::uint64_t fingerprint = loadFixed64(bytes, off + 8);
-        const std::uint64_t boundary = loadFixed64(bytes, off + 16);
-        const std::uint32_t stateSize = loadFixed32(bytes, off + 24);
-        const std::uint32_t crc = loadFixed32(bytes, off + 28);
 
         if (avail - kCheckpointHeaderBytes < stateSize) {
             // State payload is torn: same rule as a torn header.

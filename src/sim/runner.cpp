@@ -112,13 +112,6 @@ TraceCache::prepare(ExperimentConfig &config)
         config.sharedPowerTrace = it->second.watts;
 }
 
-std::size_t
-TraceCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return entries.size();
-}
-
 ParallelRunner::ParallelRunner(unsigned jobs)
     : jobCount(jobs > 0 ? jobs : defaultJobs())
 {

@@ -77,9 +77,6 @@ class TraceCache
      */
     void prepare(ExperimentConfig &config);
 
-    /** Number of distinct trace keys built so far. */
-    std::size_t size() const;
-
   private:
     struct Entry
     {

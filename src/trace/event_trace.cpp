@@ -98,22 +98,5 @@ EventTrace::writeCsv(std::ostream &out) const
     }
 }
 
-EventTrace
-EventTrace::readCsv(std::istream &in)
-{
-    std::vector<SensingEvent> events;
-    for (const auto &row : util::readCsv(in)) {
-        if (row.size() != 3)
-            util::fatal("event trace CSV rows must be "
-                        "start,duration,interesting");
-        SensingEvent event;
-        event.start = secondsToTicks(util::parseDouble(row[0]));
-        event.duration = secondsToTicks(util::parseDouble(row[1]));
-        event.interesting = util::parseInt(row[2]) != 0;
-        events.push_back(event);
-    }
-    return EventTrace(std::move(events));
-}
-
 } // namespace trace
 } // namespace quetzal

@@ -105,9 +105,6 @@ class EventTrace
     /** Serialize as CSV rows "start_s,duration_s,interesting". */
     void writeCsv(std::ostream &out) const;
 
-    /** Parse from CSV (see writeCsv). Calls fatal() on bad input. */
-    static EventTrace readCsv(std::istream &in);
-
   private:
     std::vector<SensingEvent> events;
 };

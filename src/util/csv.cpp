@@ -52,17 +52,6 @@ CsvWriter::comment(const std::string &text)
 }
 
 void
-CsvWriter::row(const CsvRow &fields)
-{
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-        if (i)
-            out << ",";
-        out << fields[i];
-    }
-    out << "\n";
-}
-
-void
 CsvWriter::row(const std::vector<double> &fields)
 {
     for (std::size_t i = 0; i < fields.size(); ++i) {
@@ -80,16 +69,6 @@ parseDouble(const std::string &field)
     const double value = std::strtod(field.c_str(), &end);
     if (end == field.c_str() || *end != '\0')
         fatal(msg("malformed numeric CSV field: '", field, "'"));
-    return value;
-}
-
-long long
-parseInt(const std::string &field)
-{
-    char *end = nullptr;
-    const long long value = std::strtoll(field.c_str(), &end, 10);
-    if (end == field.c_str() || *end != '\0')
-        fatal(msg("malformed integer CSV field: '", field, "'"));
     return value;
 }
 

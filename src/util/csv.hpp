@@ -37,9 +37,6 @@ class CsvWriter
     /** Write a comment line ("# ..."). */
     void comment(const std::string &text);
 
-    /** Write one row of string fields. */
-    void row(const CsvRow &fields);
-
     /** Write one row of numeric fields. */
     void row(const std::vector<double> &fields);
 
@@ -49,9 +46,6 @@ class CsvWriter
 
 /** Parse a field as double; calls fatal() on malformed input. */
 double parseDouble(const std::string &field);
-
-/** Parse a field as int64; calls fatal() on malformed input. */
-long long parseInt(const std::string &field);
 
 } // namespace util
 } // namespace quetzal

@@ -9,28 +9,6 @@
 namespace quetzal {
 namespace util {
 
-void
-RunningStats::merge(const RunningStats &other)
-{
-    if (other.n == 0)
-        return;
-    if (n == 0) {
-        *this = other;
-        return;
-    }
-    const double delta = other.runningMean - runningMean;
-    const auto combined = n + other.n;
-    m2 += other.m2 + delta * delta *
-        static_cast<double>(n) * static_cast<double>(other.n) /
-        static_cast<double>(combined);
-    runningMean += delta * static_cast<double>(other.n) /
-        static_cast<double>(combined);
-    minSample = std::min(minSample, other.minSample);
-    maxSample = std::max(maxSample, other.maxSample);
-    total += other.total;
-    n = combined;
-}
-
 double
 RunningStats::variance() const
 {
@@ -65,14 +43,6 @@ Histogram::add(double sample)
     bin = std::min(bin, counts.size() - 1);
     ++counts[bin];
     ++n;
-}
-
-std::size_t
-Histogram::binCount(std::size_t bin) const
-{
-    if (bin >= counts.size())
-        panic(msg("Histogram bin out of range: ", bin));
-    return counts[bin];
 }
 
 double

@@ -42,9 +42,6 @@ class RunningStats
         m2 += delta * (sample - runningMean);
     }
 
-    /** Merge another accumulator into this one. */
-    void merge(const RunningStats &other);
-
     /** Number of samples seen. */
     std::size_t count() const { return n; }
 
@@ -122,9 +119,6 @@ class Histogram
 
     /** Add one sample. */
     void add(double sample);
-
-    /** Count in the given bin. */
-    std::size_t binCount(std::size_t bin) const;
 
     /** Number of bins. */
     std::size_t bins() const { return counts.size(); }

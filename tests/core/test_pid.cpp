@@ -99,15 +99,6 @@ TEST(Pid, OutputClamped)
     EXPECT_DOUBLE_EQ(pid.update(-100.0, 1.0), -0.5);
 }
 
-TEST(Pid, ResetClearsState)
-{
-    PidController pid(unitGains());
-    pid.update(5.0, 1.0);
-    pid.reset();
-    EXPECT_EQ(pid.output(), 0.0);
-    EXPECT_EQ(pid.updates(), 0ul);
-}
-
 TEST(Pid, PaperGainsAreGentle)
 {
     // Table 1 gains: tiny P/I, derivative-dominated. A steady error

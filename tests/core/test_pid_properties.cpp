@@ -219,28 +219,6 @@ TEST(PidProperties, DerivativeFiltersStepKick)
     EXPECT_LT(previous, 0.05 * kick);
 }
 
-TEST(PidProperties, ResetRestoresInitialState)
-{
-    PidController pid(testConfig());
-    fault::Disturbance noise;
-    noise.shape = fault::DisturbanceShape::Noise;
-    noise.amplitude = 2.0;
-    noise.seed = 3;
-    const auto signal = fault::disturbanceSamples(noise, 50);
-    for (const double d : signal)
-        pid.update(d, 1.0);
-    ASSERT_NE(pid.output(), 0.0);
-
-    pid.reset();
-    EXPECT_EQ(pid.output(), 0.0);
-    EXPECT_EQ(pid.updates(), 0ul);
-
-    // Post-reset trajectory is identical to a fresh controller's.
-    PidController fresh(testConfig());
-    for (const double d : signal)
-        ASSERT_DOUBLE_EQ(pid.update(d, 1.0), fresh.update(d, 1.0));
-}
-
 TEST(PidProperties, PaperGainsCorrectInjectedEstimatorBias)
 {
     // The fault subsystem's measurement bias shows up to the runtime

@@ -36,14 +36,12 @@ TEST(EnergyStorage, StartsFullByDefault)
     EnergyStorage storage(paperConfig());
     EXPECT_TRUE(storage.full());
     EXPECT_FALSE(storage.depleted());
-    EXPECT_NEAR(storage.voltage(), 3.3, 1e-9);
 }
 
 TEST(EnergyStorage, StartsEmptyWhenRequested)
 {
     EnergyStorage storage(paperConfig(), false);
     EXPECT_TRUE(storage.depleted());
-    EXPECT_NEAR(storage.voltage(), 1.8, 1e-9);
 }
 
 TEST(EnergyStorage, HarvestClampsAtCapacity)
@@ -75,18 +73,6 @@ TEST(EnergyStorage, ConservationUnderRandomOps)
         EXPECT_GE(storage.energy(), 0.0);
         EXPECT_LE(storage.energy(), storage.capacity() + 1e-12);
     }
-}
-
-TEST(EnergyStorage, VoltageMonotoneInEnergy)
-{
-    EnergyStorage storage(paperConfig(), false);
-    Volts previous = storage.voltage();
-    for (int i = 0; i < 20; ++i) {
-        storage.harvest(storage.capacity() / 20.0);
-        EXPECT_GT(storage.voltage(), previous);
-        previous = storage.voltage();
-    }
-    EXPECT_NEAR(previous, 3.3, 1e-6);
 }
 
 TEST(EnergyStorage, DeficitToRestart)

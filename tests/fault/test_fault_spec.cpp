@@ -87,33 +87,6 @@ TEST(FaultSpec, SaturateMaxBelow255IsAnAdcFault)
     EXPECT_FALSE(s.inert());
 }
 
-TEST(FaultClassNames, RoundTripAllClasses)
-{
-    for (std::size_t i = 0; i < kFaultClassCount; ++i) {
-        const auto cls = static_cast<FaultClass>(i);
-        const std::string name = faultClassName(cls);
-        EXPECT_FALSE(name.empty());
-        const auto parsed = parseFaultClass(name);
-        ASSERT_TRUE(parsed.has_value()) << name;
-        EXPECT_EQ(*parsed, cls) << name;
-    }
-}
-
-TEST(FaultClassNames, NamesAreDistinct)
-{
-    for (std::size_t i = 0; i < kFaultClassCount; ++i)
-        for (std::size_t j = i + 1; j < kFaultClassCount; ++j)
-            EXPECT_NE(faultClassName(static_cast<FaultClass>(i)),
-                      faultClassName(static_cast<FaultClass>(j)));
-}
-
-TEST(FaultClassNames, UnknownNameParsesToNothing)
-{
-    EXPECT_FALSE(parseFaultClass("").has_value());
-    EXPECT_FALSE(parseFaultClass("meteor_strike").has_value());
-    EXPECT_FALSE(parseFaultClass("MEASUREMENT_BIAS").has_value());
-}
-
 } // namespace
 } // namespace fault
 } // namespace quetzal

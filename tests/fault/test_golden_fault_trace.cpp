@@ -160,8 +160,7 @@ TEST(GoldenFaultTrace, EveryFaultClassAppearsAsTypedEvent)
     }
     for (std::size_t cls = 0; cls < kFaultClassCount; ++cls)
         EXPECT_TRUE(seen[cls])
-            << "no FaultInjected event for class "
-            << faultClassName(static_cast<FaultClass>(cls));
+            << "no FaultInjected event for class " << cls;
 }
 
 TEST(GoldenFaultTrace, ReplayCountersPinInjectionTotals)

@@ -121,21 +121,23 @@ runAgainstStream(const fleet::FleetConfig &config, unsigned jobs,
     options.sink = &sink;
     options.out = &text;
     options.stopAfterTick = stopAfterTick;
-    options.checkpointSink = [&path, fingerprint](std::string &&state,
-                                                  Tick tick) {
+    options.checkpointSink = [&path, fingerprint](
+                                 const std::string &state, Tick tick) {
         sim::appendCheckpointFile(path, state, fingerprint, tick);
     };
 
-    std::string resumeBlob;
-    sim::CheckpointScan scan;
+    fleet::FleetState resumeState;
     if (resume) {
-        scan = sim::readCheckpointStream(path, fingerprint);
+        const sim::CheckpointScan scan =
+            sim::readCheckpointStream(path, fingerprint);
         EXPECT_TRUE(fleet::validBarrierTick(config,
                                             scan.last.boundaryTick));
-        resumeBlob = std::move(scan.last.state);
+        std::string error;
+        EXPECT_TRUE(fleet::decodeFleetState(scan.last.state, config,
+                                            resumeState, error))
+            << error;
         options.resumeTick = scan.last.boundaryTick;
-        options.resumeState = &resumeBlob;
-        options.resumeTornTail = scan.tornTail;
+        options.resumeState = &resumeState;
         sim::truncateCheckpointFile(path, scan.validBytes);
     } else {
         std::ofstream fresh(path,
@@ -264,7 +266,8 @@ TEST(FleetChaos, SigkilledWriterLeavesATornTailAndThePriorBarrierWins)
         fleet::FleetOptions options;
         options.jobs = 2;
         std::size_t epoch = 0;
-        options.checkpointSink = [&](std::string &&state, Tick tick) {
+        options.checkpointSink = [&](const std::string &state,
+                                     Tick tick) {
             ++epoch;
             if (epoch <= 2) {
                 sim::appendCheckpointFile(path, state, fingerprint,
@@ -448,12 +451,12 @@ TEST(FleetChaosDeathTest, ResumeDiesOnANonBarrierCheckpointTick)
     // refuses to resume mid-slab.
     const fleet::FleetConfig config =
         chaosConfig(2, {"sjf-ibo", "greedy-fcfs"});
-    const std::string blob = "irrelevant: the tick check fires first";
+    fleet::FleetState state; // irrelevant: the tick check fires first
 
     fleet::FleetOptions options;
     options.jobs = 1;
     options.resumeTick = config.slabTicks + 1;
-    options.resumeState = &blob;
+    options.resumeState = &state;
     EXPECT_DEATH((void)fleet::runFleet(config, options),
                  "barrier epoch mismatch");
 }

@@ -66,11 +66,12 @@ struct FleetCapture
     fleet::FleetResult result;
 };
 
-/** Run once, collecting snapshots in memory. */
+/** Run once, collecting snapshots in memory; a resume decodes
+ *  `resumeBlob` against `config` first. */
 FleetCapture
 runOnce(const fleet::FleetConfig &config, unsigned jobs,
         bool checkpointing = false, Tick stopAfterTick = 0,
-        Tick resumeTick = 0, const std::string *resumeState = nullptr)
+        Tick resumeTick = 0, const std::string *resumeBlob = nullptr)
 {
     FleetCapture capture;
     obs::VectorSink sink;
@@ -82,14 +83,21 @@ runOnce(const fleet::FleetConfig &config, unsigned jobs,
     options.sink = &sink;
     options.out = &text;
     options.stopAfterTick = stopAfterTick;
-    options.resumeTick = resumeTick;
-    options.resumeState = resumeState;
-    if (checkpointing || resumeState != nullptr)
+    fleet::FleetState resumeState;
+    if (resumeBlob != nullptr) {
+        std::string error;
+        EXPECT_TRUE(fleet::decodeFleetState(*resumeBlob, config,
+                                            resumeState, error))
+            << error;
+        options.resumeTick = resumeTick;
+        options.resumeState = &resumeState;
+    }
+    if (checkpointing || resumeBlob != nullptr)
         options.episodeSink = &episodes;
     if (checkpointing) {
-        options.checkpointSink = [&capture](std::string &&state,
+        options.checkpointSink = [&capture](const std::string &state,
                                             Tick tick) {
-            capture.checkpoints.emplace_back(std::move(state), tick);
+            capture.checkpoints.emplace_back(state, tick);
         };
     }
 
@@ -98,6 +106,16 @@ runOnce(const fleet::FleetConfig &config, unsigned jobs,
     capture.events = sink.events();
     capture.episodes = episodes.events();
     return capture;
+}
+
+/** encodeFleetState into fresh buffers. */
+std::string
+encode(fleet::FleetState &state, std::uint64_t fp)
+{
+    std::string blob;
+    std::string section;
+    fleet::encodeFleetState(state, fp, blob, section);
+    return blob;
 }
 
 std::string
@@ -259,14 +277,21 @@ TEST(FleetCheckpoint, EncodeDecodeRoundTripsByteExactly)
     const std::string &blob = saving.checkpoints[2].first;
 
     const std::uint64_t fp = fleet::fleetFingerprint(config);
-    fleet::FleetSnapshot snap;
+    fleet::FleetState state;
     std::string error;
-    ASSERT_TRUE(fleet::decodeFleetState(blob, config, snap, error))
+    ASSERT_TRUE(fleet::decodeFleetState(blob, config, state, error))
         << error;
-    EXPECT_EQ(snap.shards, 4u);
-    EXPECT_EQ(snap.coordinator.size(), config.cohorts.size());
-    EXPECT_EQ(snap.states.size(), 4u);
-    EXPECT_EQ(fleet::encodeFleetState(snap, fp), blob);
+    EXPECT_EQ(state.shards, 4u);
+    EXPECT_EQ(state.coordinator.size(), config.cohorts.size());
+    EXPECT_EQ(state.devices.size(), 4u);
+    EXPECT_EQ(encode(state, fp), blob);
+
+    // One encode buffer serves every barrier: re-encoding into
+    // buffers that hold a longer blob yields exactly the same bytes.
+    std::string reused = saving.checkpoints.back().first + "stale";
+    std::string section = "stale section";
+    fleet::encodeFleetState(state, fp, reused, section);
+    EXPECT_EQ(reused, blob);
 }
 
 TEST(FleetCheckpoint, ResumeAtEveryBarrierReplaysTheStraightRun)
@@ -290,11 +315,10 @@ TEST(FleetCheckpoint, ResumeAtEveryBarrierReplaysTheStraightRun)
             << "totals diverged resuming from barrier " << snap.second;
         EXPECT_EQ(resumed.result.resumedFromTick, snap.second);
 
-        // Exactly one restore episode, stamped with the barrier.
-        ASSERT_EQ(resumed.episodes.size(), 1u);
-        EXPECT_EQ(resumed.episodes.front().kind,
-                  obs::EventKind::FleetRestore);
-        EXPECT_EQ(resumed.episodes.front().tick, snap.second);
+        // The reader that decoded the state records the restore
+        // episode (scripts/check_fleet_resume.sh); a resumed run
+        // that does not checkpoint records none.
+        EXPECT_TRUE(resumed.episodes.empty());
     }
 }
 
@@ -353,6 +377,113 @@ TEST(FleetCheckpoint, SnapshotResumesUnderAnyShardCount)
     }
 }
 
+TEST(FleetCheckpoint, ReshardKeepsEveryDeviceInGlobalOrder)
+{
+    const fleet::FleetConfig taken = smallConfig(4);
+    const FleetCapture saving = runOnce(taken, 2, true);
+    ASSERT_GE(saving.checkpoints.size(), 3u);
+    fleet::FleetState stored;
+    std::string error;
+    ASSERT_TRUE(fleet::decodeFleetState(saving.checkpoints[2].first,
+                                        taken, stored, error))
+        << error;
+
+    // Every column of cohort c, concatenated in shard order.
+    const auto columns = [](const fleet::FleetState &state,
+                            std::size_t c) {
+        fleet::CohortBlock all;
+        std::size_t n = 0;
+        for (const fleet::ShardState &shard : state.devices)
+            n += shard.blocks[c].size();
+        all.init(0, n, 0.0);
+        std::size_t at = 0;
+        for (const fleet::ShardState &shard : state.devices) {
+            const fleet::CohortBlock &block = shard.blocks[c];
+            EXPECT_EQ(block.firstDevice, at);
+            all.copyDevices(at, block, 0, block.size());
+            at += block.size();
+        }
+        return all;
+    };
+
+    fleet::FleetState resharded = stored;
+    fleet::reshardFleetState(resharded, smallConfig(3));
+    ASSERT_EQ(resharded.shards, 3u);
+    ASSERT_EQ(resharded.devices.size(), 3u);
+    ASSERT_EQ(resharded.shardTotals.size(), 3u);
+    for (std::size_t c = 0; c < taken.cohorts.size(); ++c)
+        EXPECT_TRUE(columns(resharded, c).columns() ==
+                    columns(stored, c).columns())
+            << "cohort " << c;
+    fleet::CohortCounters before;
+    fleet::CohortCounters after;
+    for (const fleet::CohortCounters &s : stored.shardTotals)
+        before.add(s);
+    for (const fleet::CohortCounters &s : resharded.shardTotals)
+        after.add(s);
+    EXPECT_EQ(countersLine(before), countersLine(after));
+
+    // Under the count it was taken with, the state stays as it is.
+    fleet::FleetState same = stored;
+    fleet::reshardFleetState(same, taken);
+    EXPECT_EQ(encode(same, fleet::fleetFingerprint(taken)),
+              saving.checkpoints[2].first);
+}
+
+TEST(FleetCheckpoint, ReshardThereAndBackRestoresTheBlob)
+{
+    // Splitting shards loses nothing: each stored shard's totals land
+    // on the first of its target shards and its devices stay in
+    // order, so back under the count the snapshot was taken with, the
+    // state encodes to the saved bytes again. (Merging shards sums
+    // their totals, which no later split can undo.)
+    const fleet::FleetConfig taken = smallConfig(4);
+    const FleetCapture saving = runOnce(taken, 2, true);
+    ASSERT_GE(saving.checkpoints.size(), 3u);
+    const std::string &blob = saving.checkpoints[2].first;
+    const std::uint64_t fp = fleet::fleetFingerprint(taken);
+
+    for (const unsigned shards : {8u, 16u}) {
+        fleet::FleetState state;
+        std::string error;
+        ASSERT_TRUE(fleet::decodeFleetState(blob, taken, state, error))
+            << error;
+        fleet::reshardFleetState(state, smallConfig(shards));
+        ASSERT_EQ(state.shards, shards);
+        fleet::reshardFleetState(state, taken);
+        EXPECT_EQ(encode(state, fp), blob)
+            << "round trip through " << shards << " shards";
+    }
+}
+
+TEST(FleetCheckpoint, ResumedRunSavesTheStraightRunsLaterSnapshots)
+{
+    // A resumed run that keeps checkpointing appends exactly the
+    // snapshots the straight run took after its barrier. The replay
+    // log in those blobs would differ if the restored events were
+    // logged a second time.
+    const fleet::FleetConfig config = smallConfig(4);
+    const FleetCapture saving = runOnce(config, 2, true);
+    ASSERT_EQ(saving.checkpoints.size(), 6u);
+
+    for (const std::size_t from : {std::size_t{0}, std::size_t{3}}) {
+        const Snapshot &snap = saving.checkpoints[from];
+        const FleetCapture resumed =
+            runOnce(config, 2, true, 0, snap.second, &snap.first);
+        ASSERT_EQ(resumed.checkpoints.size(),
+                  saving.checkpoints.size() - from - 1);
+        for (std::size_t i = 0; i < resumed.checkpoints.size(); ++i) {
+            EXPECT_EQ(resumed.checkpoints[i].second,
+                      saving.checkpoints[from + 1 + i].second);
+            EXPECT_EQ(resumed.checkpoints[i].first,
+                      saving.checkpoints[from + 1 + i].first)
+                << "snapshot diverged at barrier "
+                << resumed.checkpoints[i].second << " resuming from "
+                << snap.second;
+        }
+    }
+}
+
 TEST(FleetCheckpoint, ResumeIsJobsIndependent)
 {
     const fleet::FleetConfig config = smallConfig(8);
@@ -382,9 +513,9 @@ TEST(FleetCheckpoint, CadenceSkipsBarriersButAlwaysSavesTheFinal)
     options.jobs = 2;
     options.sink = &sink;
     options.checkpointEverySlabs = 4;
-    options.checkpointSink = [&capture](std::string &&state,
+    options.checkpointSink = [&capture](const std::string &state,
                                         Tick tick) {
-        capture.checkpoints.emplace_back(std::move(state), tick);
+        capture.checkpoints.emplace_back(state, tick);
     };
     capture.result = fleet::runFleet(config, options);
 
@@ -404,7 +535,7 @@ TEST(FleetCheckpoint, DecodeRejectsTruncation)
     ASSERT_FALSE(saving.checkpoints.empty());
     const std::string &blob = saving.checkpoints.front().first;
 
-    fleet::FleetSnapshot snap;
+    fleet::FleetState snap;
     std::string error;
     EXPECT_FALSE(fleet::decodeFleetState(std::string(), config, snap,
                                          error));
@@ -425,7 +556,7 @@ TEST(FleetCheckpoint, DecodeRejectsTrailingBytes)
     std::string blob = saving.checkpoints.front().first;
     blob += '\0';
 
-    fleet::FleetSnapshot snap;
+    fleet::FleetState snap;
     std::string error;
     EXPECT_FALSE(fleet::decodeFleetState(blob, config, snap, error));
     EXPECT_NE(error.find("trailing bytes"), std::string::npos)
@@ -440,7 +571,7 @@ TEST(FleetCheckpoint, DecodeRejectsCohortCountMismatch)
 
     fleet::FleetConfig oneCohort = config;
     oneCohort.cohorts.pop_back();
-    fleet::FleetSnapshot snap;
+    fleet::FleetState snap;
     std::string error;
     EXPECT_FALSE(fleet::decodeFleetState(
         saving.checkpoints.front().first, oneCohort, snap, error));
@@ -458,7 +589,7 @@ TEST(FleetCheckpoint, DecodeNamesTheShardACorruptSectionHitBy)
     // Flip a byte near the end: inside the last shard's section.
     blob[blob.size() - 8] =
         static_cast<char>(blob[blob.size() - 8] ^ 0x01);
-    fleet::FleetSnapshot snap;
+    fleet::FleetState snap;
     std::string error;
     EXPECT_FALSE(fleet::decodeFleetState(blob, config, snap, error));
     EXPECT_NE(error.find("shard"), std::string::npos) << error;
@@ -476,7 +607,7 @@ TEST(FleetCheckpoint, DecodeRejectsAForeignConfigurationsDevices)
 
     fleet::FleetConfig fewer = taken;
     fewer.cohorts[0].devices = 60;
-    fleet::FleetSnapshot snap;
+    fleet::FleetState snap;
     std::string error;
     EXPECT_FALSE(fleet::decodeFleetState(
         saving.checkpoints.front().first, fewer, snap, error));
@@ -496,14 +627,14 @@ TEST(FleetCheckpoint, DecodeRejectsBlocksThatDoNotTileTheCohort)
     ASSERT_FALSE(saving.checkpoints.empty());
     const std::uint64_t fp = fleet::fleetFingerprint(config);
 
-    fleet::FleetSnapshot snap;
+    fleet::FleetState snap;
     std::string error;
     ASSERT_TRUE(fleet::decodeFleetState(
         saving.checkpoints.front().first, config, snap, error))
         << error;
-    snap.states[0].blocks[0].firstDevice += 1;
-    EXPECT_FALSE(fleet::decodeFleetState(
-        fleet::encodeFleetState(snap, fp), config, snap, error));
+    snap.devices[0].blocks[0].firstDevice += 1;
+    EXPECT_FALSE(fleet::decodeFleetState(encode(snap, fp), config, snap,
+                                         error));
     EXPECT_NE(error.find("device range mismatch"), std::string::npos)
         << error;
 }
@@ -531,15 +662,15 @@ struct DeviceRecord
  */
 template <typename Patch>
 std::string
-encodeWithPatchedDevice(fleet::FleetSnapshot snap, std::uint64_t fp,
+encodeWithPatchedDevice(fleet::FleetState snap, std::uint64_t fp,
                         Patch patch)
 {
     namespace wire = util::wire;
-    const std::vector<fleet::ShardState> states = std::move(snap.states);
-    snap.states.assign(snap.shards, fleet::ShardState{});
+    const std::vector<fleet::ShardState> states = std::move(snap.devices);
+    snap.devices.assign(snap.shards, fleet::ShardState{});
     // With no blocks, a shard section is its 8-byte fingerprint: one
     // length byte, the section and a 4-byte CRC per shard.
-    std::string blob = fleet::encodeFleetState(snap, fp);
+    std::string blob = encode(snap, fp);
     blob.resize(blob.size() - 13 * snap.shards);
     for (unsigned s = 0; s < snap.shards; ++s) {
         std::string section;
@@ -580,7 +711,7 @@ TEST(FleetCheckpoint, DecodeRejectsOutOfRangeDeviceAndCoordinatorState)
     const FleetCapture saving = runOnce(config, 2, true);
     ASSERT_FALSE(saving.checkpoints.empty());
     const std::uint64_t fp = fleet::fleetFingerprint(config);
-    fleet::FleetSnapshot snap;
+    fleet::FleetState snap;
     std::string error;
     ASSERT_TRUE(fleet::decodeFleetState(
         saving.checkpoints.front().first, config, snap, error))
@@ -610,7 +741,7 @@ TEST(FleetCheckpoint, DecodeRejectsOutOfRangeDeviceAndCoordinatorState)
          "degradation level above the maximum"},
     };
     for (const auto &[patch, want] : devices) {
-        fleet::FleetSnapshot decoded;
+        fleet::FleetState decoded;
         EXPECT_FALSE(fleet::decodeFleetState(
             encodeWithPatchedDevice(snap, fp, patch), config, decoded,
             error));
@@ -620,30 +751,69 @@ TEST(FleetCheckpoint, DecodeRejectsOutOfRangeDeviceAndCoordinatorState)
     }
 
     // Directive levels shift the job length; 64 would be undefined.
-    using Tamper = void (*)(fleet::FleetCoordinator::CohortState &);
+    using Tamper = void (*)(fleet::CohortState &);
     const Tamper directives[] = {
-        [](fleet::FleetCoordinator::CohortState &c) {
+        [](fleet::CohortState &c) {
             c.directive.baseLevel = 64;
         },
-        [](fleet::FleetCoordinator::CohortState &c) {
+        [](fleet::CohortState &c) {
             c.directive.pressureLevel = fleet::kMaxDegradeLevel + 1;
         },
-        [](fleet::FleetCoordinator::CohortState &c) {
+        [](fleet::CohortState &c) {
             c.lastBase = fleet::kMaxDegradeLevel + 1;
         },
     };
     for (const Tamper tamper : directives) {
-        fleet::FleetSnapshot tampered = snap;
+        fleet::FleetState tampered = snap;
         tamper(tampered.coordinator[1]);
-        fleet::FleetSnapshot decoded;
-        EXPECT_FALSE(fleet::decodeFleetState(
-            fleet::encodeFleetState(tampered, fp), config, decoded,
-            error));
+        fleet::FleetState decoded;
+        EXPECT_FALSE(fleet::decodeFleetState(encode(tampered, fp), config,
+                                             decoded, error));
         EXPECT_NE(error.find("cohort 1"), std::string::npos) << error;
         EXPECT_NE(error.find("degradation level above the maximum"),
                   std::string::npos)
             << error;
     }
+}
+
+TEST(FleetCheckpoint, DecodeRejectsAMalformedBlob)
+{
+    const fleet::FleetConfig config = smallConfig(2);
+    fleet::FleetState state;
+    std::string error;
+    EXPECT_FALSE(fleet::decodeFleetState("not a fleet snapshot", config,
+                                         state, error));
+    EXPECT_NE(error.find("fleet state"), std::string::npos) << error;
+}
+
+TEST(FleetCheckpoint, DecodeIntoAUsedStateReplacesIt)
+{
+    // A reader may decode into the same state more than once: nothing
+    // of the earlier snapshot (its shard count, columns, totals or
+    // events) survives into the later one.
+    const fleet::FleetConfig config = smallConfig(4);
+    const FleetCapture saving = runOnce(config, 2, true);
+    ASSERT_GE(saving.checkpoints.size(), 2u);
+    const std::uint64_t fp = fleet::fleetFingerprint(config);
+    const std::string &first = saving.checkpoints.front().first;
+    const std::string &last = saving.checkpoints.back().first;
+
+    fleet::FleetState state;
+    std::string error;
+    ASSERT_TRUE(fleet::decodeFleetState(last, config, state, error))
+        << error;
+    fleet::reshardFleetState(state, smallConfig(16));
+    ASSERT_TRUE(fleet::decodeFleetState(first, config, state, error))
+        << error;
+    EXPECT_EQ(state.shards, 4u);
+    EXPECT_EQ(encode(state, fp), first);
+
+    // A failed decode does not spoil the next decode into the state.
+    EXPECT_FALSE(fleet::decodeFleetState(first.substr(0, first.size() / 2),
+                                         config, state, error));
+    ASSERT_TRUE(fleet::decodeFleetState(last, config, state, error))
+        << error;
+    EXPECT_EQ(encode(state, fp), last);
 }
 
 using FleetCheckpointDeathTest = ::testing::Test;
@@ -653,27 +823,18 @@ TEST(FleetCheckpointDeathTest, ResumePanicsOnANonBarrierTick)
     const fleet::FleetConfig config = smallConfig(2);
     const FleetCapture saving = runOnce(config, 2, true);
     ASSERT_FALSE(saving.checkpoints.empty());
-    const std::string &blob = saving.checkpoints.front().first;
+    fleet::FleetState state;
+    std::string error;
+    ASSERT_TRUE(fleet::decodeFleetState(saving.checkpoints.front().first,
+                                        config, state, error))
+        << error;
 
     fleet::FleetOptions options;
     options.jobs = 1;
     options.resumeTick = config.slabTicks / 2;
-    options.resumeState = &blob;
+    options.resumeState = &state;
     EXPECT_DEATH((void)fleet::runFleet(config, options),
                  "barrier epoch mismatch");
-}
-
-TEST(FleetCheckpointDeathTest, ResumePanicsOnAMalformedBlob)
-{
-    const fleet::FleetConfig config = smallConfig(2);
-    const std::string garbage = "not a fleet snapshot";
-
-    fleet::FleetOptions options;
-    options.jobs = 1;
-    options.resumeTick = config.slabTicks;
-    options.resumeState = &garbage;
-    EXPECT_DEATH((void)fleet::runFleet(config, options),
-                 "fleet resume failed");
 }
 
 } // namespace

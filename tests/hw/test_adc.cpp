@@ -39,7 +39,7 @@ TEST(Adc8, QuantizationErrorBounded)
     Adc8 adc;
     for (int i = 0; i <= 600; ++i) {
         const Volts v = i * 1e-3;
-        const Volts reconstructed = adc.voltageForCode(adc.sample(v));
+        const Volts reconstructed = adc.sample(v) * adc.lsbVolts();
         EXPECT_NEAR(reconstructed, v, adc.lsbVolts() / 2.0 + 1e-12);
     }
 }

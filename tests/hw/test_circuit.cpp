@@ -30,7 +30,8 @@ TEST(Circuit, MuxSelectsChannels)
 
     EXPECT_EQ(vin, circuit.measureInputCode());
     EXPECT_EQ(vexe, circuit.measureExecutionCode());
-    EXPECT_EQ(vcap, circuit.measureCapCode());
+    circuit.select(Channel::Vcap);
+    EXPECT_EQ(vcap, circuit.read());
     // Higher power -> higher diode voltage -> higher code.
     EXPECT_GT(vexe, vin);
 }
@@ -89,7 +90,8 @@ TEST(Circuit, CapChannelUsesDivider)
     PowerMonitorCircuit circuit(cfg);
     circuit.setCapVoltage(3.3);
     // 3.3 V * 0.15 = 0.495 V of 0.6 V full scale.
-    const auto code = circuit.measureCapCode();
+    circuit.select(Channel::Vcap);
+    const auto code = circuit.read();
     EXPECT_NEAR(code, 0.495 / 0.6 * 255.0, 1.0);
 }
 

@@ -73,6 +73,18 @@ TEST(PolicyRegistry, ZooControllersReportThePolicyName)
     }
 }
 
+TEST(PolicyRegistry, EveryZooRowNamesItsFleetRule)
+{
+    // The fleet coordinator reads this column; each zoo policy runs
+    // its own directive rule at fleet scale.
+    EXPECT_EQ(policyRow(kPaperPolicy).fleetRule,
+              FleetRule::OverflowPrevention);
+    EXPECT_EQ(policyRow("zygarde").fleetRule, FleetRule::DeadlineDrain);
+    EXPECT_EQ(policyRow("delgado-famaey").fleetRule,
+              FleetRule::EnergyHorizon);
+    EXPECT_EQ(policyRow("greedy-fcfs").fleetRule, FleetRule::FullQuality);
+}
+
 TEST(PolicyRegistry, ControllerKindRowsComeFirstInEnumOrder)
 {
     const auto rows = controllerRows();

@@ -53,16 +53,6 @@ TEST(BitVectorWindow, EvictsOldestWhenFull)
     EXPECT_DOUBLE_EQ(window.fraction(), 1.0);
 }
 
-TEST(BitVectorWindow, ClearResets)
-{
-    BitVectorWindow window(16);
-    for (int i = 0; i < 20; ++i)
-        window.append(true);
-    window.clear();
-    EXPECT_EQ(window.filled(), 0u);
-    EXPECT_EQ(window.ones(), 0u);
-}
-
 /** Property: window agrees with a deque reference for many shapes. */
 class BitWindowProperty
     : public ::testing::TestWithParam<std::uint32_t>

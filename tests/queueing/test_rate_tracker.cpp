@@ -70,15 +70,6 @@ TEST(ArrivalRateTracker, LagBoundedByWindow)
     EXPECT_DOUBLE_EQ(tracker.arrivalsPerSecond(), 1.0);
 }
 
-TEST(ArrivalRateTracker, ClearResets)
-{
-    ArrivalRateTracker tracker(8, 1.0);
-    tracker.recordCapture(true);
-    tracker.clear();
-    EXPECT_EQ(tracker.filled(), 0u);
-    EXPECT_DOUBLE_EQ(tracker.arrivalsPerSecond(), 1.0); // conservative
-}
-
 TEST(ExecutionProbabilityTracker, ConservativeDefault)
 {
     ExecutionProbabilityTracker tracker(64);

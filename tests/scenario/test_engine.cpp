@@ -5,7 +5,9 @@
  * bit-identical across jobs counts (the determinism contract), the
  * report renderer prints banner/sections/format lines, CSV lands on
  * disk, and runScenarioFile() turns invalid input into a non-zero
- * exit instead of a crash.
+ * exit instead of a crash. A fleet resume is decoded where the
+ * stream is read: the engine records the restore episode and turns
+ * an impossible state into a fatal naming the stream.
  */
 
 #include <gtest/gtest.h>
@@ -15,9 +17,12 @@
 #include <sstream>
 #include <string>
 
+#include "fleet/checkpoint.hpp"
 #include "obs/trace_cursor.hpp"
+#include "obs/trace_io.hpp"
 #include "scenario/engine.hpp"
 #include "scenario/spec.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
 
 namespace quetzal {
@@ -240,6 +245,118 @@ TEST(ScenarioEngine, RunScenarioFileValidateOnlyDoesNotRun)
     EXPECT_NE(out.find("2 cells x 2 populations = 4 runs"),
               std::string::npos);
     std::remove(path.c_str());
+}
+
+/** Four devices for one simulated hour, six coordinator barriers. */
+const char kTinyFleet[] = R"({
+  "schema_version": 1, "name": "tiny_fleet",
+  "populations": [{"name": "A", "policy": "sjf-ibo"}],
+  "fleet": {"shards": 2, "slab_s": 600, "horizon_s": 3600,
+            "cohorts": [{"population": "A", "devices": 4,
+                         "task_ms": 1000, "task_mw": 12.0}]}
+})";
+
+/** kTinyFleet on disk, and the config the engine builds from it. */
+std::string
+writeTinyFleet(const std::string &name, fleet::FleetConfig &config)
+{
+    const std::string path = testing::TempDir() + name;
+    std::ofstream(path) << kTinyFleet;
+    const Expected<ScenarioSpec> spec = parseScenarioText(kTinyFleet);
+    EXPECT_TRUE(spec.ok());
+    config = buildFleetConfig(*spec.value);
+    return path;
+}
+
+/** Run the scenario with stdout captured; returns the exit code. */
+int
+runQuietly(const std::string &path, const EngineOptions &options)
+{
+    testing::internal::CaptureStdout();
+    const int exitCode = runScenarioFile(path, options);
+    testing::internal::GetCapturedStdout();
+    return exitCode;
+}
+
+TEST(ScenarioEngine, FleetResumeRecordsTheRestoreEpisode)
+{
+    fleet::FleetConfig config;
+    const std::string scenario =
+        writeTinyFleet("engine_restore.json", config);
+    const std::string stream =
+        testing::TempDir() + "engine_restore.qzck";
+    const std::string episodes =
+        testing::TempDir() + "engine_restore.jsonl";
+
+    EngineOptions halt;
+    halt.jobs = 1;
+    halt.fleetCheckpointPath = stream;
+    halt.fleetStopAfterSeconds = 1800;
+    ASSERT_EQ(runQuietly(scenario, halt), 0);
+    const sim::CheckpointScan scan = sim::readCheckpointStream(
+        stream, fleet::fleetFingerprint(config));
+    ASSERT_EQ(scan.last.boundaryTick, 1800 * kTicksPerSecond);
+
+    EngineOptions resume;
+    resume.jobs = 1;
+    resume.fleetResumePath = stream;
+    resume.fleetEpisodeTracePath = episodes;
+    ASSERT_EQ(runQuietly(scenario, resume), 0);
+
+    std::ifstream in(episodes);
+    const std::vector<obs::TraceRecord> records = obs::readJsonl(in);
+    ASSERT_EQ(records.size(), 1u);
+    const obs::Event &restore = records[0].event;
+    EXPECT_EQ(restore.kind, obs::EventKind::FleetRestore);
+    EXPECT_EQ(restore.tick, scan.last.boundaryTick);
+    EXPECT_EQ(restore.id, 3u); // the third 600 s barrier
+    EXPECT_EQ(restore.value,
+              static_cast<std::int64_t>(scan.last.state.size()));
+    EXPECT_EQ(restore.extra, 2);
+    EXPECT_EQ(restore.flags & obs::kFlagTornTail, 0u);
+    std::remove(scenario.c_str());
+    std::remove(stream.c_str());
+    std::remove(episodes.c_str());
+}
+
+TEST(ScenarioEngineDeathTest, FleetResumeOfAnImpossibleStateNamesTheFile)
+{
+    fleet::FleetConfig config;
+    const std::string scenario =
+        writeTinyFleet("engine_bad_resume.json", config);
+    const std::string stream =
+        testing::TempDir() + "engine_bad_resume.qzck";
+
+    EngineOptions halt;
+    halt.jobs = 1;
+    halt.fleetCheckpointPath = stream;
+    halt.fleetStopAfterSeconds = 1200;
+    ASSERT_EQ(runQuietly(scenario, halt), 0);
+
+    // Re-seal the last record around a state no run produces: the
+    // CRC holds, so only the decode can reject it.
+    const std::uint64_t fp = fleet::fleetFingerprint(config);
+    const sim::CheckpointScan scan = sim::readCheckpointStream(stream, fp);
+    fleet::FleetState state;
+    std::string error;
+    ASSERT_TRUE(fleet::decodeFleetState(scan.last.state, config, state,
+                                        error))
+        << error;
+    state.coordinator[0].directive.baseLevel = 9;
+    std::string blob;
+    std::string section;
+    fleet::encodeFleetState(state, fp, blob, section);
+    sim::writeCheckpointFile(stream, blob, fp, scan.last.boundaryTick);
+
+    EngineOptions resume;
+    resume.jobs = 1;
+    resume.fleetResumePath = stream;
+    EXPECT_EXIT((void)runQuietly(scenario, resume),
+                testing::ExitedWithCode(1),
+                stream + ": fleet resume failed: invalid coordinator "
+                         "state");
+    std::remove(scenario.c_str());
+    std::remove(stream.c_str());
 }
 
 } // namespace

@@ -35,8 +35,9 @@ parseFail(const std::string &text)
 TEST(Json, ParsesScalars)
 {
     EXPECT_TRUE(parseOk("null").isNull());
-    EXPECT_EQ(parseOk("true").asBool(), true);
-    EXPECT_EQ(parseOk("false").asBool(), false);
+    EXPECT_TRUE(parseOk("true").isBool());
+    EXPECT_TRUE(parseOk("true").boolean);
+    EXPECT_FALSE(parseOk("false").boolean);
     EXPECT_EQ(parseOk("\"hi\"").asString(), "hi");
     EXPECT_EQ(parseOk("42").asUint64(), 42u);
     EXPECT_DOUBLE_EQ(parseOk("-7").asDouble().value(), -7.0);
@@ -69,7 +70,7 @@ TEST(Json, ParsesNestedStructures)
     ASSERT_NE(a, nullptr);
     ASSERT_TRUE(a->isArray());
     ASSERT_EQ(a->items.size(), 3u);
-    EXPECT_EQ(a->items[2].find("b")->asBool(), true);
+    EXPECT_TRUE(a->items[2].find("b")->boolean);
     EXPECT_EQ(v.find("c")->asString(), "x");
     EXPECT_EQ(v.find("missing"), nullptr);
 }
@@ -129,7 +130,8 @@ TEST(Json, MakersRoundTrip)
     EXPECT_EQ(makeNumber(std::uint64_t(18446744073709551615ull)).text,
               "18446744073709551615");
     EXPECT_DOUBLE_EQ(makeNumber(2.5).asDouble().value(), 2.5);
-    EXPECT_EQ(makeBool(true).asBool(), true);
+    EXPECT_TRUE(makeBool(true).isBool());
+    EXPECT_TRUE(makeBool(true).boolean);
 }
 
 TEST(Json, RejectsTooDeepNesting)

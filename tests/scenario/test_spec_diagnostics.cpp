@@ -500,7 +500,8 @@ const std::vector<DiagnosticCase> kCases = {
       {"report.lines[2].values[1].metric", "expected string, got number"},
       {"report.lines[2].values[2].weight",
        "unknown key (allowed: metric, subject, baseline)"},
-      {"report.lines[2].values[3].weight", "expected string, got number"},
+      {"report.lines[2].values[3].weight",
+       "unknown key (allowed: metric, subject, baseline)"},
       {"report.table[0]", "expected string, got number"},
       {"report.table[1]", "unknown population \"C\""}}},
 
@@ -544,6 +545,27 @@ const std::vector<DiagnosticCase> kCases = {
        "unknown metric \"\" (allowed: discard_ratio, ibo_ratio, "
        "tx_share_pct, hq_share_pct)"},
       {"report.lines[8].values[0].subject", "unknown population \"\""}}},
+
+    // A report term names an unknown key as such whatever its value
+    // holds; a known key with the wrong type is a type mismatch.
+    {"ReportTermKeys", R"({
+       "populations": [{"name": "A"}],
+       "report": {"banner": "b", "table": ["A"],
+         "lines": [{"format": "%.1f %.1f %.1f %.1f %.1f", "values": [
+           {"metric": "hq_share_pct", "subject": "A", "weight": true},
+           {"metric": "hq_share_pct", "subject": "A", "weight": {"x": 1}},
+           {"metric": "hq_share_pct", "subject": "A", "weight": null},
+           {"metric": "hq_share_pct", "subject": "A", "weight": [2]},
+           {"metric": true, "subject": "A"}]}]}})",
+     {{"report.lines[0].values[0].weight",
+       "unknown key (allowed: metric, subject, baseline)"},
+      {"report.lines[0].values[1].weight",
+       "unknown key (allowed: metric, subject, baseline)"},
+      {"report.lines[0].values[2].weight",
+       "unknown key (allowed: metric, subject, baseline)"},
+      {"report.lines[0].values[3].weight",
+       "unknown key (allowed: metric, subject, baseline)"},
+      {"report.lines[0].values[4].metric", "expected string, got bool"}}},
 
     {"FleetTypes", R"({
        "populations": [{"name": "A"}],

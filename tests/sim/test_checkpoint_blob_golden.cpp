@@ -169,7 +169,8 @@ fleetLines()
     std::vector<std::string> lines;
     fleet::FleetOptions options;
     options.jobs = 2;
-    options.checkpointSink = [&lines](std::string &&state, Tick tick) {
+    options.checkpointSink = [&lines](const std::string &state,
+                                      Tick tick) {
         Fnv1a hash;
         hash.update(state);
         std::ostringstream line;

@@ -162,6 +162,48 @@ TEST(CheckpointStreamFile, ScanToleratesATornTailOnlyAfterARecord)
     std::remove(path.c_str());
 }
 
+TEST(CheckpointStreamScan, ReadsEveryHeaderFieldAtFullWidth)
+{
+    // Every byte of the fixed-width fingerprint and tick reaches the
+    // scan, in little-endian order, for each record of the stream.
+    const std::uint64_t fp = 0x0123456789abcdefull;
+    const Tick first = 0x1122334455667788ll;
+    const Tick second = 0x7edcba9876543210ll;
+    const std::string stream = frameCheckpoint("a", fp, first) +
+                               frameCheckpoint("bcd", fp, second);
+    EXPECT_EQ(stream.substr(8, 8), "\xef\xcd\xab\x89\x67\x45\x23\x01");
+
+    CheckpointScan scan;
+    std::string error;
+    ASSERT_TRUE(scanCheckpointStream(stream.substr(0, 33), scan, error))
+        << error;
+    EXPECT_EQ(scan.last.fingerprint, fp);
+    EXPECT_EQ(scan.last.boundaryTick, first);
+    EXPECT_EQ(scan.last.state, "a");
+
+    ASSERT_TRUE(scanCheckpointStream(stream, scan, error)) << error;
+    EXPECT_EQ(scan.records, 2u);
+    EXPECT_EQ(scan.last.fingerprint, fp);
+    EXPECT_EQ(scan.last.boundaryTick, second);
+    EXPECT_EQ(scan.last.state, "bcd");
+    EXPECT_EQ(scan.validBytes, stream.size());
+}
+
+TEST(CheckpointStreamScan, RejectsALoneHeaderTornAtAnyByte)
+{
+    // With no complete record before it, a header cut anywhere inside
+    // its 32 bytes is a truncated file, not a torn tail.
+    const std::string framed = frameCheckpoint("state", 0xcafe, 600);
+    for (std::size_t keep = 1; keep < 32; ++keep) {
+        CheckpointScan scan;
+        std::string error;
+        EXPECT_FALSE(
+            scanCheckpointStream(framed.substr(0, keep), scan, error))
+            << keep << " bytes";
+        EXPECT_EQ(error, "truncated checkpoint header") << keep << " bytes";
+    }
+}
+
 using CheckpointStreamFileDeathTest = ::testing::Test;
 
 TEST(CheckpointStreamFileDeathTest, ReadDiesOnMissingOrEmptyStream)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "trace/event_trace.hpp"
+#include "util/csv.hpp"
 
 namespace quetzal {
 namespace trace {
@@ -68,12 +69,15 @@ TEST(EventTrace, CsvRoundTrip)
     std::ostringstream out;
     trace.writeCsv(out);
     std::istringstream in(out.str());
-    const EventTrace parsed = EventTrace::readCsv(in);
-    ASSERT_EQ(parsed.size(), trace.size());
+    const std::vector<util::CsvRow> rows = util::readCsv(in);
+    ASSERT_EQ(rows.size(), trace.size());
     for (std::size_t i = 0; i < trace.size(); ++i) {
-        EXPECT_EQ(parsed.at(i).start, trace.at(i).start);
-        EXPECT_EQ(parsed.at(i).duration, trace.at(i).duration);
-        EXPECT_EQ(parsed.at(i).interesting, trace.at(i).interesting);
+        ASSERT_EQ(rows[i].size(), 3u);
+        EXPECT_EQ(secondsToTicks(util::parseDouble(rows[i][0])),
+                  trace.at(i).start);
+        EXPECT_EQ(secondsToTicks(util::parseDouble(rows[i][1])),
+                  trace.at(i).duration);
+        EXPECT_EQ(rows[i][2], trace.at(i).interesting ? "1" : "0");
     }
 }
 

@@ -40,28 +40,23 @@ TEST(Csv, WriterRoundTrip)
     std::ostringstream out;
     CsvWriter writer(out);
     writer.comment("test");
-    writer.row(CsvRow{"x", "y"});
     writer.row(std::vector<double>{1.5, -2.0});
 
     std::istringstream in(out.str());
     const auto rows = readCsv(in);
-    ASSERT_EQ(rows.size(), 2u);
-    EXPECT_EQ(rows[0], (CsvRow{"x", "y"}));
-    EXPECT_DOUBLE_EQ(parseDouble(rows[1][0]), 1.5);
-    EXPECT_DOUBLE_EQ(parseDouble(rows[1][1]), -2.0);
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_DOUBLE_EQ(parseDouble(rows[0][0]), 1.5);
+    EXPECT_DOUBLE_EQ(parseDouble(rows[0][1]), -2.0);
 }
 
 TEST(Csv, ParseNumbers)
 {
     EXPECT_DOUBLE_EQ(parseDouble("3.25e-2"), 0.0325);
-    EXPECT_EQ(parseInt("-42"), -42);
 }
 
 TEST(CsvDeathTest, MalformedNumberIsFatal)
 {
     EXPECT_EXIT(parseDouble("12x"), ::testing::ExitedWithCode(1),
-                "malformed");
-    EXPECT_EXIT(parseInt("4.5"), ::testing::ExitedWithCode(1),
                 "malformed");
 }
 

@@ -34,38 +34,6 @@ TEST(RunningStats, KnownMoments)
     EXPECT_EQ(stats.sum(), 40.0);
 }
 
-TEST(RunningStats, MergeMatchesSequential)
-{
-    RunningStats whole;
-    RunningStats left;
-    RunningStats right;
-    for (int i = 0; i < 100; ++i) {
-        const double v = 0.1 * i * i - 3.0 * i;
-        whole.add(v);
-        (i < 37 ? left : right).add(v);
-    }
-    left.merge(right);
-    EXPECT_EQ(left.count(), whole.count());
-    EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-    EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-    EXPECT_EQ(left.min(), whole.min());
-    EXPECT_EQ(left.max(), whole.max());
-}
-
-TEST(RunningStats, MergeWithEmpty)
-{
-    RunningStats a;
-    a.add(1.0);
-    a.add(3.0);
-    RunningStats empty;
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 2u);
-    RunningStats b;
-    b.merge(a);
-    EXPECT_EQ(b.count(), 2u);
-    EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
 TEST(Histogram, BinningAndEdges)
 {
     Histogram h(0.0, 10.0, 10);
@@ -73,9 +41,11 @@ TEST(Histogram, BinningAndEdges)
     h.add(9.5);
     h.add(-100.0); // clamps into the first bin
     h.add(100.0);  // clamps into the last bin
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(9), 2u);
     EXPECT_EQ(h.total(), 4u);
+    // Two samples per edge bin: the median ends the first bin, the
+    // third quartile falls halfway into the last.
+    EXPECT_DOUBLE_EQ(h.quantile(0.5), 1.0);
+    EXPECT_DOUBLE_EQ(h.quantile(0.75), 9.5);
 }
 
 TEST(Histogram, QuantileUniform)
