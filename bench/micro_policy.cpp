@@ -2,8 +2,9 @@
  * @file
  * Microbenchmarks of the policy layer: one full Controller decision
  * of the incumbent (registry "sjf-ibo") on a loaded buffer — the
- * primary metric — plus each zoo policy's rank+admit step through a
- * PolicyContext.
+ * primary metric — the same decision followed by the job completion a
+ * run makes after it, plus each zoo policy's rank+admit step through
+ * a PolicyContext.
  */
 
 #include <benchmark/benchmark.h>
@@ -57,6 +58,34 @@ BM_PolicySelectJob(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PolicySelectJob);
+
+/**
+ * One scheduling round as a run makes it: the decision, then the
+ * completion that updates the execution-probability windows and the
+ * PID loop. BM_PolicySelectJob never completes a job, so nothing a
+ * decision derives goes stale between its iterations; here, as in a
+ * run, every round starts from changed windows.
+ */
+void
+BM_PolicyRoundWithCompletion(benchmark::State &state)
+{
+    LoadedSystem rig;
+    auto controller = policy::makeController(policy::policyRow("sjf-ibo"));
+    const core::RuntimeObservation runtime{0.05, 0.1, 7000};
+    double power = 5e-3;
+    for (auto _ : state) {
+        const auto selection = controller->selectJob(
+            rig.system, rig.buffer, power, runtime);
+        const core::Job &job = rig.system.job(selection->jobId);
+        // Observed == predicted: the PID sees no error and stays put.
+        controller->onJobComplete(
+            rig.system, *selection,
+            core::ExecutedVec(job.tasks.size(), true),
+            selection->predictedServiceSeconds);
+        power = power < 50e-3 ? power + 1e-3 : 5e-3;
+    }
+}
+BENCHMARK(BM_PolicyRoundWithCompletion);
 
 /** One rank+admit round of a zoo policy through a PolicyContext. */
 void

@@ -23,7 +23,7 @@
  * --ideal switches the ensemble to the infinite-buffer Ideal
  * baseline on the more-crowded environment — the large-buffer regime
  * where occupancy grows into the thousands and the buffer index and
- * E[S] memoization dominate; the reported figures track that
+ * the IBO backlog walk dominate; the reported figures track that
  * scenario's cost per run.
  *
  * Usage: micro_simulator [--jobs N] [--runs N] [--events N]

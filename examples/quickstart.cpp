@@ -86,7 +86,7 @@ main()
         }
         quetzal->onJobComplete(
             system, *selection,
-            std::vector<bool>(job.tasks.size(), true),
+            core::ExecutedVec(job.tasks.size(), true),
             selection->predictedServiceSeconds);
         now += kTicksPerSecond;
     }

@@ -11,9 +11,18 @@
 # best-of-N and median, the head/base ratio of both oriented so that
 # > 1 is better, how many pairs head won, the range of the per-pair
 # ratios, and each side's IQR/median spread. A median ratio inside
-# the base's spread is noise. Digests are pinned for seed 42 only;
-# on other seeds each run still checks every batch against its own
-# warm-up.
+# the base's spread is noise. The last column is a verdict per
+# metric, checked in this order:
+#   gain        head won >= 9/10 of the pairs (ties count for
+#               neither) and its median beats the base's by more
+#               than the base's IQR/median;
+#   worse       head's median is worse than the base's by more than
+#               the metric's BENCHMARK.json bound;
+#   unresolved  either side's IQR/median is wider than that bound,
+#               and not every head run beats every base run;
+#   held        otherwise.
+# Digests are pinned for seed 42 only; on other seeds each run still
+# checks every batch against its own warm-up.
 #
 # Usage: scripts/bench_ab.sh [--workload W] [--pairs N] [--seconds S]
 #                            [--seed N] [--scratch DIR] BASE HEAD
@@ -35,7 +44,7 @@ while [ $# -gt 0 ]; do
         --seconds) SECONDS_PER_RUN="$2"; shift 2 ;;
         --seed) SEED="$2"; shift 2 ;;
         --scratch) SCRATCH="$2"; shift 2 ;;
-        -h|--help) sed -n '2,21p' "$0"; exit 0 ;;
+        -h|--help) sed -n '2,31p' "$0"; exit 0 ;;
         *) POSITIONAL+=("$1"); shift ;;
     esac
 done
@@ -124,7 +133,7 @@ for side in ("base", "head"):
 print(f"  {'metric':24} {'base best':>11} {'head best':>11} "
       f"{'best x':>7} {'base med':>11} {'head med':>11} {'med x':>7} "
       f"{'wins':>5} {'pair x range':>15} {'IQR/med base':>12} "
-      f"{'head':>6}")
+      f"{'head':>6} {'verdict':>10}")
 for metric in spec["end_to_end"]:
     name = metric["name"]
     higher = metric["better"] == "higher"
@@ -147,10 +156,27 @@ for metric in spec["end_to_end"]:
     def spread(xs, med):
         q1, _, q3 = quartiles(xs)
         return (q3 - q1) / med if med else 0.0
+    b_spread = spread(vals["base"], b_med)
+    h_spread = spread(vals["head"], h_med)
+    med_x = better(b_med, h_med)
+    bound = metric["bound"]
+    worst_head = min if higher else max
+    best_base = max if higher else min
+    head_dominates = better(best_base(vals["base"]),
+                            worst_head(vals["head"])) > 1.0
+    # med_x below this: head's median is worse by more than the bound.
+    worse_below = 1.0 - bound if higher else 1.0 / (1.0 + bound)
+    if wins >= 0.9 * len(pairs) and med_x - 1.0 > b_spread:
+        verdict = "gain"
+    elif med_x < worse_below:
+        verdict = "worse"
+    elif max(b_spread, h_spread) > bound and not head_dominates:
+        verdict = "unresolved"
+    else:
+        verdict = "held"
     print(f"  {name:24} {b_best:11.4g} {h_best:11.4g} "
           f"{better(b_best, h_best):7.3f} {b_med:11.4g} {h_med:11.4g} "
-          f"{better(b_med, h_med):7.3f} {wins:>2}/{len(pairs):<2} "
+          f"{med_x:7.3f} {wins:>2}/{len(pairs):<2} "
           f"{min(pairs):7.3f}-{max(pairs):<7.3f} "
-          f"{spread(vals['base'], b_med):12.3f} "
-          f"{spread(vals['head'], h_med):6.3f}")
+          f"{b_spread:12.3f} {h_spread:6.3f} {verdict:>10}")
 EOF

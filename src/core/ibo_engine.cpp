@@ -1,6 +1,7 @@
 #include "core/ibo_engine.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "queueing/littles_law.hpp"
 #include "util/wire.hpp"
@@ -8,46 +9,34 @@
 namespace quetzal {
 namespace core {
 
-double
-IboReactionEngine::backlogServiceSeconds(
-        const TaskSystem &system, const queueing::InputBuffer &buffer,
-        const ServiceTimeEstimator &estimator, const PowerReading &power,
-        TaskId overrideTask, std::size_t overrideOption) const
-{
-    // Each buffered input contributes its job's per-task terms; the
-    // term of a task is fixed for the whole walk (the option map does
-    // not change mid-call), so derive every term once up front and
-    // leave only additions in the per-record loop. The accumulation
-    // order over records and tasks is unchanged, so the sum is
-    // bit-identical to deriving each term in place.
-    taskTermScratch.resize(system.taskCount());
-    for (TaskId taskId = 0; taskId < system.taskCount(); ++taskId) {
-        const Task &task = system.task(taskId);
-        std::size_t option = taskId < currentOption.size() ?
-            currentOption[taskId] : 0;
-        if (taskId == overrideTask)
-            option = overrideOption;
-        taskTermScratch[taskId] = system.executionProbability(taskId) *
-            estimator.estimate(task.option(option), power);
-    }
+namespace {
 
+/**
+ * Expected seconds to serve every buffered input, given each task's
+ * term at the quality under evaluation: one addition per buffered
+ * task, in FIFO and job.tasks order.
+ */
+double
+backlogServiceSeconds(const TaskSystem &system,
+                      const queueing::InputBuffer &buffer,
+                      const std::array<double, kMaxTasks> &taskTerm)
+{
     double total = 0.0;
     buffer.forEachFifo([&](queueing::SlotId,
                            const queueing::InputRecord &rec) {
-        const Job &job = system.job(rec.jobId);
-        for (TaskId taskId : job.tasks)
-            total += taskTermScratch[taskId];
+        for (TaskId taskId : system.job(rec.jobId).tasks)
+            total += taskTerm[taskId];
     });
     return total;
 }
+
+} // namespace
 
 AdaptationDecision
 IboReactionEngine::admit(const PolicyContext &ctx, const Job &job)
 {
     const TaskSystem &system = ctx.system;
     const queueing::InputBuffer &buffer = ctx.buffer;
-    const ServiceTimeEstimator &estimator = ctx.estimator;
-    const PowerReading &power = ctx.power;
     const double pidCorrection = ctx.pidCorrection;
     if (currentOption.size() < system.taskCount())
         currentOption.resize(system.taskCount(), 0);
@@ -61,9 +50,8 @@ IboReactionEngine::admit(const PolicyContext &ctx, const Job &job)
 
     // Selected-job E[S] at full quality: the PID reference and the
     // value reported when no degradation is needed.
-    const double selectedFull = std::max(
-        0.0, system.expectedJobService(job, estimator, power) +
-                 pidCorrection);
+    const double selectedFull =
+        std::max(0.0, ctx.terms.jobService(job) + pidCorrection);
     decision.predictedServiceSeconds = selectedFull;
 
     if (!job.degradableIndex) {
@@ -77,6 +65,15 @@ IboReactionEngine::admit(const PolicyContext &ctx, const Job &job)
     const std::size_t degIdx = *job.degradableIndex;
     const TaskId degTaskId = job.tasks[degIdx];
     const Task &degTask = system.task(degTaskId);
+
+    // The other tasks' terms at their current quality, derived once;
+    // the walk below fills in the degradable task's per option. Every
+    // entry below taskCount() is written before the walk reads it.
+    std::array<double, kMaxTasks> taskTerm;
+    for (TaskId taskId = 0; taskId < system.taskCount(); ++taskId) {
+        if (taskId != degTaskId)
+            taskTerm[taskId] = ctx.terms.term(taskId, currentOption[taskId]);
+    }
 
     // Detection and reaction (Alg. 2): predict the buffered inputs at
     // the horizon of the scheduled work with Little's Law, walking
@@ -92,9 +89,10 @@ IboReactionEngine::admit(const PolicyContext &ctx, const Job &job)
     double fastestBacklog = 0.0;
 
     for (std::size_t opt = 0; opt < degTask.optionCount(); ++opt) {
+        taskTerm[degTaskId] = ctx.terms.term(degTaskId, opt);
         const double backlog = std::max(
-            0.0, backlogServiceSeconds(system, buffer, estimator, power,
-                                       degTaskId, opt) + pidCorrection);
+            0.0, backlogServiceSeconds(system, buffer, taskTerm) +
+                     pidCorrection);
         // Arrivals during the drain also demand service: the busy
         // period of an M/G/1 queue starting from this backlog is
         // backlog / (1 - rho).
@@ -141,10 +139,8 @@ IboReactionEngine::admit(const PolicyContext &ctx, const Job &job)
     if (decision.iboPredicted) {
         // Report the selected job's E[S] at the chosen quality so the
         // PID compares like with like.
-        OptionVec opts(job.tasks.size(), 0);
-        opts[degIdx] = chosen;
         decision.predictedServiceSeconds = std::max(
-            0.0, system.expectedJobService(job, estimator, power, opts) +
+            0.0, ctx.terms.jobService(job, decision.optionPerTask) +
                      pidCorrection);
     }
     return decision;
@@ -153,7 +149,6 @@ IboReactionEngine::admit(const PolicyContext &ctx, const Job &job)
 void
 IboReactionEngine::state(util::wire::Archive &ar)
 {
-    // taskTermScratch is rebuilt per call; not state.
     std::vector<std::size_t> options = currentOption;
     options.resize(ar.count(options.size()));
     for (std::size_t &option : options)

@@ -50,28 +50,8 @@ class IboReactionEngine
     void state(util::wire::Archive &ar);
 
   private:
-    /**
-     * Expected seconds to serve every buffered input at the tasks'
-     * current quality settings, with one task's option overridden
-     * (the candidate under evaluation).
-     */
-    double backlogServiceSeconds(const TaskSystem &system,
-                                 const queueing::InputBuffer &buffer,
-                                 const ServiceTimeEstimator &estimator,
-                                 const PowerReading &power,
-                                 TaskId overrideTask,
-                                 std::size_t overrideOption) const;
-
     /** Last option the engine chose per task (lazily sized). */
     std::vector<std::size_t> currentOption;
-
-    /**
-     * Per-task E[S] term (execution probability x estimate) scratch,
-     * rebuilt by backlogServiceSeconds so the per-record loop costs
-     * two additions per buffered input instead of re-deriving the
-     * estimate occupancy times.
-     */
-    mutable std::vector<double> taskTermScratch;
 };
 
 } // namespace core

@@ -114,7 +114,7 @@ Controller::onTaskComplete(const TaskSystem &system, TaskId task,
 
 void
 Controller::onJobComplete(TaskSystem &system, const JobSelection &selection,
-                          const std::vector<bool> &executedPerTask,
+                          const ExecutedVec &executedPerTask,
                           double observedSeconds)
 {
     ++runStats.jobsCompleted;

@@ -116,7 +116,7 @@ class Controller
      * @param executedPerTask which of the job's tasks actually ran
      */
     void onJobComplete(TaskSystem &system, const JobSelection &selection,
-                       const std::vector<bool> &executedPerTask,
+                       const ExecutedVec &executedPerTask,
                        double observedSeconds);
 
     /** Current PID output (0 when the loop is disabled). */

@@ -21,6 +21,7 @@
 #ifndef QUETZAL_CORE_SCHEDULER_HPP
 #define QUETZAL_CORE_SCHEDULER_HPP
 
+#include <array>
 #include <optional>
 #include <string>
 
@@ -84,8 +85,66 @@ struct AdaptationDecision
 };
 
 /**
- * Everything a policy may observe when making a decision. References
- * are valid only for the duration of the call.
+ * One scheduling round's E[S] terms (Alg. 1 lines 5-8). A task's term
+ * at an option is P(task) x estimate(option, P_in); each task's
+ * full-quality term is derived at most once per round and shared by
+ * every reader of the round: the ranking, the selected job's E[S],
+ * the IBO backlog walk and the other admit rules. Each PolicyContext
+ * owns a fresh table, so nothing a completion or an estimator
+ * observation changes between two rounds is ever served stale.
+ * Every E[S] is summed from 0.0 in job.tasks order from the same
+ * products as a direct walk of Σ p·estimate, so it is the same double.
+ */
+class ServiceTerms
+{
+  public:
+    ServiceTerms(const TaskSystem &system,
+                 const ServiceTimeEstimator &estimator,
+                 const PowerReading &power)
+        : system(system), estimator(estimator), power(power)
+    {
+    }
+
+    /** P(task) x estimate(option, P_in). */
+    double
+    term(TaskId task, std::size_t option = 0) const
+    {
+        const std::uint32_t bit = std::uint32_t{1} << task;
+        if (option == 0 && (known & bit) != 0)
+            return fullTerm[task];
+        const double value = system.executionProbability(task) *
+            estimator.estimate(system.task(task).option(option), power);
+        if (option == 0) {
+            fullTerm[task] = value;
+            known |= bit;
+        }
+        return value;
+    }
+
+    /**
+     * Expected service seconds of a whole job (Alg. 1 line 7).
+     * @param optionPerTask option index per position in job.tasks;
+     *        pass {} for all-highest-quality
+     */
+    double jobService(const Job &job,
+                      const OptionVec &optionPerTask = {}) const;
+
+  private:
+    static_assert(kMaxTasks <= 32, "one known bit per task");
+
+    const TaskSystem &system;
+    const ServiceTimeEstimator &estimator;
+    const PowerReading &power;
+    /** Read only where `known` has the task's bit; left uninitialized
+     *  because zeroing it cost every round a `rep stos`. */
+    mutable std::array<double, kMaxTasks> fullTerm;
+    mutable std::uint32_t known = 0; ///< bit t: fullTerm[t] derived
+};
+
+/**
+ * Everything a policy may observe when making a decision, plus the
+ * round's E[S] table. References are valid only for the duration of
+ * the call.
  */
 struct PolicyContext
 {
@@ -97,6 +156,8 @@ struct PolicyContext
     double pidCorrection = 0.0;
     /** Device-state snapshot (stored energy, capacity, tick). */
     RuntimeObservation runtime;
+    /** This round's E[S] terms (every estimate a policy reads). */
+    ServiceTerms terms{system, estimator, power};
 };
 
 /**

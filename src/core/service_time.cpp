@@ -1,7 +1,5 @@
 #include "core/service_time.hpp"
 
-#include <atomic>
-#include <bit>
 #include <cmath>
 
 #include "hw/ratio_engine.hpp"
@@ -10,44 +8,9 @@
 namespace quetzal {
 namespace core {
 
-namespace {
-
-std::uint64_t
-nextEstimatorId()
-{
-    // Atomic: controllers (and their estimators) are constructed on
-    // parallel experiment-runner worker threads.
-    static std::atomic<std::uint64_t> counter{0};
-    return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-} // namespace
-
-ServiceTimeEstimator::ServiceTimeEstimator()
-    : uniqueId(nextEstimatorId())
-{
-}
-
-std::uint64_t
-ServiceTimeEstimator::powerKey(const PowerReading &power) const
-{
-    // Conservative default: key on the full reading so an estimator
-    // that uses both fields still memoizes correctly.
-    return std::bit_cast<std::uint64_t>(power.watts) ^
-           (static_cast<std::uint64_t>(power.code) << 1);
-}
-
 EnergyAwareEstimator::EnergyAwareEstimator(bool useCircuit)
     : circuitPath(useCircuit)
 {
-}
-
-std::uint64_t
-EnergyAwareEstimator::powerKey(const PowerReading &power) const
-{
-    if (circuitPath)
-        return static_cast<std::uint64_t>(power.code);
-    return std::bit_cast<std::uint64_t>(power.watts);
 }
 
 double

@@ -45,16 +45,14 @@ struct PowerReading
 /**
  * Strategy interface for predicting a task option's S_e2e.
  *
- * Estimates are pure in (option, power, internal history), which is
- * what lets TaskSystem memoize whole-job E[S] sums: an estimator
- * advertises a version() that changes whenever recorded history
- * would change an estimate, and a powerKey() identifying which part
- * of a PowerReading its estimates actually depend on.
+ * Estimates are pure in (option, power, internal history). A
+ * scheduling round asks for each task's full-quality estimate at most
+ * once (core::ServiceTerms) and keeps nothing across rounds, so an
+ * estimator need not say what its estimates depend on.
  */
 class ServiceTimeEstimator
 {
   public:
-    ServiceTimeEstimator();
     virtual ~ServiceTimeEstimator() = default;
 
     /**
@@ -80,26 +78,6 @@ class ServiceTimeEstimator
     virtual std::string name() const = 0;
 
     /**
-     * Process-unique identity of this estimator instance; cache keys
-     * use it instead of the address so a recycled allocation can
-     * never impersonate a dead estimator.
-     */
-    std::uint64_t instanceId() const { return uniqueId; }
-
-    /**
-     * Monotonic counter that changes whenever internal history would
-     * change estimate() results. Stateless estimators return 0.
-     */
-    virtual std::uint64_t version() const { return 0; }
-
-    /**
-     * Collapse a PowerReading to the value estimate() depends on
-     * (e.g. the ADC code for the circuit path). Readings with equal
-     * keys must produce equal estimates for every option.
-     */
-    virtual std::uint64_t powerKey(const PowerReading &power) const;
-
-    /**
      * Checkpoint hook: one walk that saves or loads the estimator's
      * mutable history, by the archive's mode, so a resumed run
      * predicts exactly what the uninterrupted run would have. The
@@ -108,9 +86,6 @@ class ServiceTimeEstimator
      * (the energy-aware paths) keep the empty default.
      */
     virtual void state(util::wire::Archive &ar) { (void)ar; }
-
-  private:
-    std::uint64_t uniqueId;
 };
 
 /**
@@ -132,9 +107,6 @@ class EnergyAwareEstimator : public ServiceTimeEstimator
     std::string name() const override;
 
     bool usesCircuit() const { return circuitPath; }
-
-    /** The circuit path reads only the ADC code; exact only watts. */
-    std::uint64_t powerKey(const PowerReading &power) const override;
 
   private:
     bool circuitPath;
@@ -160,17 +132,6 @@ class AverageServiceTimeEstimator : public ServiceTimeEstimator
     /** Observation count for one option (testing aid). */
     std::size_t observationCount(const DegradationOption &option) const;
 
-    /** Bumped per observation (history changes estimates). */
-    std::uint64_t version() const override { return revision; }
-
-    /** Deliberately power-blind: every reading keys the same. */
-    std::uint64_t
-    powerKey(const PowerReading &power) const override
-    {
-        (void)power;
-        return 0;
-    }
-
     /** Walks the per-option observation history. */
     void state(util::wire::Archive &ar) override;
 
@@ -187,6 +148,10 @@ class AverageServiceTimeEstimator : public ServiceTimeEstimator
     static Key keyFor(const DegradationOption &option);
 
     std::map<Key, util::RunningStats> history;
+    /**
+     * Counts observations. Nothing reads it; it stays in the
+     * checkpoint blob so QZCK bytes keep their layout.
+     */
     std::uint64_t revision = 0;
 };
 

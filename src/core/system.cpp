@@ -101,7 +101,7 @@ TaskSystem::arrivalsPerSecond() const
 
 void
 TaskSystem::recordJobCompletion(const Job &job,
-                                const std::vector<bool> &executedPerTask)
+                                const ExecutedVec &executedPerTask)
 {
     if (executedPerTask.size() != job.tasks.size())
         util::panic("executed flags do not match job task count");
@@ -137,57 +137,6 @@ TaskSystem::measureInputPower(Watts truePower)
     return reading;
 }
 
-double
-TaskSystem::expectedJobService(const Job &job,
-                               const ServiceTimeEstimator &estimator,
-                               const PowerReading &power,
-                               const OptionVec &optionPerTask) const
-{
-    if (!optionPerTask.empty() && optionPerTask.size() != job.tasks.size())
-        util::panic("option choices do not match job task count");
-
-    // An explicit all-zero option vector asks for the same
-    // full-quality configuration as the empty default, so both shapes
-    // share one memo slot (the walk below is identical either way).
-    bool fullQuality = true;
-    for (const std::size_t opt : optionPerTask) {
-        if (opt != 0) {
-            fullQuality = false;
-            break;
-        }
-    }
-
-    ServiceMemo *memo = nullptr;
-    if (fullQuality) {
-        if (serviceMemo.size() < jobList.size())
-            serviceMemo.resize(jobList.size());
-        memo = &serviceMemo[job.id];
-        const std::uint64_t key = estimator.powerKey(power);
-        if (memo->valid && memo->estimatorId == estimator.instanceId() &&
-            memo->estimatorVersion == estimator.version() &&
-            memo->powerKey == key && memo->systemRevision == stateRevision)
-            return memo->value;
-        memo->estimatorId = estimator.instanceId();
-        memo->estimatorVersion = estimator.version();
-        memo->powerKey = key;
-        memo->systemRevision = stateRevision;
-    }
-
-    double expected = 0.0;
-    for (std::size_t i = 0; i < job.tasks.size(); ++i) {
-        const Task &t = task(job.tasks[i]);
-        const std::size_t optIdx =
-            optionPerTask.empty() ? 0 : optionPerTask[i];
-        expected += executionProbability(t.id()) *
-            estimator.estimate(t.option(optIdx), power);
-    }
-    if (memo != nullptr) {
-        memo->value = expected;
-        memo->valid = true;
-    }
-    return expected;
-}
-
 void
 TaskSystem::checkpoint(util::wire::Archive &ar)
 {
@@ -216,9 +165,8 @@ TaskSystem::checkpoint(util::wire::Archive &ar)
     for (std::size_t i = 0; i < probTrackers.size(); ++i)
         probTrackers[i].importState(windows[i]);
     stateRevision = revision;
-    // Drop the memo caches: a miss recomputes the exact double a hit
-    // would have replayed, so this cannot change any output byte.
-    serviceMemo.clear();
+    // Drop the measurement memo: a miss re-measures the exact code a
+    // hit would have replayed, so this cannot change any output byte.
     measureMemoValid = false;
 }
 

@@ -118,7 +118,7 @@ class TaskSystem
      * given its job is scheduled — the weight Alg. 1 uses.
      */
     void recordJobCompletion(const Job &job,
-                             const std::vector<bool> &executedPerTask);
+                             const ExecutedVec &executedPerTask);
 
     /** Execution-probability estimate for a task. */
     double
@@ -141,33 +141,14 @@ class TaskSystem
     /// @}
 
     /**
-     * Expected service seconds of a whole job: per-task S_e2e
-     * weighted by execution probability (Alg. 1 line 7), using the
-     * given estimator and per-task option choices.
-     * @param optionPerTask option index per position in job.tasks;
-     *        pass {} for all-highest-quality
-     */
-    double expectedJobService(const Job &job,
-                              const ServiceTimeEstimator &estimator,
-                              const PowerReading &power,
-                              const OptionVec &optionPerTask = {}) const;
-
-    /**
-     * Monotonic counter covering every mutation that can change an
-     * E[S] prediction (task registration, execution-probability
-     * updates). The memo cache below keys on it.
-     */
-    std::uint64_t revision() const { return stateRevision; }
-
-    /**
      * Checkpoint: one walk that saves or loads the live trackers,
      * circuit physical state and revision counter, by the archive's
      * mode. The registry (tasks, jobs) and config are configuration:
      * the restoring system must be built identically, and a load
      * fails when the tracker count or a tracker's window disagrees
      * with it (or on malformed bytes), leaving the system untouched.
-     * Memo caches are dropped on restore — a miss recomputes the
-     * exact double a hit would have replayed, so this is byte-inert.
+     * The measurement memo is dropped on restore — a miss re-measures
+     * the exact code a hit would have replayed, so this is byte-inert.
      */
     void checkpoint(util::wire::Archive &ar);
 
@@ -175,33 +156,17 @@ class TaskSystem
     /** Cold panic path kept out of line so the lookups inline. */
     [[noreturn]] static void badId(const char *what, std::uint64_t id);
 
-    /**
-     * One full-quality E[S] memo per job. Schedulers and the IBO
-     * engine re-evaluate every job's E[S] on each decision, but the
-     * inputs (estimator history, power reading, probability windows)
-     * change far less often than decisions are made — between two
-     * captures on the same trace segment every lookup repeats. The
-     * cached value is the very double the full walk produced, so a
-     * hit is bit-identical to recomputing.
-     */
-    struct ServiceMemo
-    {
-        std::uint64_t estimatorId = 0;
-        std::uint64_t estimatorVersion = 0;
-        std::uint64_t powerKey = 0;
-        std::uint64_t systemRevision = 0;
-        double value = 0.0;
-        bool valid = false;
-    };
-
     SystemConfig cfg;
     hw::PowerMonitorCircuit monitor;
     std::vector<Task> taskList;
     std::vector<Job> jobList;
     queueing::ArrivalRateTracker arrivalTracker;
     std::vector<queueing::ExecutionProbabilityTracker> probTrackers;
+    /**
+     * Counts task registrations and completions. Nothing reads it; it
+     * stays in the checkpoint blob so QZCK bytes keep their layout.
+     */
     std::uint64_t stateRevision = 0;
-    mutable std::vector<ServiceMemo> serviceMemo;
 
     /**
      * Memo of the last input-power measurement. The harvested power

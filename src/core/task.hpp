@@ -42,6 +42,9 @@ inline constexpr std::size_t kMaxOptionsPerTask = 4;
  */
 using OptionVec = util::SmallVec<std::size_t, 8>;
 
+/** Per position in a job's task list: whether that task ran. */
+using ExecutedVec = util::SmallVec<bool, 8>;
+
 /** Programmer-supplied description of one degradation option. */
 struct DegradationOptionSpec
 {

@@ -30,8 +30,7 @@ rankByOrder(const core::PolicyContext &ctx, bool newestFirst)
     // prediction-error feedback meaningful for the IBO engine
     // variants of Figure 12.
     decision.expectedServiceSeconds = std::max(
-        0.0, ctx.system.expectedJobService(ctx.system.job(chosen.jobId),
-                                           ctx.estimator, ctx.power) +
+        0.0, ctx.terms.jobService(ctx.system.job(chosen.jobId)) +
                  ctx.pidCorrection);
     return decision;
 }
@@ -55,8 +54,7 @@ uniformDecision(const core::PolicyContext &ctx, const core::Job &job,
     }
     decision.degraded = anyDegraded;
     decision.predictedServiceSeconds =
-        ctx.system.expectedJobService(job, ctx.estimator, ctx.power,
-                                      decision.optionPerTask) +
+        ctx.terms.jobService(job, decision.optionPerTask) +
         ctx.pidCorrection;
     return decision;
 }

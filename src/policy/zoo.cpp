@@ -30,9 +30,7 @@ double
 rawService(const core::PolicyContext &ctx, const core::Job &job,
            const core::OptionVec &options = {})
 {
-    return ctx.system.expectedJobService(job, ctx.estimator, ctx.power,
-                                         options) +
-        ctx.pidCorrection;
+    return ctx.terms.jobService(job, options) + ctx.pidCorrection;
 }
 
 /** rawService() clamped for reporting as a predicted service time. */

@@ -43,15 +43,15 @@ BitVectorWindow::append(bool bit)
     if (bit)
         ++onesCount;
     cursor = (cursor + 1) % windowBits;
+    updateFraction();
 }
 
-double
-BitVectorWindow::fraction(double fallback) const
+void
+BitVectorWindow::updateFraction()
 {
-    if (filledBits == 0)
-        return fallback;
-    return static_cast<double>(onesCount) /
-        static_cast<double>(filledBits);
+    if (filledBits != 0)
+        onesFraction = static_cast<double>(onesCount) /
+            static_cast<double>(filledBits);
 }
 
 void

@@ -7,7 +7,7 @@
  * <task-window> and <arrival-window>: a 1 records "task executed" /
  * "input stored", a 0 the opposite. A separate 1s-counter is updated
  * only on modification so reading a rate never scans the vector:
- * the fraction is one division of the count by the filled bits.
+ * the fraction itself is divided out once per modification.
  */
 
 #ifndef QUETZAL_QUEUEING_BITVECTOR_WINDOW_HPP
@@ -54,7 +54,11 @@ class BitVectorWindow
      * Fraction of 1s among filled bits, as a double in [0, 1].
      * Returns fallback when nothing has been recorded yet.
      */
-    double fraction(double fallback = 0.0) const;
+    double
+    fraction(double fallback = 0.0) const
+    {
+        return filledBits == 0 ? fallback : onesFraction;
+    }
 
     /**
      * Mutable internals for checkpoint/restore. The window size is
@@ -95,6 +99,7 @@ class BitVectorWindow
         onesCount = snapshot.onesCount;
         cursor = snapshot.cursor;
         words = snapshot.words;
+        updateFraction();
     }
 
   private:
@@ -103,6 +108,11 @@ class BitVectorWindow
     std::uint32_t onesCount = 0;
     std::uint32_t cursor = 0;
     std::vector<std::uint64_t> words;
+    /** onesCount / filledBits, divided once per modification rather
+     *  than per read; derived, so not part of State. */
+    double onesFraction = 0.0;
+
+    void updateFraction();
 
     bool getBit(std::uint32_t index) const;
     void setBit(std::uint32_t index, bool bit);

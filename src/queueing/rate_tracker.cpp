@@ -21,15 +21,24 @@ ArrivalRateTracker::ArrivalRateTracker(std::uint32_t windowPeriods,
 void
 ArrivalRateTracker::beginPeriod()
 {
-    if (filledPeriods == counts.size()) {
-        cursor = (cursor + 1) % counts.size();
+    const auto size = static_cast<std::uint32_t>(counts.size());
+    if (filledPeriods == size) {
+        // The burst span slides by one period: its oldest period
+        // leaves it (when the span is the whole window, that is the
+        // period about to be evicted) and the fresh, empty one joins.
+        burstSum -= counts[(cursor + size + 1 -
+                            std::min(size, kBurstPeriods)) % size];
+        cursor = (cursor + 1) % size;
         runningSum -= counts[cursor];
         counts[cursor] = 0;
     } else {
         // Window not yet warm: the cursor stays on the next fresh
-        // slot (slots are zero-initialized).
+        // slot (slots are zero-initialized). A restored cursor need
+        // not sit just behind it, so the span is summed afresh; this
+        // happens for the first window's periods only.
         cursor = filledPeriods;
         ++filledPeriods;
+        burstSum = sumBurst();
     }
 }
 
@@ -41,6 +50,7 @@ ArrivalRateTracker::recordInsertion()
     if (counts[cursor] < 255) {
         ++counts[cursor];
         ++runningSum;
+        ++burstSum;
     }
 }
 
@@ -61,20 +71,24 @@ ArrivalRateTracker::insertionsPerPeriod() const
         static_cast<double>(filledPeriods);
 }
 
+std::uint32_t
+ArrivalRateTracker::sumBurst() const
+{
+    const auto size = static_cast<std::uint32_t>(counts.size());
+    const std::uint32_t span = std::min(filledPeriods, kBurstPeriods);
+    std::uint32_t sum = 0;
+    for (std::uint32_t back = 0; back < span; ++back)
+        sum += counts[(cursor + size - back) % size];
+    return sum;
+}
+
 double
 ArrivalRateTracker::burstInsertionsPerPeriod() const
 {
     if (filledPeriods == 0)
         return 1.0; // conservative before any observation
-    const std::uint32_t span = std::min(filledPeriods, kBurstPeriods);
-    std::uint32_t sum = 0;
-    for (std::uint32_t back = 0; back < span; ++back) {
-        const std::uint32_t index =
-            (cursor + static_cast<std::uint32_t>(counts.size()) - back) %
-            static_cast<std::uint32_t>(counts.size());
-        sum += counts[index];
-    }
-    return static_cast<double>(sum) / static_cast<double>(span);
+    return static_cast<double>(burstSum) /
+        static_cast<double>(std::min(filledPeriods, kBurstPeriods));
 }
 
 double
@@ -94,12 +108,6 @@ void
 ExecutionProbabilityTracker::recordExecution(bool executed)
 {
     window.append(executed);
-}
-
-double
-ExecutionProbabilityTracker::probability() const
-{
-    return window.fraction(1.0);
 }
 
 void

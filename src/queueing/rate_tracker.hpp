@@ -114,13 +114,20 @@ class ArrivalRateTracker
         cursor = snapshot.cursor;
         filledPeriods = snapshot.filledPeriods;
         runningSum = snapshot.runningSum;
+        burstSum = sumBurst();
     }
 
   private:
+    /** Sum of the last min(filled, kBurstPeriods) periods' counts. */
+    std::uint32_t sumBurst() const;
+
     std::vector<std::uint8_t> counts;
     std::uint32_t cursor = 0;
     std::uint32_t filledPeriods = 0;
     std::uint32_t runningSum = 0;
+    /** sumBurst(), kept up to date per period and insertion; derived,
+     *  so not part of State. */
+    std::uint32_t burstSum = 0;
     double captureHz;
 };
 
@@ -146,7 +153,7 @@ class ExecutionProbabilityTracker
      * report 1.0 — the conservative assumption that the task will
      * run, which over-predicts E[S] rather than missing IBOs.
      */
-    double probability() const;
+    double probability() const { return window.fraction(1.0); }
 
     /** Number of observations (saturating at window). */
     std::uint32_t filled() const { return window.filled(); }

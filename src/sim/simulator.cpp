@@ -332,19 +332,17 @@ Simulator::tryBeginJob(Tick now)
         ? cfg.faults->perturbMeasuredPower(truePower) : truePower;
     const core::RuntimeObservation runtime{
         device.energy(), device.store().capacity(), now};
-    const auto selection =
+    auto selection =
         controller.selectJob(system, buffer, measuredPower, runtime);
     if (!selection)
         return;
 
     ActiveJob job;
-    job.selection = *selection;
     job.input = buffer.markInFlight(selection->slot);
     job.jobStart = now;
     job.dropsAtStart = totalDrops();
-    executedScratch.assign(
-        system.job(selection->jobId).tasks.size(), true);
-    job.executed = std::move(executedScratch);
+    job.executed.assign(system.job(selection->jobId).tasks.size(), true);
+    job.selection = std::move(*selection);
     activeJob = std::move(job);
 
     // Charge the controller's modeled invocation cost (section 6.3:
@@ -550,7 +548,6 @@ Simulator::finishJob(Tick now)
         }
     }
 
-    executedScratch = std::move(activeJob->executed);
     activeJob.reset();
 }
 

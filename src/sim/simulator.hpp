@@ -168,7 +168,7 @@ class Simulator
         std::size_t taskPos = 0;
         Tick jobStart = 0;
         Tick taskStart = 0;
-        std::vector<bool> executed;
+        core::ExecutedVec executed;
         /** IBO drop total when the job began (for outcome events). */
         std::uint64_t dropsAtStart = 0;
     };
@@ -242,12 +242,6 @@ class Simulator
     trace::EventTrace::Cursor captureCursor;
 
     std::optional<ActiveJob> activeJob;
-    /**
-     * Recycled backing storage for ActiveJob::executed, so beginning
-     * a job reuses the previous job's allocation instead of paying
-     * one heap round-trip per completion.
-     */
-    std::vector<bool> executedScratch;
     bool inOverheadPhase = false;
     double overheadCarrySeconds = 0.0;
     std::uint64_t nextInputId = 1;

@@ -35,7 +35,9 @@ class SmallVec
     static_assert(N > 0, "SmallVec needs a positive inline capacity");
 
   public:
-    SmallVec() = default;
+    /** User-provided, so value-initialization (`{}`, a defaulted
+     *  argument) does not zero the inline buffer first. */
+    SmallVec() {}
 
     SmallVec(std::size_t count, const T &value) { assign(count, value); }
 

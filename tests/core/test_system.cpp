@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/scheduler.hpp"
 #include "core_test_fixtures.hpp"
 
 namespace quetzal {
@@ -12,6 +13,15 @@ namespace core {
 namespace {
 
 using testing_fixtures::makeSmallSystem;
+
+/** E[S] of a job as one scheduling round derives it. */
+double
+roundService(const TaskSystem &system, const Job &job,
+             const ServiceTimeEstimator &estimator,
+             const PowerReading &power, const OptionVec &options = {})
+{
+    return ServiceTerms(system, estimator, power).jobService(job, options);
+}
 
 TEST(TaskSystem, RegistersTasksAndJobs)
 {
@@ -84,18 +94,17 @@ TEST(TaskSystem, ExpectedJobServiceWeightsByProbability)
     const Job &classify = s.system->job(s.classifyJob);
 
     // Probability defaults to 1.0: E[S] = ml-high latency = 1 s.
-    EXPECT_NEAR(s.system->expectedJobService(classify, exact, power),
+    EXPECT_NEAR(roundService(*s.system, classify, exact, power),
                 1.0, 1e-9);
 
     // Dilute ml probability to 0.5.
     for (int i = 0; i < 2; ++i)
         s.system->recordJobCompletion(classify, {i == 0});
-    EXPECT_NEAR(s.system->expectedJobService(classify, exact, power),
+    EXPECT_NEAR(roundService(*s.system, classify, exact, power),
                 0.5, 1e-9);
 
     // Option override: ml-low latency = 0.1 s, weighted 0.5.
-    EXPECT_NEAR(s.system->expectedJobService(classify, exact, power,
-                                             {1}),
+    EXPECT_NEAR(roundService(*s.system, classify, exact, power, {1}),
                 0.05, 1e-9);
 }
 
@@ -106,11 +115,11 @@ TEST(TaskSystem, ExpectedJobServiceScalesWithPower)
     const Job &transmit = s.system->job(s.transmitJob);
     // radio-high: 0.8 s, 80 mJ. At 8 mW input: 10 s energy-bound.
     const PowerReading low{8e-3, 0};
-    EXPECT_NEAR(s.system->expectedJobService(transmit, exact, low),
+    EXPECT_NEAR(roundService(*s.system, transmit, exact, low),
                 10.0, 1e-9);
     // At 200 mW: compute bound, 0.8 s.
     const PowerReading high{200e-3, 0};
-    EXPECT_NEAR(s.system->expectedJobService(transmit, exact, high),
+    EXPECT_NEAR(roundService(*s.system, transmit, exact, high),
                 0.8, 1e-9);
 }
 

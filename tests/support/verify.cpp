@@ -70,7 +70,7 @@ runWalk(core::SchedulingPolicy &policy, const VerifyOptions &options,
             const InFlight done = inFlight.front();
             inFlight.pop_front();
             const core::Job &job = system.job(done.jobId);
-            const std::vector<bool> executed(job.tasks.size(), true);
+            const core::ExecutedVec executed(job.tasks.size(), true);
             system.recordJobCompletion(job, executed);
             if (done.jobId == classifyJob && rng.bernoulli(0.5)) {
                 buffer.retagSlot(done.slot, transmitJob, now);
