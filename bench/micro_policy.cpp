@@ -96,12 +96,17 @@ rankAdmit(benchmark::State &state, const char *name)
     const core::EnergyAwareEstimator estimator(/*useCircuit=*/true);
     double watts = 5e-3;
     Tick now = 7000;
+    // The context is built as Controller::selectJob builds it: from a
+    // PID correction that is not a literal and a named runtime
+    // snapshot. With a literal 0.0 and a braced snapshot GCC clears
+    // the whole 352-byte context (`rep stos`) before filling it.
+    double pidCorrection = 0.0;
     for (auto _ : state) {
         const core::PowerReading power =
             rig.system.measureInputPower(watts);
-        const core::PolicyContext ctx{
-            rig.system, rig.buffer, estimator, power, 0.0,
-            {0.05, 0.1, now}};
+        const core::RuntimeObservation runtime{0.05, 0.1, now};
+        const core::PolicyContext ctx{rig.system, rig.buffer, estimator,
+                                      power, pidCorrection, runtime};
         const auto decision = policy->rank(ctx);
         if (decision) {
             benchmark::DoNotOptimize(policy->admit(

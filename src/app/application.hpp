@@ -11,7 +11,6 @@
 #define QUETZAL_APP_APPLICATION_HPP
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "app/camera.hpp"
@@ -19,6 +18,7 @@
 #include "app/ml_model.hpp"
 #include "core/job.hpp"
 #include "core/task.hpp"
+#include "util/logging.hpp"
 #include "util/random.hpp"
 
 namespace quetzal {
@@ -39,31 +39,20 @@ struct ApplicationModel
      * @name Cached task positions
      * Position of the inference/radio task within its job's task
      * list, resolved once at build time so per-completion code never
-     * scans the task list. Unset when the task is absent from the
-     * job (option 0 applies, as in the original scan).
+     * scans the task list.
      */
     /// @{
-    std::optional<std::size_t> inferenceTaskPos;
-    std::optional<std::size_t> radioTaskPos;
+    std::size_t inferenceTaskPos = 0;
+    std::size_t radioTaskPos = 0;
 
-    /**
-     * Resolve the cached positions against the registered jobs,
-     * keeping the historical scan semantics (last match wins).
-     */
+    /** Resolve the cached positions against the registered jobs;
+     *  panics naming a task its job does not list. */
     void
     resolveTaskPositions(const core::Job &classify,
                          const core::Job &transmit)
     {
-        inferenceTaskPos.reset();
-        radioTaskPos.reset();
-        for (std::size_t i = 0; i < classify.tasks.size(); ++i) {
-            if (classify.tasks[i] == inferenceTask)
-                inferenceTaskPos = i;
-        }
-        for (std::size_t i = 0; i < transmit.tasks.size(); ++i) {
-            if (transmit.tasks[i] == radioTask)
-                radioTaskPos = i;
-        }
+        inferenceTaskPos = positionIn(classify, inferenceTask);
+        radioTaskPos = positionIn(transmit, radioTask);
     }
     /// @}
 
@@ -95,6 +84,18 @@ struct ApplicationModel
         if (interesting)
             return !rng.bernoulli(model.falseNegativeRate);
         return rng.bernoulli(model.falsePositiveRate);
+    }
+
+  private:
+    static std::size_t
+    positionIn(const core::Job &job, core::TaskId task)
+    {
+        for (std::size_t i = 0; i < job.tasks.size(); ++i) {
+            if (job.tasks[i] == task)
+                return i;
+        }
+        util::panic(util::msg("job '", job.name, "' does not run task ",
+                              task));
     }
 };
 

@@ -147,12 +147,19 @@ IboReactionEngine::admit(const PolicyContext &ctx, const Job &job)
 }
 
 void
-IboReactionEngine::state(util::wire::Archive &ar)
+IboReactionEngine::state(const TaskSystem &system,
+                         util::wire::Archive &ar)
 {
     std::vector<std::size_t> options = currentOption;
+    ar.section("IBO option count exceeds task count");
     options.resize(ar.count(options.size()));
-    for (std::size_t &option : options)
-        ar.varint(option);
+    ar.check(options.size() <= system.taskCount());
+    ar.section("IBO option index out of range");
+    for (TaskId task = 0; task < options.size(); ++task) {
+        ar.varint(options[task]);
+        ar.check(task < system.taskCount() &&
+                 options[task] < system.task(task).optionCount());
+    }
     if (ar.loaded())
         currentOption = std::move(options);
 }

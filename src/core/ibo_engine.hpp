@@ -46,8 +46,10 @@ class IboReactionEngine
     AdaptationDecision admit(const PolicyContext &ctx, const Job &job);
 
     /** Walks the per-task current-option settings (the policy hook
-     *  of the rules that use the engine). */
-    void state(util::wire::Archive &ar);
+     *  of the rules that use the engine); a load refuses more
+     *  settings than `system` has tasks, or an option index at or
+     *  above its task's option count. */
+    void state(const TaskSystem &system, util::wire::Archive &ar);
 
   private:
     /** Last option the engine chose per task (lazily sized). */

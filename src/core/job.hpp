@@ -43,15 +43,6 @@ struct Job
      * outcome is positive (application-defined), if any.
      */
     std::optional<JobId> onPositive;
-
-    /** The degradable task's id, if the job has one. */
-    std::optional<TaskId>
-    degradableTask() const
-    {
-        if (!degradableIndex)
-            return std::nullopt;
-        return tasks[*degradableIndex];
-    }
 };
 
 } // namespace core

@@ -26,7 +26,6 @@ Controller::selectJob(TaskSystem &system,
                       const queueing::InputBuffer &buffer, Watts truePower,
                       const RuntimeObservation &runtime)
 {
-    ++runStats.invocations;
     const PowerReading power = system.measureInputPower(truePower);
     const PolicyContext ctx{system, buffer, *serviceEstimator, power,
                             pidCorrection(), runtime};
@@ -151,12 +150,11 @@ Controller::pidCorrection() const
 }
 
 void
-Controller::checkpoint(util::wire::Archive &ar)
+Controller::checkpoint(const TaskSystem &system, util::wire::Archive &ar)
 {
     std::uint64_t counter = decisionCounter;
     ControllerStats counts = runStats;
     ar.varint(counter);
-    ar.varint(counts.invocations);
     ar.varint(counts.iboPredictions);
     ar.varint(counts.degradedJobs);
     ar.varint(counts.jobsCompleted);
@@ -175,7 +173,9 @@ Controller::checkpoint(util::wire::Archive &ar)
     ar.nested([this](util::wire::Archive &sub) {
         serviceEstimator->state(sub);
     });
-    ar.nested([this](util::wire::Archive &sub) { schedPolicy->state(sub); });
+    ar.nested([this, &system](util::wire::Archive &sub) {
+        schedPolicy->state(system, sub);
+    });
     if (!ar.loaded())
         return;
 

@@ -59,7 +59,6 @@ struct JobSelection
 /** Aggregate counters a controller accumulates over a run. */
 struct ControllerStats
 {
-    std::uint64_t invocations = 0;
     std::uint64_t iboPredictions = 0;
     std::uint64_t degradedJobs = 0;
     std::uint64_t jobsCompleted = 0;
@@ -145,11 +144,13 @@ class Controller
      * PID loop, and the estimator's and policy's state hooks, each in
      * a length-prefixed blob of its own. Which policy and estimator
      * run is configuration: the restoring controller must be built
-     * identically. A load that fails (malformed bytes, a PID-presence
-     * mismatch, a hook that reads short or long) leaves the counters
-     * and PID loop untouched and the archive failed.
+     * identically, and the policy hook checks its blob against
+     * `system`. A load that fails (malformed bytes, a PID-presence
+     * mismatch, a hook that reads short or long or refuses its blob)
+     * leaves the counters and PID loop untouched and the archive
+     * failed.
      */
-    void checkpoint(util::wire::Archive &ar);
+    void checkpoint(const TaskSystem &system, util::wire::Archive &ar);
 
   private:
     std::string controllerName;

@@ -201,10 +201,11 @@ class SchedulingPolicy
 
     /**
      * Checkpoint hook: walk the policy's mutable state (see
-     * ServiceTimeEstimator::state). Stateless policies keep the
-     * empty default.
+     * ServiceTimeEstimator::state); a load fails, under a named
+     * section, on state that does not fit `system`'s tasks. Stateless
+     * policies keep the empty default.
      */
-    virtual void state(util::wire::Archive &ar) { (void)ar; }
+    virtual void state(const TaskSystem &, util::wire::Archive &) {}
 };
 
 /**

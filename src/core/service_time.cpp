@@ -60,7 +60,6 @@ AverageServiceTimeEstimator::recordObservation(
         const DegradationOption &option, double observedSeconds)
 {
     history[keyFor(option)].add(observedSeconds);
-    ++revision;
 }
 
 std::string
@@ -80,8 +79,6 @@ AverageServiceTimeEstimator::observationCount(
 void
 AverageServiceTimeEstimator::state(util::wire::Archive &ar)
 {
-    std::uint64_t savedRevision = revision;
-    ar.varint(savedRevision);
     std::vector<std::pair<Key, util::RunningStats::State>> entries;
     for (const auto &[key, stats] : history)
         entries.emplace_back(key, stats.exportState());
@@ -104,7 +101,6 @@ AverageServiceTimeEstimator::state(util::wire::Archive &ar)
         restored.emplace(key, stats);
     }
     history = std::move(restored);
-    revision = savedRevision;
 }
 
 } // namespace core

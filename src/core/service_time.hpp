@@ -106,8 +106,6 @@ class EnergyAwareEstimator : public ServiceTimeEstimator
 
     std::string name() const override;
 
-    bool usesCircuit() const { return circuitPath; }
-
   private:
     bool circuitPath;
 };
@@ -148,11 +146,6 @@ class AverageServiceTimeEstimator : public ServiceTimeEstimator
     static Key keyFor(const DegradationOption &option);
 
     std::map<Key, util::RunningStats> history;
-    /**
-     * Counts observations. Nothing reads it; it stays in the
-     * checkpoint blob so QZCK bytes keep their layout.
-     */
-    std::uint64_t revision = 0;
 };
 
 } // namespace core

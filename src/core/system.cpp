@@ -41,7 +41,6 @@ TaskSystem::addTask(const std::string &name,
     const auto id = static_cast<TaskId>(taskList.size());
     taskList.emplace_back(id, name, std::move(profiled));
     probTrackers.emplace_back(cfg.taskWindow);
-    ++stateRevision;
     return id;
 }
 
@@ -113,7 +112,6 @@ TaskSystem::recordJobCompletion(const Job &job,
     // jobs are not diluted by this job's completions).
     for (std::size_t i = 0; i < job.tasks.size(); ++i)
         probTrackers[job.tasks[i]].recordExecution(executedPerTask[i]);
-    ++stateRevision;
 }
 
 PowerReading
@@ -155,8 +153,6 @@ TaskSystem::checkpoint(util::wire::Archive &ar)
     ar.check(ar.count(windows.size()) == windows.size());
     for (queueing::BitVectorWindow::State &window : windows)
         window.walk(ar);
-    std::uint64_t revision = stateRevision;
-    ar.varint(revision);
     if (!ar.loaded())
         return;
 
@@ -164,7 +160,6 @@ TaskSystem::checkpoint(util::wire::Archive &ar)
     arrivalTracker.importState(arrivals);
     for (std::size_t i = 0; i < probTrackers.size(); ++i)
         probTrackers[i].importState(windows[i]);
-    stateRevision = revision;
     // Drop the measurement memo: a miss re-measures the exact code a
     // hit would have replayed, so this cannot change any output byte.
     measureMemoValid = false;

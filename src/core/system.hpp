@@ -141,12 +141,12 @@ class TaskSystem
     /// @}
 
     /**
-     * Checkpoint: one walk that saves or loads the live trackers,
-     * circuit physical state and revision counter, by the archive's
-     * mode. The registry (tasks, jobs) and config are configuration:
-     * the restoring system must be built identically, and a load
-     * fails when the tracker count or a tracker's window disagrees
-     * with it (or on malformed bytes), leaving the system untouched.
+     * Checkpoint: one walk that saves or loads the live trackers and
+     * circuit physical state, by the archive's mode. The registry
+     * (tasks, jobs) and config are configuration: the restoring
+     * system must be built identically, and a load fails when the
+     * tracker count or a tracker's window disagrees with it (or on
+     * malformed bytes), leaving the system untouched.
      * The measurement memo is dropped on restore — a miss re-measures
      * the exact code a hit would have replayed, so this is byte-inert.
      */
@@ -162,11 +162,6 @@ class TaskSystem
     std::vector<Job> jobList;
     queueing::ArrivalRateTracker arrivalTracker;
     std::vector<queueing::ExecutionProbabilityTracker> probTrackers;
-    /**
-     * Counts task registrations and completions. Nothing reads it; it
-     * stays in the checkpoint blob so QZCK bytes keep their layout.
-     */
-    std::uint64_t stateRevision = 0;
 
     /**
      * Memo of the last input-power measurement. The harvested power

@@ -130,10 +130,10 @@ RulePolicy::admit(const core::PolicyContext &ctx, const core::Job &job)
 }
 
 void
-RulePolicy::state(util::wire::Archive &ar)
+RulePolicy::state(const core::TaskSystem &system, util::wire::Archive &ar)
 {
     if (admitRule.kind == AdmitRule::Kind::Ibo)
-        ibo.state(ar);
+        ibo.state(system, ar);
 }
 
 } // namespace policy

@@ -79,7 +79,8 @@ class RulePolicy : public core::SchedulingPolicy
 
     /** The Ibo rule walks the engine's per-task options; every
      *  other rule is stateless. */
-    void state(util::wire::Archive &ar) override;
+    void state(const core::TaskSystem &system,
+               util::wire::Archive &ar) override;
 
   private:
     RankRule rankRule;

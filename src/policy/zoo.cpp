@@ -166,7 +166,7 @@ ZygardePolicy::onBufferOverflow(const core::TaskSystem &system,
 }
 
 void
-ZygardePolicy::state(util::wire::Archive &ar)
+ZygardePolicy::state(const core::TaskSystem &, util::wire::Archive &ar)
 {
     double pressure = overflowPressure;
     ar.real(pressure);

@@ -43,7 +43,8 @@ class ZygardePolicy : public core::SchedulingPolicy
                           Tick now) override;
 
     /** Walks the overflow pressure. */
-    void state(util::wire::Archive &ar) override;
+    void state(const core::TaskSystem &system,
+               util::wire::Archive &ar) override;
 
   private:
     /**

@@ -335,16 +335,8 @@ InputBuffer::State::walk(util::wire::Archive &ar)
     ar.varint(overflows.total);
     ar.varint(overflows.interesting);
     ar.varint(maxPushedId);
-    // The layout keeps two retired bytes: a second copy of anyPush and
-    // a capture-order flag, written as 1 and ignored on load.
-    bool anyIdPushed = anyPush;
-    bool retiredCaptureOrder = true;
-    ar.flag(anyIdPushed);
-    ar.flag(retiredCaptureOrder);
     ar.flag(anyPush);
     ar.zigzag(lastPushCaptureTick);
-    ar.section("buffer push history flags");
-    ar.check(anyIdPushed == anyPush);
 
     // Reject what importState's re-push would refuse: ids must rise
     // and capture ticks must not fall along the FIFO, and the newest

@@ -188,9 +188,8 @@ class InputBuffer
          * The wire layout, under the resume diagnostics' section
          * names: the record count, each record (varint id, capture
          * tick, enqueue tick, job id; interesting flag), then the
-         * overflow counters, the push history (last id, anyPush
-         * twice around a retired flag byte written as 1) and the
-         * zigzag last capture tick. Load rejects records that
+         * overflow counters, the push history (last id, anyPush)
+         * and the zigzag last capture tick. Load rejects records that
          * tryPush would refuse to re-push in order. The caller checks
          * the count against the restoring buffer's capacity, job ids
          * against its job table, and the history against its id and

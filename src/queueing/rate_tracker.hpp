@@ -79,9 +79,6 @@ class ArrivalRateTracker
     /** Periods recorded so far (saturating at the window size). */
     std::uint32_t filled() const { return filledPeriods; }
 
-    /** Configured capture rate. */
-    double captureRate() const { return captureHz; }
-
     /** Mutable internals for checkpoint/restore (the window size and
      *  capture rate are configuration, not state). */
     struct State

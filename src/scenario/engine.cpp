@@ -399,9 +399,10 @@ runFleetSpec(const ScenarioSpec &spec, const EngineOptions &options)
         fleetOptions.episodeSink = &episodes;
 
     fleet::FleetState resumeState;
+    sim::CheckpointScan scan;
     if (resuming) {
-        const sim::CheckpointScan scan = sim::readCheckpointStream(
-            options.fleetResumePath, fingerprint);
+        scan = sim::readCheckpointStream(options.fleetResumePath,
+                                         fingerprint);
         const Tick tick = scan.last.boundaryTick;
         if (!fleet::validBarrierTick(config, tick))
             util::fatal(util::msg(
@@ -427,36 +428,15 @@ runFleetSpec(const ScenarioSpec &spec, const EngineOptions &options)
         if (scan.tornTail)
             restore.flags |= obs::kFlagTornTail;
         episodes.record(restore);
-        if (checkpointing &&
-            options.fleetCheckpointPath == options.fleetResumePath) {
-            // Appending resumes on the same stream: drop any torn
-            // tail first so the next scan stays clean — the resumed
-            // file ends up byte-identical to a straight run's.
-            sim::truncateCheckpointFile(options.fleetCheckpointPath,
-                                        scan.validBytes);
-        }
     }
     if (checkpointing) {
-        if (!resuming ||
-            options.fleetCheckpointPath != options.fleetResumePath) {
-            // A fresh stream: truncate whatever the path held.
-            std::ofstream fresh(options.fleetCheckpointPath,
-                                std::ios::binary | std::ios::trunc);
-            if (!fresh)
-                util::fatal(util::msg(
-                    "cannot open checkpoint file for write: ",
-                    options.fleetCheckpointPath));
-        }
         fleetOptions.checkpointEverySlabs =
             options.fleetCheckpointEverySlabs > 0
                 ? options.fleetCheckpointEverySlabs
                 : static_cast<unsigned>(spec.fleet->checkpointSlabs);
-        const std::string path = options.fleetCheckpointPath;
-        fleetOptions.checkpointSink =
-            [path, fingerprint](const std::string &state, Tick tick) {
-                sim::appendCheckpointFile(path, state, fingerprint,
-                                          tick);
-            };
+        fleetOptions.checkpointSink = sim::openCheckpointStream(
+            options.fleetCheckpointPath, fingerprint,
+            options.fleetResumePath, scan);
     }
     if (options.fleetStopAfterSeconds > 0)
         fleetOptions.stopAfterTick =

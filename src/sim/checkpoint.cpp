@@ -1,8 +1,9 @@
 /**
  * @file
- * Checkpoint/restore of full simulator state (DESIGN.md section 16):
- * the Simulator's quiescent-boundary save/restore hooks plus the
- * QZCK archive framing and the experiment fingerprint.
+ * Checkpoint/restore of full simulator state (DESIGN.md sections 16
+ * and 17): the Simulator's quiescent-boundary save/restore hooks, the
+ * experiment fingerprint, the QZCK record framing and the stream
+ * file discipline every checkpoint file follows.
  *
  * The state blob is a pure byte serialization — varints, zigzag
  * ticks, bit-exact doubles — of everything mutable in a run:
@@ -132,7 +133,9 @@ Simulator::walkCheckpoint(wire::Archive &ar, Tick &now,
     ar.section("TaskSystem blob");
     ar.nested([this](wire::Archive &sub) { system.checkpoint(sub); });
     ar.section("Controller blob");
-    ar.nested([this](wire::Archive &sub) { controller.checkpoint(sub); });
+    ar.nested([this](wire::Archive &sub) {
+        controller.checkpoint(system, sub);
+    });
     ar.section("fault-runtime presence");
     bool hasFaults = cfg.faults != nullptr;
     ar.flag(hasFaults);
@@ -283,23 +286,6 @@ frameCheckpoint(const std::string &state, std::uint64_t fingerprint,
     return out;
 }
 
-void
-writeCheckpointFile(const std::string &path, const std::string &state,
-                    std::uint64_t fingerprint, Tick boundaryTick)
-{
-    const std::string framed =
-        frameCheckpoint(state, fingerprint, boundaryTick);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        util::fatal(util::msg("cannot open checkpoint file for write: ",
-                              path));
-    out.write(framed.data(),
-              static_cast<std::streamsize>(framed.size()));
-    out.flush();
-    if (!out)
-        util::fatal(util::msg("checkpoint write failed: ", path));
-}
-
 namespace {
 
 /** QZCK record header size: magic + version + fingerprint + tick +
@@ -413,63 +399,6 @@ scanCheckpointStream(const std::string &bytes, CheckpointScan &scan,
     return true;
 }
 
-void
-appendCheckpointFile(const std::string &path, const std::string &state,
-                     std::uint64_t fingerprint, Tick boundaryTick)
-{
-    const std::string framed =
-        frameCheckpoint(state, fingerprint, boundaryTick);
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    if (!out)
-        util::fatal(util::msg("cannot open checkpoint file for append: ",
-                              path));
-    out.write(framed.data(),
-              static_cast<std::streamsize>(framed.size()));
-    out.flush();
-    if (!out)
-        util::fatal(util::msg("checkpoint append failed: ", path));
-}
-
-void
-truncateCheckpointFile(const std::string &path, std::size_t bytes)
-{
-    std::error_code ec;
-    std::filesystem::resize_file(path, bytes, ec);
-    if (ec)
-        util::fatal(util::msg("cannot truncate checkpoint file ", path,
-                              ": ", ec.message()));
-}
-
-namespace {
-
-/** The whole file, or a fatal error naming it. */
-std::string
-readFileBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        util::fatal(util::msg("cannot open checkpoint file: ", path));
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    if (in.bad())
-        util::fatal(util::msg("checkpoint read failed: ", path));
-    return bytes;
-}
-
-void
-requireFingerprint(const std::string &path, std::uint64_t found,
-                   std::uint64_t expected)
-{
-    if (found != expected) {
-        util::fatal(util::msg(
-            path, ": checkpoint belongs to a different experiment "
-            "(fingerprint ", found, ", resuming configuration has ",
-            expected, "); resume requires the identical configuration"));
-    }
-}
-
-} // namespace
-
 bool
 unframeCheckpoint(const std::string &bytes, CheckpointArchive &archive,
                   std::string &error)
@@ -486,28 +415,57 @@ unframeCheckpoint(const std::string &bytes, CheckpointArchive &archive,
     return true;
 }
 
-CheckpointArchive
-readCheckpointFile(const std::string &path,
-                   std::uint64_t expectedFingerprint)
-{
-    CheckpointArchive archive;
-    std::string error;
-    if (!unframeCheckpoint(readFileBytes(path), archive, error))
-        util::fatal(util::msg(path, ": ", error));
-    requireFingerprint(path, archive.fingerprint, expectedFingerprint);
-    return archive;
-}
-
 CheckpointScan
 readCheckpointStream(const std::string &path,
                      std::uint64_t expectedFingerprint)
 {
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        util::fatal(util::msg("cannot open checkpoint file: ", path));
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    if (in.bad())
+        util::fatal(util::msg("checkpoint read failed: ", path));
+
     CheckpointScan scan;
     std::string error;
-    if (!scanCheckpointStream(readFileBytes(path), scan, error))
+    if (!scanCheckpointStream(bytes, scan, error))
         util::fatal(util::msg(path, ": ", error));
-    requireFingerprint(path, scan.last.fingerprint, expectedFingerprint);
+    if (scan.last.fingerprint != expectedFingerprint) {
+        util::fatal(util::msg(
+            path, ": checkpoint belongs to a different experiment "
+            "(fingerprint ", scan.last.fingerprint,
+            ", resuming configuration has ", expectedFingerprint,
+            "); resume requires the identical configuration"));
+    }
     return scan;
+}
+
+CheckpointAppend
+openCheckpointStream(const std::string &path, std::uint64_t fingerprint,
+                     const std::string &resumePath,
+                     const CheckpointScan &resumed)
+{
+    if (!resumePath.empty() && path == resumePath) {
+        std::error_code ec;
+        std::filesystem::resize_file(path, resumed.validBytes, ec);
+        if (ec)
+            util::fatal(util::msg("cannot truncate checkpoint file ",
+                                  path, ": ", ec.message()));
+    } else if (!std::ofstream(path, std::ios::binary | std::ios::trunc)) {
+        util::fatal(util::msg("cannot open checkpoint file for write: ",
+                              path));
+    }
+    return [path, fingerprint](const std::string &state, Tick tick) {
+        const std::string framed =
+            frameCheckpoint(state, fingerprint, tick);
+        std::ofstream out(path, std::ios::binary | std::ios::app);
+        out.write(framed.data(),
+                  static_cast<std::streamsize>(framed.size()));
+        out.flush();
+        if (!out)
+            util::fatal(util::msg("checkpoint append failed: ", path));
+    };
 }
 
 } // namespace sim

@@ -1,37 +1,41 @@
 /**
  * @file
- * Checkpoint archive framing and experiment fingerprinting
- * (DESIGN.md section 16).
+ * Checkpoint records, streams and experiment fingerprinting
+ * (DESIGN.md sections 16 and 17).
  *
  * A checkpoint *state blob* — produced by the Simulator's quiescent
- * capture-boundary hook via SimulationConfig::checkpointSink — is a
- * pure byte serialization of the full run state. This file wraps it
- * into a self-describing archive for disk:
+ * capture-boundary hook via SimulationConfig::checkpointSink, or by
+ * the fleet coordinator at a barrier — is a pure byte serialization
+ * of the full run state. This file frames it into a self-describing
+ * record:
  *
- *   file   := magic "QZCK" | u8 major | u8 minor | u16 reserved
+ *   record := magic "QZCK" | u8 major | u8 minor | u16 reserved
  *           | fixed64 fingerprint | fixed64 boundaryTick
  *           | fixed32 stateSize | fixed32 crc32(state) | state
  *
- * The fingerprint hashes every ExperimentConfig knob that shapes the
- * run's evolution; readers refuse an archive whose fingerprint does
+ * The fingerprint hashes every configuration knob that shapes the
+ * run's evolution; readers refuse a record whose fingerprint does
  * not match the resuming configuration, turning "resumed the wrong
  * run" into a clean diagnostic instead of silent divergence.
  *
- * A checkpoint *stream* (DESIGN.md section 17) is the append-only
- * concatenation of such records, one per fleet coordinator barrier.
+ * Every checkpoint file is a *stream*: the append-only concatenation
+ * of records, one per checkpoint, for single runs and fleets alike.
  * Because writers only ever append whole records, a crash — even
  * SIGKILL mid-write — can only truncate the final record; scanning
  * therefore resolves to the last *complete*, CRC-valid record and
  * tolerates a torn tail when an earlier complete record exists ("the
- * prior barrier wins"). Anything else — a CRC mismatch on a complete
+ * prior record wins"). Anything else — a CRC mismatch on a complete
  * record, a non-QZCK byte sequence after a valid record, a lone torn
  * record — is corruption and is rejected with a named diagnostic.
+ * readCheckpointStream and openCheckpointStream are the whole file
+ * discipline.
  */
 
 #ifndef QUETZAL_SIM_CHECKPOINT_HPP
 #define QUETZAL_SIM_CHECKPOINT_HPP
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "sim/experiment.hpp"
@@ -40,12 +44,12 @@
 namespace quetzal {
 namespace sim {
 
-/** Archive magic and schema version ("QZCK" v1.0). */
+/** Record magic and schema version ("QZCK" v2.0). */
 inline constexpr char kCheckpointMagic[4] = {'Q', 'Z', 'C', 'K'};
-inline constexpr std::uint8_t kCheckpointMajor = 1;
+inline constexpr std::uint8_t kCheckpointMajor = 2;
 inline constexpr std::uint8_t kCheckpointMinor = 0;
 
-/** A parsed checkpoint archive. */
+/** A parsed checkpoint record. */
 struct CheckpointArchive
 {
     std::uint64_t fingerprint = 0;
@@ -61,32 +65,20 @@ struct CheckpointArchive
  */
 std::uint64_t experimentFingerprint(const ExperimentConfig &config);
 
-/** Frame a state blob into archive bytes. */
+/** Frame a state blob into one record's bytes. */
 std::string frameCheckpoint(const std::string &state,
                             std::uint64_t fingerprint,
                             Tick boundaryTick);
 
 /**
- * Parse archive bytes. Returns false with a diagnostic in `error`
- * on bad magic, an unsupported major version, truncation or a CRC
- * mismatch — never on a fingerprint difference (callers compare
- * archive.fingerprint themselves so they can name both configs).
+ * Parse the bytes of exactly one record. Returns false with a
+ * diagnostic in `error` on bad magic, an unsupported major version,
+ * truncation or a CRC mismatch — never on a fingerprint difference
+ * (callers compare archive.fingerprint themselves so they can name
+ * both configs).
  */
 bool unframeCheckpoint(const std::string &bytes,
                        CheckpointArchive &archive, std::string &error);
-
-/** Write an archive file; util::fatal on I/O failure. */
-void writeCheckpointFile(const std::string &path,
-                         const std::string &state,
-                         std::uint64_t fingerprint, Tick boundaryTick);
-
-/**
- * Read and validate an archive file; util::fatal (naming the file)
- * on I/O failure, corruption or a fingerprint mismatch against
- * `expectedFingerprint`.
- */
-CheckpointArchive readCheckpointFile(const std::string &path,
-                                     std::uint64_t expectedFingerprint);
 
 /** Outcome of scanning a multi-record checkpoint stream. */
 struct CheckpointScan
@@ -118,26 +110,29 @@ bool scanCheckpointStream(const std::string &bytes, CheckpointScan &scan,
                           std::string &error);
 
 /**
- * Append one framed record to a checkpoint stream file (created when
- * absent); util::fatal on I/O failure.
- */
-void appendCheckpointFile(const std::string &path,
-                          const std::string &state,
-                          std::uint64_t fingerprint, Tick boundaryTick);
-
-/**
- * Shrink a checkpoint stream file to `bytes` (drop a torn tail
- * before appending resumes); util::fatal on I/O failure.
- */
-void truncateCheckpointFile(const std::string &path, std::size_t bytes);
-
-/**
  * Read and scan a checkpoint stream file; util::fatal (naming the
  * file) on I/O failure, corruption or a fingerprint mismatch of the
  * resume record against `expectedFingerprint`.
  */
 CheckpointScan readCheckpointStream(const std::string &path,
                                     std::uint64_t expectedFingerprint);
+
+/** A run's checkpoint sink: appends one framed record per call. */
+using CheckpointAppend =
+    std::function<void(const std::string &state, Tick boundaryTick)>;
+
+/**
+ * Ready the stream at `path` for a run's checkpoints and return the
+ * sink that appends them (util::fatal on I/O failure). A fresh
+ * stream is truncated once. The stream the run resumed from (`path`
+ * equal to `resumePath`, `resumed` its scan) is cut back to
+ * `resumed.validBytes` instead, which drops a torn tail: the resumed
+ * run's appends then leave the bytes a straight run would have.
+ */
+CheckpointAppend openCheckpointStream(const std::string &path,
+                                      std::uint64_t fingerprint,
+                                      const std::string &resumePath = {},
+                                      const CheckpointScan &resumed = {});
 
 } // namespace sim
 } // namespace quetzal

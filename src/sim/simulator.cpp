@@ -454,19 +454,10 @@ Simulator::finishJob(Tick now)
         jobFlags |= obs::kFlagInteresting;
 
     if (job.id == appModel.classifyJob) {
-        // Which option the (degradable) inference task ran at. The
-        // position is resolved at application-build time; fall back
-        // to the scan for hand-built models that never resolved it.
-        std::size_t mlOption = 0;
-        if (appModel.inferenceTaskPos) {
-            mlOption = activeJob->selection
-                .optionPerTask[*appModel.inferenceTaskPos];
-        } else {
-            for (std::size_t i = 0; i < job.tasks.size(); ++i) {
-                if (job.tasks[i] == appModel.inferenceTask)
-                    mlOption = activeJob->selection.optionPerTask[i];
-            }
-        }
+        // Which option the (degradable) inference task ran at; the
+        // position is resolved at application-build time.
+        const std::size_t mlOption = activeJob->selection
+            .optionPerTask[appModel.inferenceTaskPos];
         const bool positive = appModel.classifyPositive(
             outcomeRng, mlOption, input.interesting);
         jobFlags |= obs::kFlagClassify;
@@ -491,16 +482,8 @@ Simulator::finishJob(Tick now)
             buffer.releaseSlot(activeJob->selection.slot);
         }
     } else if (job.id == appModel.transmitJob) {
-        std::size_t radioOption = 0;
-        if (appModel.radioTaskPos) {
-            radioOption = activeJob->selection
-                .optionPerTask[*appModel.radioTaskPos];
-        } else {
-            for (std::size_t i = 0; i < job.tasks.size(); ++i) {
-                if (job.tasks[i] == appModel.radioTask)
-                    radioOption = activeJob->selection.optionPerTask[i];
-            }
-        }
+        const std::size_t radioOption = activeJob->selection
+            .optionPerTask[appModel.radioTaskPos];
         const bool highQuality = radioOption == 0;
         jobFlags |= obs::kFlagTransmit;
         if (highQuality)

@@ -151,14 +151,6 @@ class Simulator
     /** Execute the full run and return its metrics. */
     Metrics run();
 
-    /**
-     * True when run() returned because checkpointStop fired: the
-     * metrics are a partial prefix and no end-of-run events were
-     * emitted (so a stop-segment trace concatenates cleanly with the
-     * resumed segment's).
-     */
-    bool stoppedAtCheckpoint() const { return stoppedAtCheckpoint_; }
-
   private:
     /** In-flight job bookkeeping. */
     struct ActiveJob

@@ -610,7 +610,9 @@ class Archive
      * A length-prefixed sub-blob walked by `walk(Archive &)`. The
      * prefix lets a walk that reads short or long be caught here
      * rather than corrupt the fields after it: load fails unless the
-     * nested walk consumed exactly its bytes.
+     * nested walk consumed exactly its bytes. A failure inside the
+     * walk is reported under the walk's own section, or under the
+     * caller's when the walk names none.
      */
     template <typename Walk>
     void
@@ -627,7 +629,10 @@ class Archive
         if (!ok() || !in.getSlice(slice))
             return fail();
         Archive sub(slice);
+        sub.current = current;
         walk(sub);
+        if (!sub.ok())
+            current = sub.failedSection;
         check(sub.loaded());
     }
 

@@ -121,15 +121,11 @@ runAgainstStream(const fleet::FleetConfig &config, unsigned jobs,
     options.sink = &sink;
     options.out = &text;
     options.stopAfterTick = stopAfterTick;
-    options.checkpointSink = [&path, fingerprint](
-                                 const std::string &state, Tick tick) {
-        sim::appendCheckpointFile(path, state, fingerprint, tick);
-    };
 
     fleet::FleetState resumeState;
+    sim::CheckpointScan scan;
     if (resume) {
-        const sim::CheckpointScan scan =
-            sim::readCheckpointStream(path, fingerprint);
+        scan = sim::readCheckpointStream(path, fingerprint);
         EXPECT_TRUE(fleet::validBarrierTick(config,
                                             scan.last.boundaryTick));
         std::string error;
@@ -138,11 +134,9 @@ runAgainstStream(const fleet::FleetConfig &config, unsigned jobs,
             << error;
         options.resumeTick = scan.last.boundaryTick;
         options.resumeState = &resumeState;
-        sim::truncateCheckpointFile(path, scan.validBytes);
-    } else {
-        std::ofstream fresh(path,
-                            std::ios::binary | std::ios::trunc);
     }
+    options.checkpointSink = sim::openCheckpointStream(
+        path, fingerprint, resume ? path : std::string(), scan);
 
     observed.result = fleet::runFleet(config, options);
     observed.text = text.str();
@@ -266,12 +260,13 @@ TEST(FleetChaos, SigkilledWriterLeavesATornTailAndThePriorBarrierWins)
         fleet::FleetOptions options;
         options.jobs = 2;
         std::size_t epoch = 0;
+        const sim::CheckpointAppend append =
+            sim::openCheckpointStream(path, fingerprint);
         options.checkpointSink = [&](const std::string &state,
                                      Tick tick) {
             ++epoch;
             if (epoch <= 2) {
-                sim::appendCheckpointFile(path, state, fingerprint,
-                                          tick);
+                append(state, tick);
                 return;
             }
             const std::string framed =
@@ -423,7 +418,7 @@ using FleetChaosDeathTest = ::testing::Test;
 TEST(FleetChaosDeathTest, ResumeDiesOnAWrongFingerprintStream)
 {
     const std::string path = tempPath("wrong_fp");
-    sim::appendCheckpointFile(path, "state bytes", 0x1111, 600);
+    sim::openCheckpointStream(path, 0x1111)("state bytes", 600);
     EXPECT_EXIT((void)sim::readCheckpointStream(path, 0x2222),
                 ::testing::ExitedWithCode(1),
                 "belongs to a different experiment");

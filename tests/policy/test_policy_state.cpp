@@ -38,28 +38,29 @@ oneHertzSystem()
 }
 
 std::string
-checkpointOf(core::Controller &controller)
+checkpointOf(const core::TaskSystem &system, core::Controller &controller)
 {
     std::string bytes;
     util::wire::Archive ar(bytes);
-    controller.checkpoint(ar);
+    controller.checkpoint(system, ar);
     return bytes;
 }
 
 bool
-restore(core::Controller &controller, const std::string &bytes)
+restore(const core::TaskSystem &system, core::Controller &controller,
+        const std::string &bytes)
 {
     util::wire::Archive ar{util::wire::Reader(bytes)};
-    controller.checkpoint(ar);
+    controller.checkpoint(system, ar);
     return ar.loaded();
 }
 
 std::string
-policyBlob(core::Controller &controller)
+policyBlob(const core::TaskSystem &system, core::Controller &controller)
 {
     std::string blob;
     util::wire::Archive ar(blob);
-    controller.policy().state(ar);
+    controller.policy().state(system, ar);
     return blob;
 }
 
@@ -81,7 +82,8 @@ TEST(PolicyState, ZygardeOverflowPressureSurvivesCheckpoint)
         original->onInputDropped(*s.system, buffer, dropped, now);
 
     auto restored = makeController(policyRow("zygarde"));
-    ASSERT_TRUE(restore(*restored, checkpointOf(*original)));
+    ASSERT_TRUE(
+        restore(*s.system, *restored, checkpointOf(*s.system, *original)));
     auto fresh = makeController(policyRow("zygarde"));
 
     const core::RuntimeObservation runtime{0.05, 0.1, now};
@@ -120,26 +122,30 @@ TEST(PolicyState, SjfIboBlobEqualsQuetzalBlob)
     ASSERT_GT(quetzal->stats().degradedJobs, 0u);
 
     // The IBO option vector: its length, then one option per task.
-    const std::string blob = policyBlob(*quetzal);
+    const std::string blob = policyBlob(*s.system, *quetzal);
     ASSERT_EQ(blob.size(), 1 + s.system->taskCount());
     EXPECT_EQ(static_cast<std::size_t>(blob[0]), s.system->taskCount());
-    EXPECT_EQ(policyBlob(*ported), blob);
-    EXPECT_EQ(checkpointOf(*ported), checkpointOf(*quetzal));
+    EXPECT_EQ(policyBlob(*s.system, *ported), blob);
+    EXPECT_EQ(checkpointOf(*s.system, *ported),
+              checkpointOf(*s.system, *quetzal));
 }
 
 TEST(PolicyState, ArchivesWithoutPolicyStateAreRejected)
 {
     // greedy-fcfs is stateless: its checkpoint is a stateful policy's
     // layout (same PID presence) with an empty policy blob.
+    const auto s = oneHertzSystem();
+    const core::TaskSystem &system = *s.system;
     const std::string empty =
-        checkpointOf(*makeController(policyRow("greedy-fcfs")));
+        checkpointOf(system, *makeController(policyRow("greedy-fcfs")));
     for (const char *name : {"sjf-ibo", "zygarde"}) {
         SCOPED_TRACE(name);
         auto controller = makeController(policyRow(name));
-        EXPECT_FALSE(restore(*controller, empty));
+        EXPECT_FALSE(restore(system, *controller, empty));
         // Its own checkpoint restores cleanly.
         auto twin = makeController(policyRow(name));
-        EXPECT_TRUE(restore(*twin, checkpointOf(*controller)));
+        EXPECT_TRUE(
+            restore(system, *twin, checkpointOf(system, *controller)));
     }
 }
 

@@ -237,26 +237,17 @@ TEST(InputBufferState, RoundTripsRecordsAndPushHistory)
     EXPECT_TRUE(restored.tryPush(record(9, 0, false, 40)));
 }
 
-TEST(InputBufferState, RetiredFlagByteIsWrittenAsOneAndIgnoredOnLoad)
-{
-    const InputBuffer::State original = snapshotWithHistory();
-    std::string bytes = encode(original);
-    // Tail: anyPush, the retired byte, anyPush again, then the
-    // one-byte zigzag of capture tick 40.
-    const std::size_t retired = bytes.size() - 3;
-    EXPECT_EQ(bytes[retired], '\x01');
-    bytes[retired] = '\x00';
-    InputBuffer::State loaded;
-    ASSERT_EQ(loadFailure(bytes, loaded), "");
-    EXPECT_EQ(encode(loaded), encode(original));
-}
-
-TEST(InputBufferState, LoadRefusesDifferingAnyPushBytes)
+TEST(InputBufferState, PushHistoryEndsWithAnyPushThenCaptureTick)
 {
     std::string bytes = encode(snapshotWithHistory());
-    bytes[bytes.size() - 4] = '\x00'; // the first anyPush byte
+    // Tail: the anyPush flag, then the one-byte zigzag of capture
+    // tick 40.
+    const std::size_t anyPush = bytes.size() - 2;
+    EXPECT_EQ(bytes[anyPush], '\x01');
+    EXPECT_EQ(bytes.back(), '\x50');
+    bytes[anyPush] = '\x02';
     InputBuffer::State loaded;
-    EXPECT_EQ(loadFailure(bytes, loaded), "buffer push history flags");
+    EXPECT_EQ(loadFailure(bytes, loaded), "buffer counters");
 }
 
 TEST(InputBufferState, LoadRefusesRepeatedRecordId)

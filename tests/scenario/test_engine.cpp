@@ -346,7 +346,7 @@ TEST(ScenarioEngineDeathTest, FleetResumeOfAnImpossibleStateNamesTheFile)
     std::string blob;
     std::string section;
     fleet::encodeFleetState(state, fp, blob, section);
-    sim::writeCheckpointFile(stream, blob, fp, scan.last.boundaryTick);
+    sim::openCheckpointStream(stream, fp)(blob, scan.last.boundaryTick);
 
     EngineOptions resume;
     resume.jobs = 1;

@@ -12,9 +12,13 @@
  *    outside its configured window, or with a word count that differs
  *    from it, is refused: restored, it would index past the tracker's
  *    storage on the next recorded capture.
+ *  - An IBO policy blob with more option settings than tasks, or an
+ *    option index its task does not have, is refused under a named
+ *    section.
  *  - A Simulator resume from a truncated, over-long, mismatched or
  *    out-of-range blob exits with the named diagnostic, also when its
- *    buffer records repeat an id or lie ahead of the next input id.
+ *    buffer records repeat an id or lie ahead of the next input id,
+ *    or its IBO engine holds an option index out of range.
  */
 
 #include <gtest/gtest.h>
@@ -117,7 +121,6 @@ struct SystemImage
     hw::PowerMonitorCircuit::State circuit;
     queueing::ArrivalRateTracker::State arrivals;
     std::vector<queueing::BitVectorWindow::State> windows;
-    std::uint64_t revision = 0;
 
     explicit SystemImage(const std::string &blob)
     {
@@ -140,7 +143,6 @@ struct SystemImage
         ar.check(ar.count(windows.size()) == windows.size());
         for (queueing::BitVectorWindow::State &window : windows)
             window.walk(ar);
-        ar.varint(revision);
     }
 
     std::string
@@ -239,6 +241,15 @@ busyController(const policy::ControllerRow &row)
     return controller;
 }
 
+/** The configuration every controller blob below is checked against:
+ *  busyController's task set. */
+const core::TaskSystem &
+smallSystem()
+{
+    static const auto s = makeSmallSystem();
+    return *s.system;
+}
+
 /** Walk of a freshly built controller (or one of its hooks). */
 std::function<Walk()>
 freshController(const policy::ControllerRow &row,
@@ -256,13 +267,13 @@ freshController(const policy::ControllerRow &row,
 void
 wholeController(core::Controller &controller, util::wire::Archive &ar)
 {
-    controller.checkpoint(ar);
+    controller.checkpoint(smallSystem(), ar);
 }
 
 void
 policyHook(core::Controller &controller, util::wire::Archive &ar)
 {
-    controller.policy().state(ar);
+    controller.policy().state(smallSystem(), ar);
 }
 
 void
@@ -277,7 +288,7 @@ TEST(CheckpointRestore, ControllerRefusesEveryTruncation)
         SCOPED_TRACE(row->label);
         auto controller = busyController(*row);
         const std::string blob = saved([&](util::wire::Archive &ar) {
-            controller->checkpoint(ar);
+            wholeController(*controller, ar);
         });
         // A cut inside the policy blob can follow a complete estimator
         // blob, which the estimator hook has then already applied.
@@ -292,11 +303,11 @@ TEST(CheckpointRestore, HooksRefuseEveryTruncation)
         SCOPED_TRACE(row->label);
         auto controller = busyController(*row);
         const std::string policyBlob = saved([&](util::wire::Archive &ar) {
-            controller->policy().state(ar);
+            policyHook(*controller, ar);
         });
         const std::string estimatorBlob =
             saved([&](util::wire::Archive &ar) {
-                controller->estimator().state(ar);
+                estimatorHook(*controller, ar);
             });
         EXPECT_FALSE(policyBlob.empty() && estimatorBlob.empty());
         if (!policyBlob.empty())
@@ -306,6 +317,40 @@ TEST(CheckpointRestore, HooksRefuseEveryTruncation)
             expectEveryCutRefused(estimatorBlob,
                                   freshController(*row, estimatorHook));
     }
+}
+
+/** The section a load of `bytes` through `walk` fails under, or "". */
+std::string
+refusal(const std::string &bytes, const Walk &walk)
+{
+    util::wire::Archive ar{util::wire::Reader(bytes)};
+    walk(ar);
+    return ar.loaded() ? "" : ar.failure();
+}
+
+TEST(CheckpointRestore, IboOptionsMustFitTheTaskSystem)
+{
+    // The IBO engine's blob: a count, then one option index per task.
+    // The small system has two tasks of two options each.
+    const auto sjfIbo = freshController(policy::policyRow("sjf-ibo"),
+                                        policyHook);
+    EXPECT_EQ(refusal(std::string("\x02\x00\x01", 3), sjfIbo()), "");
+    EXPECT_EQ(refusal(std::string("\x02\x00\x09", 3), sjfIbo()),
+              "IBO option index out of range");
+    EXPECT_EQ(refusal(std::string("\x02\x02\x00", 3), sjfIbo()),
+              "IBO option index out of range");
+    EXPECT_EQ(refusal(std::string("\x03\x00\x00\x00", 4), sjfIbo()),
+              "IBO option count exceeds task count");
+
+    // Through the whole controller, the failure keeps the hook's
+    // section: the policy blob is the controller blob's last field,
+    // behind its one-byte length prefix.
+    const Walk controller =
+        freshController(policy::policyRow("sjf-ibo"), wholeController)();
+    std::string blob = saved(controller);
+    ASSERT_EQ(blob.substr(blob.size() - 2), std::string("\x01\x00", 2));
+    blob.replace(blob.size() - 2, 2, std::string("\x03\x02\x00\x09", 4));
+    EXPECT_EQ(refusal(blob, controller), "IBO option index out of range");
 }
 
 // --- FaultInjector -----------------------------------------------------
@@ -511,6 +556,16 @@ TEST(CheckpointRestoreDeathTest, ResumeNamesTheSectionItCouldNotRestore)
     EXPECT_EXIT(resume(longRun, aheadOfNextId),
                 ::testing::ExitedWithCode(1),
                 "\\(buffer record id past next input id\\)");
+
+    // Without faults the blob ends with the Controller blob, whose
+    // last field is the IBO engine's policy blob {2: radio option at
+    // blob[-2]}, then the fault-runtime presence flag. Radio option 9
+    // would panic in the next admit; the resume refuses it instead.
+    std::string options = firstCheckpoint(clean);
+    ASSERT_EQ(options.substr(options.size() - 5, 2), "\x03\x02");
+    options[options.size() - 2] = '\x09';
+    EXPECT_EXIT(resume(clean, options), ::testing::ExitedWithCode(1),
+                "\\(IBO option index out of range\\)");
 }
 
 } // namespace

@@ -1,12 +1,11 @@
 /**
  * @file
- * QZCK file I/O and multi-record stream semantics (DESIGN.md
- * sections 16 and 17): the single-archive read/write pair, the
- * append-only stream builder the fleet engine checkpoints through,
- * the truncate-then-append torn-tail repair, and a resume routed
- * through an on-disk archive — the file-level paths
- * the in-memory resume suite (test_checkpoint_resume.cpp) never
- * touches.
+ * QZCK stream files (DESIGN.md sections 16 and 17): the append-only
+ * discipline single runs and fleets share — a fresh stream truncated
+ * once, one record appended per checkpoint, the last complete record
+ * read back, a torn tail cut before a resumed run appends — and a
+ * resume routed through a stream on disk, the file-level paths the
+ * in-memory resume suite (test_checkpoint_resume.cpp) never touches.
  */
 
 #include <gtest/gtest.h>
@@ -43,56 +42,37 @@ fileBytes(const std::string &path)
     return bytes.str();
 }
 
-TEST(CheckpointFile, WriteReadRoundTrips)
+void
+writeBytes(const std::string &path, const std::string &bytes)
 {
-    const std::string path = tempPath("roundtrip");
-    writeCheckpointFile(path, "the state blob", 0xf00d, 4200);
-
-    const CheckpointArchive archive = readCheckpointFile(path, 0xf00d);
-    EXPECT_EQ(archive.fingerprint, 0xf00dull);
-    EXPECT_EQ(archive.boundaryTick, 4200);
-    EXPECT_EQ(archive.state, "the state blob");
-
-    // Writing again replaces the archive (single-archive semantics:
-    // the file holds the latest checkpoint, not a stream).
-    writeCheckpointFile(path, "a later state", 0xf00d, 8400);
-    const CheckpointArchive later = readCheckpointFile(path, 0xf00d);
-    EXPECT_EQ(later.boundaryTick, 8400);
-    EXPECT_EQ(later.state, "a later state");
-    std::remove(path.c_str());
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-using CheckpointFileDeathTest = ::testing::Test;
-
-TEST(CheckpointFileDeathTest, ReadDiesOnMissingCorruptOrForeignFile)
+TEST(CheckpointStreamFile, OpenTruncatesAFreshStreamOnce)
 {
-    EXPECT_EXIT((void)readCheckpointFile(tempPath("missing"), 1),
-                ::testing::ExitedWithCode(1),
-                "cannot open checkpoint file");
+    const std::string path = tempPath("fresh");
+    writeBytes(path, "an older run's stream");
+    const CheckpointAppend append = openCheckpointStream(path, 0xf00d);
+    EXPECT_EQ(fileBytes(path), "");
 
-    const std::string path = tempPath("bad");
-    writeCheckpointFile(path, "payload", 0xaaaa, 100);
-    EXPECT_EXIT((void)readCheckpointFile(path, 0xbbbb),
-                ::testing::ExitedWithCode(1),
-                "belongs to a different experiment");
-
-    std::string corrupt = fileBytes(path);
-    corrupt.back() = static_cast<char>(corrupt.back() ^ 0x01);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << corrupt;
-    out.close();
-    EXPECT_EXIT((void)readCheckpointFile(path, 0xaaaa),
-                ::testing::ExitedWithCode(1), "CRC mismatch");
+    append("the state blob", 4200);
+    append("a later state", 8400);
+    const CheckpointScan scan = readCheckpointStream(path, 0xf00d);
+    EXPECT_EQ(scan.records, 2u);
+    EXPECT_EQ(scan.last.fingerprint, 0xf00dull);
+    EXPECT_EQ(scan.last.boundaryTick, 8400);
+    EXPECT_EQ(scan.last.state, "a later state");
     std::remove(path.c_str());
 }
 
 TEST(CheckpointStreamFile, AppendBuildsAScannableStream)
 {
     const std::string path = tempPath("append");
-    std::remove(path.c_str());
-    appendCheckpointFile(path, "one", 0xcafe, 600);
-    appendCheckpointFile(path, "two", 0xcafe, 1200);
-    appendCheckpointFile(path, "three", 0xcafe, 1800);
+    const CheckpointAppend append = openCheckpointStream(path, 0xcafe);
+    append("one", 600);
+    append("two", 1200);
+    append("three", 1800);
 
     const CheckpointScan scan = readCheckpointStream(path, 0xcafe);
     EXPECT_EQ(scan.records, 3u);
@@ -109,37 +89,48 @@ TEST(CheckpointStreamFile, AppendBuildsAScannableStream)
     std::remove(path.c_str());
 }
 
-TEST(CheckpointStreamFile, TruncateRepairsATornTailForAppendResume)
+TEST(CheckpointStreamFile, ResumeOpenCutsATornTailBeforeAppending)
 {
     const std::string path = tempPath("repair");
-    std::remove(path.c_str());
-    appendCheckpointFile(path, "one", 0xcafe, 600);
-    appendCheckpointFile(path, "two", 0xcafe, 1200);
-    const std::string clean = fileBytes(path);
+    const std::string clean = frameCheckpoint("one", 0xcafe, 600) +
+                              frameCheckpoint("two", 0xcafe, 1200);
 
     // Tear a third record in half, as a killed writer would.
     const std::string torn = frameCheckpoint("three", 0xcafe, 1800);
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    out.write(torn.data(),
-              static_cast<std::streamsize>(torn.size() / 2));
-    out.close();
+    writeBytes(path, clean + torn.substr(0, torn.size() / 2));
 
-    CheckpointScan scan = readCheckpointStream(path, 0xcafe);
+    const CheckpointScan scan = readCheckpointStream(path, 0xcafe);
     EXPECT_EQ(scan.records, 2u);
     EXPECT_TRUE(scan.tornTail);
     EXPECT_EQ(scan.last.boundaryTick, 1200);
     EXPECT_EQ(scan.validBytes, clean.size());
 
-    // The resume protocol: truncate to validBytes, then append the
-    // re-simulated barrier — the repaired stream is the straight one.
-    truncateCheckpointFile(path, scan.validBytes);
+    // Resuming onto the same stream cuts it to validBytes; appending
+    // the re-simulated record leaves the straight stream.
+    const CheckpointAppend append =
+        openCheckpointStream(path, 0xcafe, path, scan);
     EXPECT_EQ(fileBytes(path), clean);
-    appendCheckpointFile(path, "three", 0xcafe, 1800);
-    const CheckpointScan repaired = readCheckpointStream(path, 0xcafe);
-    EXPECT_EQ(repaired.records, 3u);
-    EXPECT_FALSE(repaired.tornTail);
-    EXPECT_EQ(repaired.last.state, "three");
+    append("three", 1800);
+    EXPECT_EQ(fileBytes(path), clean + torn);
     std::remove(path.c_str());
+}
+
+TEST(CheckpointStreamFile, ResumeOpenOfAnotherPathLeavesTheSourceAlone)
+{
+    const std::string source = tempPath("source");
+    const std::string target = tempPath("target");
+    const std::string stream = frameCheckpoint("one", 0xcafe, 600);
+    const std::string torn = stream + stream.substr(0, 10);
+    writeBytes(source, torn);
+    writeBytes(target, "stale");
+
+    const CheckpointScan scan = readCheckpointStream(source, 0xcafe);
+    ASSERT_TRUE(scan.tornTail);
+    (void)openCheckpointStream(target, 0xcafe, source, scan);
+    EXPECT_EQ(fileBytes(source), torn);
+    EXPECT_EQ(fileBytes(target), "");
+    std::remove(source.c_str());
+    std::remove(target.c_str());
 }
 
 TEST(CheckpointStreamFile, ScanToleratesATornTailOnlyAfterARecord)
@@ -223,15 +214,33 @@ TEST(CheckpointStreamFileDeathTest, ReadDiesOnMissingOrEmptyStream)
 TEST(CheckpointStreamFileDeathTest, ReadDiesOnAForeignFingerprint)
 {
     const std::string path = tempPath("foreign");
-    std::remove(path.c_str());
-    appendCheckpointFile(path, "state", 0x1234, 600);
+    openCheckpointStream(path, 0x1234)("state", 600);
     EXPECT_EXIT((void)readCheckpointStream(path, 0x4321),
                 ::testing::ExitedWithCode(1),
                 "belongs to a different experiment");
     std::remove(path.c_str());
 }
 
-// --- Resume through an on-disk archive ----------------------------------
+TEST(CheckpointStreamFileDeathTest, ReadDiesOnACorruptOrOlderRecord)
+{
+    const std::string path = tempPath("corrupt");
+    std::string corrupt = frameCheckpoint("payload", 0xaaaa, 100);
+    corrupt.back() = static_cast<char>(corrupt.back() ^ 0x01);
+    writeBytes(path, corrupt);
+    EXPECT_EXIT((void)readCheckpointStream(path, 0xaaaa),
+                ::testing::ExitedWithCode(1), "CRC mismatch");
+
+    // A QZCK 1.x record predates the 2.0 state layout.
+    std::string older = frameCheckpoint("payload", 0xaaaa, 100);
+    older[4] = '\x01';
+    writeBytes(path, older);
+    EXPECT_EXIT((void)readCheckpointStream(path, 0xaaaa),
+                ::testing::ExitedWithCode(1),
+                "unsupported checkpoint schema version 1.0");
+    std::remove(path.c_str());
+}
+
+// --- Resume through a stream on disk ------------------------------------
 
 ExperimentConfig
 resumableConfig()
@@ -244,30 +253,27 @@ resumableConfig()
     return config;
 }
 
-TEST(CheckpointStreamFile, ResumeThroughAnArchiveFile)
+TEST(CheckpointStreamFile, ResumeThroughAStreamFile)
 {
-    // Save through writeCheckpointFile, read the archive back under
-    // the same configuration's fingerprint, and finish the run: the
-    // full disk round trip of the resume path.
-    const std::string path = tempPath("archive_resume");
+    // Save through a stream, read its last record back under the
+    // same configuration's fingerprint, and finish the run: the full
+    // disk round trip of the resume path.
+    const std::string path = tempPath("stream_resume");
     obs::VectorSink straightSink;
     ExperimentConfig straightCfg = resumableConfig();
     straightCfg.obsSink = &straightSink;
     const Metrics straight = runExperiment(straightCfg);
 
     ExperimentConfig saveCfg = resumableConfig();
-    const std::uint64_t saveFp = experimentFingerprint(saveCfg);
     saveCfg.sim.checkpointEveryCaptures = 40;
     saveCfg.sim.checkpointStop = true;
-    saveCfg.sim.checkpointSink = [&path, saveFp](std::string &&state,
-                                                 Tick now) {
-        writeCheckpointFile(path, state, saveFp, now);
-    };
+    saveCfg.sim.checkpointSink =
+        openCheckpointStream(path, experimentFingerprint(saveCfg));
     (void)runExperiment(saveCfg);
 
     ExperimentConfig resumeCfg = resumableConfig();
     const CheckpointArchive archive =
-        readCheckpointFile(path, experimentFingerprint(resumeCfg));
+        readCheckpointStream(path, experimentFingerprint(resumeCfg)).last;
     obs::VectorSink resumedSink;
     resumeCfg.obsSink = &resumedSink;
     resumeCfg.sim.resumeState = &archive.state;

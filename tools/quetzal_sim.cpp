@@ -138,16 +138,18 @@ usage(const char *argv0, bool requested)
         "event\n"
         "\n"
         "Checkpoint / resume (single-experiment mode):\n"
-        "  --checkpoint FILE      write a QZCK archive at each "
-        "checkpoint\n"
-        "                         boundary (the file holds the latest)\n"
+        "  --checkpoint FILE      start a QZCK stream; each checkpoint "
+        "boundary\n"
+        "                         appends a record (~0.7-2 KB)\n"
         "  --checkpoint-every N   captures between checkpoints "
         "(default 1000)\n"
         "  --checkpoint-stop      exit right after the first "
-        "checkpoint saves\n"
-        "  --resume FILE          resume from a QZCK archive written "
-        "by an\n"
-        "                         identically-configured run\n"
+        "checkpoint saves,\n"
+        "                         printing no report\n"
+        "  --resume FILE          resume from the stream's last "
+        "complete record,\n"
+        "                         written by an identically-configured "
+        "run\n"
         "\n"
         "Fleet checkpoint / resume (--scenario/--fleet with a "
         "\"fleet\" block):\n"
@@ -497,24 +499,27 @@ runCli(int argc, char **argv)
     }
 
     // Checkpoint/resume plumbing — the fingerprint is computed after
-    // every configuration flag has landed, so a mismatched archive is
-    // rejected with both fingerprints named.
-    std::string resumeState;
+    // every configuration flag has landed, so a mismatched record is
+    // rejected with both fingerprints named. Under --checkpoint-stop
+    // the sink fires once, and the run ends at that boundary.
+    const std::uint64_t fingerprint = sim::experimentFingerprint(cfg);
+    sim::CheckpointScan resumed;
     if (!resumePath.empty()) {
-        sim::CheckpointArchive archive = sim::readCheckpointFile(
-            resumePath, sim::experimentFingerprint(cfg));
-        resumeState = std::move(archive.state);
-        cfg.sim.resumeState = &resumeState;
+        resumed = sim::readCheckpointStream(resumePath, fingerprint);
+        cfg.sim.resumeState = &resumed.last.state;
     }
+    std::optional<Tick> stoppedAt;
     if (!checkpointOut.empty()) {
-        const std::uint64_t fingerprint = sim::experimentFingerprint(cfg);
         cfg.sim.checkpointEveryCaptures = checkpointEvery;
         cfg.sim.checkpointStop = checkpointStop;
-        cfg.sim.checkpointSink = [&checkpointOut, fingerprint](
-                                     std::string &&state, Tick now) {
-            sim::writeCheckpointFile(checkpointOut, state, fingerprint,
-                                     now);
-        };
+        cfg.sim.checkpointSink =
+            [append = sim::openCheckpointStream(checkpointOut, fingerprint,
+                                                resumePath, resumed),
+             &stoppedAt, checkpointStop](std::string &&state, Tick now) {
+                append(state, now);
+                if (checkpointStop)
+                    stoppedAt = now;
+            };
     }
 
     // btrace is written while the run executes, one ~64 KiB chunk
@@ -539,7 +544,15 @@ runCli(int argc, char **argv)
     const sim::Metrics m =
         sim::ParallelRunner(engine.jobs).runBatch({cfg}).front();
 
-    if (csv) {
+    if (stoppedAt) {
+        // A partial run prints no report: its stdout stays a strict
+        // prefix of the straight run's, as a halted fleet's does.
+        std::fprintf(stderr,
+                     "stopped at checkpoint boundary tick %lld; resume "
+                     "with --resume %s\n",
+                     static_cast<long long>(*stoppedAt),
+                     checkpointOut.c_str());
+    } else if (csv) {
         if (header)
             csvHeader();
         csvRow(cfg, environment, m);
