@@ -9,7 +9,10 @@
 #  3. the straight stream cut in the middle of its last record resumes
 #     from the record before it and again ends as the straight run;
 #  4. a record whose CRC holds but whose IBO engine state names an
-#     option its task does not have is refused, naming the section.
+#     option its task does not have is refused, naming the section;
+#  5. a checkpoint taken while tracing (with a telemetry cost, so the
+#     trace level shapes the state) is refused by an untraced resume,
+#     naming the fingerprint.
 #
 # Usage: scripts/check_single_resume.sh [quetzal-sim]
 #   quetzal-sim   path to the CLI (default build/tools/quetzal-sim)
@@ -116,6 +119,7 @@ fi
 # 4. The last record re-sealed around radio option 9: without faults
 #    the state ends with the IBO engine's blob {2: ml, radio} and the
 #    fault-runtime flag, so the radio option is the second-last byte.
+#    The straight run traced, so the resume traces too (step 5).
 python3 - "$tmp/straight.qzck" "$tmp/bad.qzck" <<'PY'
 import struct, sys
 
@@ -142,13 +146,26 @@ struct.pack_into("<I", header, 28, crc32c(state))
 open(sys.argv[2], "wb").write(bytes(header) + bytes(state))
 PY
 code=0
-"$SIM" "${RUN[@]}" --resume "$tmp/bad.qzck" >/dev/null 2>"$tmp/bad.err" \
-    || code=$?
+"$SIM" "${RUN[@]}" --resume "$tmp/bad.qzck" --trace-out "$tmp/bad.jsonl" \
+    >/dev/null 2>"$tmp/bad.err" || code=$?
 if [ "$code" -ne 1 ] ||
     ! grep -q "(IBO option index out of range)" "$tmp/bad.err"; then
     cat "$tmp/bad.err" >&2
     fail "an out-of-range IBO option exited $code without naming" \
          "its section"
+fi
+
+# 5. The trace level is part of the experiment: a traced checkpoint
+#    does not resume untraced.
+"$SIM" "${RUN[@]}" --telemetry-cost-s 0.001 --checkpoint "$tmp/traced.qzck" \
+    --checkpoint-stop --trace-out "$tmp/traced.jsonl" >/dev/null 2>&1
+code=0
+"$SIM" "${RUN[@]}" --telemetry-cost-s 0.001 --resume "$tmp/traced.qzck" \
+    >/dev/null 2>"$tmp/untraced.err" || code=$?
+if [ "$code" -ne 1 ] || ! grep -q "fingerprint" "$tmp/untraced.err"; then
+    cat "$tmp/untraced.err" >&2
+    fail "an untraced resume of a traced checkpoint exited $code" \
+         "without naming the fingerprint"
 fi
 
 if [ $status -ne 0 ]; then

@@ -216,6 +216,14 @@ isChromeSlice(EventKind kind)
 /** `,"dur":` between a Chrome slice's start and its duration. */
 constexpr std::string_view kChromeDur = ",\"dur\":";
 
+/** The per-run prefix of every JSONL line, `{"run":N,"t":`: the
+ *  writer prints it around the run index, and the reader's first
+ *  route walks it. */
+constexpr std::string_view kJsonlRunKey = "{\"run\":";
+constexpr std::string_view kJsonlTickKey = ",\"t\":";
+/** Every kind's jsonlHead up to its name. */
+constexpr std::string_view kJsonlKindKey = ",\"kind\":\"";
+
 /**
  * Every constant byte of one kind's lines, built once from
  * schemaFor() and eventKindName(): the writers format from the same
@@ -253,7 +261,7 @@ traceLiterals()
             const Schema &schema = schemaFor(kind);
             KindLiterals &lits = table.kinds[i];
             const std::string_view name = eventKindName(kind);
-            lits.jsonlHead = util::msg(",\"kind\":\"", name, '"');
+            lits.jsonlHead = util::msg(kJsonlKindKey, name, '"');
             switch (kind) {
               case EventKind::JobComplete:
                 lits.chromeHead = "{\"name\":\"job\",\"ph\":\"X\",\"ts\":";
@@ -529,6 +537,26 @@ parseBool(std::string_view text, bool &value, Diag &diag)
     return true;
 }
 
+/** Store a decoded integer in the member an integer field maps to. */
+void
+setIntegerField(Event &event, Field field, long long integer)
+{
+    switch (field) {
+      case Field::Id:
+        event.id = static_cast<std::uint64_t>(integer);
+        return;
+      case Field::Value: event.value = integer; return;
+      case Field::Extra: event.extra = integer; return;
+      case Field::Options:
+        event.options = static_cast<std::uint32_t>(integer);
+        return;
+      case Field::A:
+      case Field::B:
+        break;
+    }
+    util::panic("unknown trace field");
+}
+
 bool
 assignField(Event &event, Field field, std::string_view text,
             Diag &diag)
@@ -540,20 +568,8 @@ assignField(Event &event, Field field, std::string_view text,
     long long integer = 0;
     if (!parseInt(text, integer, diag))
         return false;
-    switch (field) {
-      case Field::Id:
-        event.id = static_cast<std::uint64_t>(integer);
-        return true;
-      case Field::Value: event.value = integer; return true;
-      case Field::Extra: event.extra = integer; return true;
-      case Field::Options:
-        event.options = static_cast<std::uint32_t>(integer);
-        return true;
-      case Field::A:
-      case Field::B:
-        break;
-    }
-    util::panic("unknown trace field");
+    setIntegerField(event, field, integer);
+    return true;
 }
 
 /** Header-comment prefix carrying the trace schema version. */
@@ -653,6 +669,118 @@ decodePairs(const RawPairs &pairs, TraceRecord &record, Diag &diag)
     return true;
 }
 
+/** A cursor over one line for the writer-literal route: each step
+ *  consumes what it matched, or fails and leaves the rest to the
+ *  general route. */
+struct LiteralWalk
+{
+    const char *p;
+    const char *const end;
+
+    bool
+    literal(std::string_view text)
+    {
+        if (static_cast<std::size_t>(end - p) < text.size() ||
+            std::memcmp(p, text.data(), text.size()) != 0)
+            return false;
+        p += text.size();
+        return true;
+    }
+
+    bool
+    integer(long long &value)
+    {
+        const auto result = std::from_chars(p, end, value);
+        if (result.ec != std::errc())
+            return false;
+        p = result.ptr;
+        return true;
+    }
+
+    bool
+    real(double &value)
+    {
+        const auto result = std::from_chars(p, end, value);
+        if (result.ec != std::errc() || !std::isfinite(value))
+            return false;
+        p = result.ptr;
+        return true;
+    }
+
+    bool
+    field(Event &event, Field field)
+    {
+        if (field == Field::A)
+            return real(event.a);
+        if (field == Field::B)
+            return real(event.b);
+        long long value = 0;
+        if (!integer(value))
+            return false;
+        setIntegerField(event, field, value);
+        return true;
+    }
+};
+
+/**
+ * The first route of decodeJsonlLine(): walk `line` against the
+ * literals writeJsonl() prints — `{"run":`, the run, `,"t":`, the
+ * tick, the kind's jsonlHead, each field key and its number, each
+ * flag in its on or off form, then '}'; bytes after it are ignored.
+ * Numbers are read by std::from_chars alone, and a double only when
+ * finite. Every literal after a number starts with ',' or is the
+ * closing '}', so a token counts only where the general scan would
+ * end it, and from_chars then reads it as parseInt()/parseDouble()
+ * do. False at the first byte that differs, with `out` untouched:
+ * the general route then decides the line. Both routes accept a
+ * writer line with the same bits, so trying this one first changes
+ * no outcome.
+ */
+bool
+decodeWriterLine(std::string_view line, TraceRecord &out)
+{
+    LiteralWalk walk{line.data(), line.data() + line.size()};
+    TraceRecord record;
+    long long run = 0;
+    long long tick = 0;
+    if (!walk.literal(kJsonlRunKey) || !walk.integer(run) ||
+        !walk.literal(kJsonlTickKey) || !walk.integer(tick))
+        return false;
+    record.run = static_cast<std::uint64_t>(run);
+    record.event.tick = tick;
+
+    // The name between `,"kind":"` and the next quote picks the kind
+    // whose literals the rest of the line must follow.
+    const std::string_view rest(walk.p, walk.end - walk.p);
+    const std::size_t nameEnd = rest.find('"', kJsonlKindKey.size());
+    if (nameEnd == std::string_view::npos)
+        return false;
+    const auto kind = parseEventKind(rest.substr(
+        kJsonlKindKey.size(), nameEnd - kJsonlKindKey.size()));
+    if (!kind)
+        return false;
+    const KindLiterals &lits = literalsFor(*kind);
+    if (!walk.literal(lits.jsonlHead))
+        return false;
+    record.event.kind = *kind;
+
+    for (const FieldLiteral &field : lits.fields) {
+        if (!walk.literal(field.key) ||
+            !walk.field(record.event, field.field))
+            return false;
+    }
+    for (const FlagLiteral &flag : lits.flags) {
+        if (walk.literal(flag.on))
+            record.event.flags |= flag.bit;
+        else if (!walk.literal(flag.off))
+            return false;
+    }
+    if (!walk.literal("}"))
+        return false;
+    out = record;
+    return true;
+}
+
 } // namespace
 
 void
@@ -669,7 +797,8 @@ writeJsonl(std::ostream &out, const std::vector<Event> &events,
     if (events.empty())
         return;
     const TraceLiterals &table = traceLiterals();
-    const std::string prefix = runLiteral("{\"run\":", runIndex, ",\"t\":");
+    const std::string prefix =
+        runLiteral(kJsonlRunKey, runIndex, kJsonlTickKey);
     ChunkEmitter emit(out, prefix.size() + table.jsonlMaxLine,
                       events.size());
     for (const Event &event : events) {
@@ -701,6 +830,8 @@ decodeJsonlLine(std::string_view line, std::size_t lineNumber,
                                              : JsonlLine::Malformed;
     if (line.empty() || line[0] == '#')
         return JsonlLine::Skip;
+    if (decodeWriterLine(line, out))
+        return JsonlLine::Record;
 
     RawPairs pairs;
     TraceRecord record;

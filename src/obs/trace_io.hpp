@@ -17,11 +17,16 @@
  * straight into a bounded chunk buffer from literals built once off
  * that field table, and hand the stream whole chunks.
  *
- * Reading: decodeJsonlLine() is the one JSONL parser. It scans a
- * line once into string_views of the caller's buffer, allocates
- * nothing on a well-formed line, and reports malformed input as a
- * diagnostic instead of exiting; JsonlTraceCursor (and readJsonl()
- * through it) turns that diagnostic into util::fatal().
+ * Reading: decodeJsonlLine() is the one JSONL parser, with two
+ * routes. It first walks a line against the literals the writer
+ * prints, reading each number with std::from_chars; at the first
+ * byte that differs it hands the line to a general scan into
+ * string_views of the caller's buffer, which alone takes reordered,
+ * duplicated or unknown keys, whitespace and strtod-only tokens, and
+ * alone reports malformed input. Both routes accept a writer line
+ * with the same bits, neither allocates on a well-formed line, and
+ * neither exits: JsonlTraceCursor (and readJsonl() through it) turns
+ * the diagnostic into util::fatal().
  */
 
 #ifndef QUETZAL_OBS_TRACE_IO_HPP

@@ -268,8 +268,11 @@ core::AdaptationDecision
 GreedyFcfsPolicy::admit(const core::PolicyContext &, const core::Job &)
 {
     // Full quality, no prediction, no prevention: the Controller
-    // fills the all-zero option vector from the empty default.
-    return {};
+    // fills the all-zero option vector from the empty default. A
+    // named default-initialised decision sets only its members'
+    // initialisers, where `return {}` zeroes the whole object first.
+    core::AdaptationDecision decision;
+    return decision;
 }
 
 } // namespace policy

@@ -11,6 +11,9 @@
  * lines: bit flips, truncation at every byte, reordered, duplicated
  * and unknown keys, injected whitespace, and number tokens on the
  * boundary between std::from_chars and strtod.
+ * The decoder walks a line against the writer's literals first and
+ * hands anything else to its general scan; writer lines off by one
+ * byte or token pin that hand-off for every kind.
  */
 
 #include <gtest/gtest.h>
@@ -842,7 +845,10 @@ TEST(JsonlParseDifferential, InjectedWhitespaceDecodesIdentically)
     EXPECT_GT(tally.malformed, 0u);
 }
 
-/** Number tokens on both sides of the from_chars/strtod boundary. */
+/** Number tokens on both sides of the from_chars/strtod boundary,
+ *  and bool near-misses. Each one replaces one value of an otherwise
+ *  writer-shaped line, so it also pins where the writer-literal route
+ *  hands the line to the general one. */
 const std::vector<std::string> &
 numberTokens()
 {
@@ -867,8 +873,9 @@ numberTokens()
         "0x", "1p3", "--1", "+-1", "9223372036854775807",
         "9223372036854775808", "-9223372036854775808",
         "-9223372036854775809", "18446744073709551615", "4294967295",
-        "4294967296", "-1", "true", "false", "\"2.5\"", "\"7\"", "\"\"",
-        "\"nan(9)\"", "1.5\"", "\"1.5"};
+        "4294967296", "-1", "true", "false", "tru", "TRUE", "truex",
+        "fals", "\"2.5\"", "\"7\"", "\"\"", "\"nan(9)\"", "1.5\"",
+        "\"1.5"};
     return tokens;
 }
 
@@ -888,6 +895,36 @@ TEST(JsonlParseDifferential, NumberTokensDecodeIdentically)
                 lines.push_back(joinPairs(mutated));
             }
         }
+    }
+    const Tally tally = expectAllSame(lines);
+    EXPECT_GT(tally.records, 0u);
+    EXPECT_GT(tally.malformed, 0u);
+}
+
+TEST(JsonlParseDifferential, WriterShapedNearMissesDecodeIdentically)
+{
+    std::vector<std::string> lines;
+    for (const std::string &source : baseLines()) {
+        const std::string body = source.substr(0, source.size() - 1);
+        lines.push_back(body);
+        for (const char *tail : {"x", "}", " ", "\r", ",\"bogus\":1}", "{}"})
+            lines.push_back(source + tail);
+        lines.push_back(body + "\r}");
+        lines.push_back(body + " }");
+        for (std::size_t pos = source.find(','); pos != std::string::npos;
+             pos = source.find(',', pos + 1))
+            lines.push_back(source.substr(0, pos + 1) + " " +
+                            source.substr(pos + 1));
+
+        // "run", "t" and "kind" lead every writer line.
+        std::vector<std::string> pairs = splitPairs(source);
+        std::swap(pairs[0], pairs[1]);
+        lines.push_back(joinPairs(pairs));
+        std::swap(pairs[0], pairs[1]);
+        std::rotate(pairs.begin() + 2, pairs.begin() + 3, pairs.end());
+        lines.push_back(joinPairs(pairs));
+        std::rotate(pairs.begin(), pairs.end() - 1, pairs.end());
+        lines.push_back(joinPairs(pairs));
     }
     const Tally tally = expectAllSame(lines);
     EXPECT_GT(tally.records, 0u);

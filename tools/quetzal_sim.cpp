@@ -499,9 +499,12 @@ runCli(int argc, char **argv)
     }
 
     // Checkpoint/resume plumbing — the fingerprint is computed after
-    // every configuration flag has landed, so a mismatched record is
-    // rejected with both fingerprints named. Under --checkpoint-stop
-    // the sink fires once, and the run ends at that boundary.
+    // every configuration flag has landed, the trace level included
+    // (it shapes the state), so a mismatched record is rejected with
+    // both fingerprints named. Under --checkpoint-stop the sink fires
+    // once, and the run ends at that boundary.
+    if (tracing)
+        cfg.obsLevel = traceLevel;
     const std::uint64_t fingerprint = sim::experimentFingerprint(cfg);
     sim::CheckpointScan resumed;
     if (!resumePath.empty()) {
@@ -530,7 +533,6 @@ runCli(int argc, char **argv)
     std::ostream *btraceOut = nullptr;
     std::optional<obs::BtraceWriter> btraceWriter;
     if (tracing) {
-        cfg.obsLevel = traceLevel;
         if (traceFormat == "btrace") {
             btraceOut = &obs::openTraceOutput(traceOut, btraceFile);
             btraceWriter.emplace(*btraceOut);
