@@ -44,8 +44,11 @@ run_gtest "$BUILD_DIR"/tests/test_sim 'ParallelRunner.*:TraceCache.*'
 
 # Telemetry under parallel execution: per-run sinks recorded from
 # worker threads, serialized after the joins (GoldenTrace runs the
-# same ensemble on 1 and 4 workers and compares bytes).
-run_gtest "$BUILD_DIR"/tests/test_obs 'GoldenTrace.*:ObsProperties.*'
+# same ensemble on 1 and 4 workers and compares bytes). ObsVectorSink
+# hands a sink's log between the thread that built it, the worker
+# that recorded into it and the thread that destroyed it.
+run_gtest "$BUILD_DIR"/tests/test_obs \
+    'GoldenTrace.*:ObsProperties.*:ObsVectorSink.*'
 
 # The indexed input buffer's randomized differential suite (also a
 # memory-safety workout for the slot/lane/free-list pointers).

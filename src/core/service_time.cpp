@@ -68,14 +68,6 @@ AverageServiceTimeEstimator::name() const
     return "avg-se2e";
 }
 
-std::size_t
-AverageServiceTimeEstimator::observationCount(
-        const DegradationOption &option) const
-{
-    const auto it = history.find(keyFor(option));
-    return it == history.end() ? 0 : it->second.count();
-}
-
 void
 AverageServiceTimeEstimator::state(util::wire::Archive &ar)
 {

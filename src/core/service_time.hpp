@@ -127,9 +127,6 @@ class AverageServiceTimeEstimator : public ServiceTimeEstimator
 
     std::string name() const override;
 
-    /** Observation count for one option (testing aid). */
-    std::size_t observationCount(const DegradationOption &option) const;
-
     /** Walks the per-option observation history. */
     void state(util::wire::Archive &ar) override;
 

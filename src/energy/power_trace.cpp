@@ -110,17 +110,6 @@ PowerTrace::maxValue() const
 }
 
 double
-PowerTrace::minValue() const
-{
-    if (segments.empty())
-        return 0.0;
-    double best = segments.front().value;
-    for (const auto &seg : segments)
-        best = std::min(best, seg.value);
-    return best;
-}
-
-double
 PowerTrace::meanValue(Tick horizon) const
 {
     if (horizon <= 0 || segments.empty())

@@ -130,9 +130,6 @@ class PowerTrace
     /** Largest value over all segments (0 for an empty trace). */
     double maxValue() const;
 
-    /** Smallest value over all segments (0 for an empty trace). */
-    double minValue() const;
-
     /**
      * Time-weighted mean value over [0, horizon).
      */

@@ -77,8 +77,9 @@ class RatioEngine
 
     /**
      * The power ratio the engine's arithmetic implies for a code
-     * difference: 2^(delta/8) evaluated exactly (reference for error
-     * analysis; not used on the hot path).
+     * difference: 2^(delta/8) evaluated exactly. Only tests call it:
+     * it is the reference serviceTicks()' shift/lookup arithmetic is
+     * checked against for every delta.
      */
     static double impliedRatio(std::uint8_t delta);
 

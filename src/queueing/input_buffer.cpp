@@ -160,12 +160,6 @@ InputBuffer::countForJob(JobId job) const
     return job < lanes.size() ? lanes[job].count : 0;
 }
 
-bool
-InputBuffer::hasSchedulable() const
-{
-    return schedulableCount > 0;
-}
-
 std::optional<SlotId>
 InputBuffer::oldestSlotForJob(JobId job) const
 {

@@ -116,9 +116,6 @@ class InputBuffer
     /** Number of schedulable (not in-flight) inputs awaiting a job. O(1). */
     std::size_t countForJob(JobId job) const;
 
-    /** True when any schedulable input exists. O(1). */
-    bool hasSchedulable() const;
-
     /**
      * Slot of the oldest (arrival order) schedulable input for the
      * given job, or nullopt when none is queued. O(1).

@@ -49,14 +49,6 @@ Rng::uniform01()
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
-double
-Rng::uniform(double lo, double hi)
-{
-    if (lo > hi)
-        panic(msg("uniform bounds inverted: ", lo, " > ", hi));
-    return lo + (hi - lo) * uniform01();
-}
-
 std::int64_t
 Rng::uniformInt(std::int64_t lo, std::int64_t hi)
 {

@@ -62,9 +62,6 @@ class Rng
     /** Uniform double in [0, 1). */
     double uniform01();
 
-    /** Uniform double in [lo, hi). Requires lo <= hi. */
-    double uniform(double lo, double hi);
-
     /** Uniform integer in [lo, hi] inclusive. Requires lo <= hi. */
     std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
 

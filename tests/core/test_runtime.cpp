@@ -121,10 +121,10 @@ TEST(Controller, TaskObservationsFeedAverageEstimator)
         "avg", policy::makePolicy("sjf-ibo"),
         std::make_unique<AverageServiceTimeEstimator>());
     controller->onTaskComplete(*s.system, s.mlTask, 0, 7.0);
-    const auto &avg = static_cast<AverageServiceTimeEstimator &>(
-        controller->estimator());
-    EXPECT_EQ(
-        avg.observationCount(s.system->task(s.mlTask).option(0)), 1u);
+    // The average estimator answers with the observed mean.
+    EXPECT_DOUBLE_EQ(controller->estimator().estimate(
+                         s.system->task(s.mlTask).option(0), {1e-3, 0}),
+                     7.0);
 }
 
 TEST(Controller, DegradationCountsInStats)

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "energy/power_trace.hpp"
+#include "support/random.hpp"
 #include "util/random.hpp"
 
 namespace quetzal {
@@ -52,12 +53,12 @@ randomTrace(util::Rng &rng)
     const auto count = static_cast<std::size_t>(rng.uniformInt(1, 40));
     std::vector<PowerTrace::Segment> segments;
     Tick start = rng.uniformInt(0, 50);
-    double value = rng.uniform(0.0, 1.0);
+    double value = uniformIn(rng, 0.0, 1.0);
     for (std::size_t i = 0; i < count; ++i) {
         // ~25 %: repeat the value, so nextChangeAfter must skip the
         // boundary (a segment start is not necessarily a change).
         if (!rng.bernoulli(0.25) || segments.empty())
-            value = rng.uniform(0.0, 1.0);
+            value = uniformIn(rng, 0.0, 1.0);
         segments.push_back({start, value});
         start += rng.uniformInt(1, 500);
     }

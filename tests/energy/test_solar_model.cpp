@@ -52,7 +52,8 @@ TEST(SolarModel, BoundsRespected)
     const SolarConfig cfg = testConfig();
     const Tick twoDays = secondsToTicks(2 * 86400.0);
     const PowerTrace trace = SolarModel(cfg).generate(twoDays);
-    EXPECT_GE(trace.minValue(), cfg.ambientFloor - 1e-12);
+    for (const auto &segment : trace.data())
+        ASSERT_GE(segment.value, cfg.ambientFloor - 1e-12);
     EXPECT_LE(trace.maxValue(), cfg.peakIrradiance + 1e-12);
 }
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "quetzal.hpp"
+#include "support/random.hpp"
 #include "util/random.hpp"
 
 namespace quetzal {
@@ -44,7 +45,7 @@ randomConfig(util::Rng &rng)
         static_cast<std::size_t>(rng.uniformInt(2, 24));
     cfg.harvesterCells = static_cast<int>(rng.uniformInt(1, 12));
     cfg.sim.capturePeriod = rng.uniformInt(1, 4) * 1000;
-    cfg.bufferThreshold = rng.uniform(0.05, 1.0);
+    cfg.bufferThreshold = uniformIn(rng, 0.05, 1.0);
     cfg.system.taskWindow = 1u << rng.uniformInt(3, 8);
     cfg.system.arrivalWindow = 1u << rng.uniformInt(4, 9);
     cfg.usePid = rng.bernoulli(0.8);

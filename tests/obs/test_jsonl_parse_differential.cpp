@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "obs/trace_io.hpp"
+#include "support/random.hpp"
 #include "util/logging.hpp"
 #include "util/random.hpp"
 
@@ -582,9 +583,9 @@ randomEvent(EventKind kind, util::Rng &rng)
         rng.uniformInt(0, 1'000'000'000'000ll));
     event.value = rng.uniformInt(-1'000'000, 1'000'000'000ll);
     event.extra = rng.uniformInt(-1'000'000, 1'000'000'000ll);
-    event.a = rng.uniform(-1.0, 1.0) *
-        std::pow(10.0, rng.uniform(-300.0, 300.0));
-    event.b = rng.bernoulli(0.2) ? 0.0 : rng.uniform(-1e6, 1e6);
+    event.a = uniformIn(rng, -1.0, 1.0) *
+        std::pow(10.0, uniformIn(rng, -300.0, 300.0));
+    event.b = rng.bernoulli(0.2) ? 0.0 : uniformIn(rng, -1e6, 1e6);
     event.flags = static_cast<std::uint32_t>(rng.uniformInt(0, 0x7ff));
     event.options =
         static_cast<std::uint32_t>(rng.uniformInt(0, 0xffffffffll));

@@ -30,6 +30,7 @@
 
 #include "obs/trace_io.hpp"
 #include "obs/trace_sink.hpp"
+#include "support/random.hpp"
 #include "util/logging.hpp"
 #include "util/random.hpp"
 
@@ -336,9 +337,10 @@ randomEvent(EventKind kind, util::Rng &rng)
     event.value = rng.uniformInt(-1'000'000, 1'000'000'000ll);
     event.extra = rng.uniformInt(-1'000'000, 1'000'000'000ll);
     event.a = kind == EventKind::JobComplete
-        ? rng.uniform(-1e6, 1e6)
-        : rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform(-300.0, 300.0));
-    event.b = rng.bernoulli(0.2) ? 0.0 : rng.uniform(-1e6, 1e6);
+        ? uniformIn(rng, -1e6, 1e6)
+        : uniformIn(rng, -1.0, 1.0) *
+            std::pow(10.0, uniformIn(rng, -300.0, 300.0));
+    event.b = rng.bernoulli(0.2) ? 0.0 : uniformIn(rng, -1e6, 1e6);
     event.flags = static_cast<std::uint32_t>(rng.uniformInt(0, 0x7ff));
     event.options =
         static_cast<std::uint32_t>(rng.uniformInt(0, 0xffffffffll));

@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "obs/trace_io.hpp"
+#include "support/random.hpp"
 #include "util/random.hpp"
 
 namespace quetzal {
@@ -84,8 +85,8 @@ double
 randomDouble(util::Rng &rng)
 {
     const double magnitude =
-        rng.uniform(-1.0, 1.0) *
-        std::pow(10.0, rng.uniform(-12.0, 12.0));
+        uniformIn(rng, -1.0, 1.0) *
+        std::pow(10.0, uniformIn(rng, -12.0, 12.0));
     return rng.bernoulli(0.1) ? 0.0 : magnitude;
 }
 

@@ -82,7 +82,6 @@ TEST(InputBuffer, InFlightKeepsSlotButNotSchedulable)
     // But only record 2 is schedulable.
     EXPECT_EQ(buffer.countForJob(0), 1u);
     EXPECT_EQ(buffer.record(*buffer.oldestSlotForJob(0)).id, 2u);
-    EXPECT_TRUE(buffer.hasSchedulable());
 }
 
 TEST(InputBuffer, ReleaseFreesSlot)
@@ -115,12 +114,13 @@ TEST(InputBuffer, RetagNeverOverflows)
     EXPECT_FALSE(retagged.inFlight);
 }
 
-TEST(InputBuffer, HasSchedulableFalseWhenAllInFlight)
+TEST(InputBuffer, NothingSchedulableWhenAllInFlight)
 {
     InputBuffer buffer(2);
     buffer.tryPush(record(1, 0));
     buffer.markInFlight(*buffer.oldestSlotForJob(0));
-    EXPECT_FALSE(buffer.hasSchedulable());
+    EXPECT_FALSE(buffer.oldestSchedulable().has_value());
+    EXPECT_FALSE(buffer.newestSchedulable().has_value());
     EXPECT_FALSE(buffer.oldestSlotForJob(0).has_value());
 }
 

@@ -60,15 +60,6 @@ class NaiveBuffer
         return n;
     }
 
-    bool
-    hasSchedulable() const
-    {
-        return std::any_of(records.begin(), records.end(),
-                           [](const InputRecord &r) {
-                               return !r.inFlight;
-                           });
-    }
-
     std::optional<std::uint64_t>
     oldestIdForJob(JobId job) const
     {
@@ -186,7 +177,6 @@ expectEquivalent(const InputBuffer &indexed, const NaiveBuffer &naive)
 {
     ASSERT_EQ(indexed.size(), naive.size());
     ASSERT_EQ(indexed.full(), naive.full());
-    ASSERT_EQ(indexed.hasSchedulable(), naive.hasSchedulable());
     ASSERT_EQ(indexed.overflows().total, naive.overflows().total);
     ASSERT_EQ(indexed.overflows().interesting,
               naive.overflows().interesting);

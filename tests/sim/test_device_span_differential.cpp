@@ -27,6 +27,7 @@
 
 #include "app/device_profiles.hpp"
 #include "sim/device.hpp"
+#include "support/random.hpp"
 #include "util/logging.hpp"
 #include "util/random.hpp"
 
@@ -377,7 +378,7 @@ randomTrace(util::Rng &rng, int count, Tick maxLength)
         if (kind < 2)
             value = 0.0;
         else if (kind >= 4 || i == 0)
-            value = rng.uniform(0.0, 30e-3);
+            value = uniformIn(rng, 0.0, 30e-3);
         segments.push_back({start, value});
         start += rng.uniformInt(1, maxLength);
     }
@@ -389,7 +390,7 @@ randomProfile(util::Rng &rng)
 {
     app::DeviceProfile profile = app::apollo4Device();
     // Smaller stores make shorter brown-out cycles: many per segment.
-    profile.storage.capacitance *= rng.uniform(0.02, 1.0);
+    profile.storage.capacitance *= uniformIn(rng, 0.02, 1.0);
     profile.checkpoint.policy = rng.bernoulli(0.5)
         ? app::CheckpointPolicy::JustInTime
         : app::CheckpointPolicy::Periodic;
@@ -399,8 +400,8 @@ randomProfile(util::Rng &rng)
     profile.checkpoint.saveTicks = rng.uniformInt(0, 30);
     profile.checkpoint.restoreTicks =
         rng.uniformInt(profile.checkpoint.saveTicks == 0 ? 1 : 0, 30);
-    profile.checkpoint.savePower = rng.uniform(0.0, 20e-3);
-    profile.checkpoint.restorePower = rng.uniform(0.0, 20e-3);
+    profile.checkpoint.savePower = uniformIn(rng, 0.0, 20e-3);
+    profile.checkpoint.restorePower = uniformIn(rng, 0.0, 20e-3);
     return profile;
 }
 
@@ -443,7 +444,7 @@ TEST_P(DeviceSpanDifferential, MatchesTheOneSpanPerTransitionLoop)
                 ", call " + std::to_string(call) + ", tick " +
                 std::to_string(now);
             if (!device.taskActive() && rng.bernoulli(0.8)) {
-                const Watts power = rng.uniform(1e-3, 50e-3);
+                const Watts power = uniformIn(rng, 1e-3, 50e-3);
                 const Tick exeTicks = rng.uniformInt(1, 300'000);
                 device.startTask(power, exeTicks);
                 reference.startTask(power, exeTicks);
@@ -476,8 +477,8 @@ TEST_P(DeviceSpanDifferential, MatchesTheOneSpanPerTransitionLoop)
             if (rng.bernoulli(0.3)) {
                 // A capture-sized draw, or one that empties the store.
                 const Joules amount = rng.bernoulli(0.8)
-                    ? rng.uniform(0.0, 2e-3)
-                    : device.energy() * rng.uniform(0.9, 1.5);
+                    ? uniformIn(rng, 0.0, 2e-3)
+                    : device.energy() * uniformIn(rng, 0.9, 1.5);
                 device.drawInstantaneous(amount);
                 reference.drawInstantaneous(amount);
             }

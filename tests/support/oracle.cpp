@@ -175,11 +175,13 @@ simulateQueue(const QueueSimConfig &config)
     std::uint64_t nextId = 1;
 
     const auto beginService = [&]() {
-        if (serverBusy || !buffer.hasSchedulable())
+        if (serverBusy)
             return;
         const auto slot = config.discipline == QueueDiscipline::Lcfs
             ? buffer.newestSchedulable()
             : buffer.oldestSchedulable();
+        if (!slot)
+            return;
         servingSlot = *slot;
         servingId = buffer.markInFlight(servingSlot).id;
         serverBusy = true;

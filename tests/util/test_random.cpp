@@ -46,16 +46,6 @@ TEST(Rng, Uniform01InRange)
     }
 }
 
-TEST(Rng, UniformRespectsBounds)
-{
-    Rng rng(7);
-    for (int i = 0; i < 10000; ++i) {
-        const double u = rng.uniform(-3.0, 5.0);
-        EXPECT_GE(u, -3.0);
-        EXPECT_LT(u, 5.0);
-    }
-}
-
 TEST(Rng, UniformIntInclusiveBounds)
 {
     Rng rng(7);
